@@ -5,7 +5,7 @@ cross-check, the package's headline identity, over a desk-scale grid."""
 import argparse
 import time
 
-from meanderq.fock import meander_moment, semi_meander_moment
+from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep
 from meanderq.polynomials import coefficient_table, meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL
 
@@ -18,30 +18,37 @@ def main() -> None:
     args = ap.parse_args()
 
     print("== semi-meander polynomials ==")
+    polys = {}
     for n in range(1, args.n_max + 1):
         t0 = time.time()
-        p = semi_meander_poly(n)
+        polys[n] = p = semi_meander_poly(n)
         print(f"n={n}  ({time.time() - t0:.2f}s)  {p}")
         print(coefficient_table(p).to_csv())
 
     print("== operator moments vs polynomial values (formal deformation) ==")
+    # one sweep per d gives m_1..m_n_max at once
+    semi = {
+        d: semi_meander_moment_sweep(d, args.n_max, FORMAL, cap=args.n_max)
+        for d in range(1, args.d_max + 1)
+    }
     for n in range(1, args.n_max + 1):
-        p = semi_meander_poly(n)
         for d in range(1, args.d_max + 1):
-            m = semi_meander_moment(d, n, FORMAL, cap=args.n_max)
-            v = p.eval_at_t(d)
-            mark = "ok" if m == v else "MISMATCH"
+            m = semi[d][n]
+            mark = "ok" if m == polys[n].eval_at_t(d) else "MISMATCH"
             print(f"d={d} n={n}: moment = {m}  [{mark}]")
 
     print("== meander side ==")
+    meander = {
+        d: meander_moment_sweep(d, args.meander_n_max, FORMAL, cap=args.meander_n_max)
+        for d in (1, 2)
+    }
     for n in range(1, args.meander_n_max + 1):
         p = meander_poly(n)
         print(f"n={n}  {p}")
         for d in (1, 2):
-            m = meander_moment(d, n, FORMAL, cap=args.meander_n_max)
+            m = meander[d][n]
             mark = "ok" if m == p.eval_at_t(d) else "MISMATCH"
             print(f"  d={d}: moment = {m}  [{mark}]")
-
 
 if __name__ == "__main__":
     main()

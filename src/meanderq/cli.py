@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyck import enumerate_bnc2_alternating, enumerate_dyck
 from .errors import EnumerationCapError, GroundSetError, TruncationOverflowError
-from .fock import meander_moment, semi_meander_moment
+from .fock import meander_moment_sweep, semi_meander_moment_sweep
 from .partitions import enumerate_noncrossing, enumerate_pair_partitions
 from .polynomials import (
     coefficient_table,
@@ -35,22 +34,6 @@ from .spectra import (
 from .verify import SUITE_ALIASES, SUITES, run_suite
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    n: int = 2
-    d: int = 1
-    q: Mode = FORMAL
-    kind: str = "semi"
-    operator: str = "T"
-    suite: str = "wick"
-    seed: int = 0
-    fmt: str = "json"
-    jobs: int = 1
-    cap: int | None = None
-    nodes: int | None = None
-
-
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
@@ -63,11 +46,7 @@ def _scalar_json(value):
     return value
 
 
-def _scalar_text(value) -> str:
-    return str(value)
-
-
-def cmd_poly(cfg: RunConfig) -> int:
+def cmd_poly(cfg: argparse.Namespace) -> int:
     builder = semi_meander_poly if cfg.kind == "semi" else meander_poly
     p = builder(cfg.n, cap=cfg.cap, jobs=cfg.jobs)
     if cfg.fmt == "csv":
@@ -79,20 +58,18 @@ def cmd_poly(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_moments(cfg: RunConfig) -> int:
+def cmd_moments(cfg: argparse.Namespace) -> int:
     mode = cfg.q
-    moment = semi_meander_moment if cfg.operator == "T" else meander_moment
-    values = [mode.coerce(1) if mode.is_exact else 1.0]
-    for n in range(1, cfg.n + 1):
-        values.append(moment(cfg.d, n, mode, cap=cfg.cap))
+    moments = semi_meander_moment_sweep if cfg.operator == "T" else meander_moment_sweep
+    values = moments(cfg.d, cfg.n, mode, cap=cfg.cap)
     q_field = "formal" if mode.is_formal else (str(mode.q) if mode.is_exact else mode.q)
     if cfg.fmt == "csv":
         sys.stdout.write("n,moment\n")
         for n, v in enumerate(values):
-            sys.stdout.write(f"{n},{_scalar_text(v)}\n")
+            sys.stdout.write(f"{n},{v}\n")
     elif cfg.fmt == "pretty":
         for n, v in enumerate(values):
-            sys.stdout.write(f"m_{n} = {_scalar_text(v)}\n")
+            sys.stdout.write(f"m_{n} = {v}\n")
     else:
         _emit(
             {
@@ -108,14 +85,13 @@ def cmd_moments(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = run_suite(cfg.suite, n=cfg.n if cfg.n else None,
-                       d=cfg.d if cfg.d else None, seed=cfg.seed)
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    report = run_suite(cfg.suite, n=cfg.n, d=cfg.d, seed=cfg.seed)
     _emit(report)
     return 0 if report["failure_count"] == 0 else 1
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     q = cfg.q if not cfg.q.is_formal else Mode(0.0)
     ms = semi_meander_moments(cfg.d, q, cfg.n, cap=cfg.cap)
     size = max(2, (len(ms) - 1) // 2 + 1)
@@ -144,7 +120,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(cfg: argparse.Namespace) -> int:
     kind = cfg.kind
     if kind == "pairs":
         items = [p.to_lists() for p in enumerate_pair_partitions(cfg.n, cap=cfg.cap)]
@@ -167,6 +143,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _q_mode(text: str) -> Mode:
+    try:
+        return parse_q(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad --q value: {exc}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meanderq",
@@ -175,35 +158,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, n_default=2):
+    def common(p, n_default=2, d_default=1, seed_default=0):
         p.add_argument("--n", type=_positive_int, default=n_default)
-        p.add_argument("--d", type=_positive_int, default=1)
-        p.add_argument("--q", type=str, default="")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--d", type=_positive_int, default=d_default)
+        p.add_argument("--seed", type=int, default=seed_default)
+
+    def compute(p, n_default=2):
+        common(p, n_default)
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"),
                        default="json")
+        p.add_argument("--q", type=_q_mode, default=FORMAL)
         p.add_argument("--jobs", type=_positive_int, default=1)
         p.add_argument("--cap", type=_positive_int, default=None)
 
     p_poly = sub.add_parser("poly", help="build a polynomial by enumeration")
-    common(p_poly)
+    compute(p_poly)
     p_poly.add_argument("--kind", choices=("semi", "meander"), default="semi")
 
     p_mom = sub.add_parser("moments", help="moment table of an operator")
-    common(p_mom)
+    compute(p_mom)
     p_mom.add_argument("--operator", choices=("T", "X"), default="T")
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
-    common(p_ver, n_default=0)
+    # None keeps each suite's own defaults; run_suite rejects a knob the
+    # suite does not take; verify has no --q, --jobs, --cap or --format.
+    common(p_ver, n_default=None, d_default=None, seed_default=None)
     all_suites = sorted(set(SUITES) | set(SUITE_ALIASES))
     p_ver.add_argument("--suite", choices=all_suites, required=True)
 
     p_spec = sub.add_parser("spectrum", help="moment -> recurrence -> quadrature")
-    common(p_spec, n_default=6)
+    compute(p_spec, n_default=6)
     p_spec.add_argument("--nodes", type=_positive_int, default=None)
 
     p_enum = sub.add_parser("enumerate", help="stream combinatorial objects")
-    common(p_enum)
+    compute(p_enum)
     p_enum.add_argument("--kind", choices=("pairs", "noncrossing", "dyck", "bnc"),
                         default="pairs")
 
@@ -211,26 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        mode = parse_q(args.q)
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(f"bad --q value: {exc}")
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", 2),
-        d=getattr(args, "d", 1),
-        q=mode,
-        kind=getattr(args, "kind", "semi"),
-        operator=getattr(args, "operator", "T"),
-        suite=getattr(args, "suite", "wick"),
-        seed=args.seed,
-        fmt=args.fmt,
-        jobs=args.jobs,
-        cap=args.cap,
-        nodes=getattr(args, "nodes", None),
-    )
+    cfg = build_parser().parse_args(argv)
     handlers = {
         "poly": cmd_poly,
         "moments": cmd_moments,

@@ -14,8 +14,9 @@ rational coordinates; complex coordinates are allowed in floating mode only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Sequence
+from functools import partial
+from itertools import permutations
+from typing import Callable, Sequence
 
 from .errors import EnumerationCapError, GroundSetError, TruncationOverflowError
 from .partitions import IndexTuple, crossings, enumerate_pair_partitions
@@ -133,6 +134,13 @@ class FockVector:
     def with_max_len(self, max_len: int) -> "FockVector":
         return FockVector(self.d, max_len, self.mode, self.terms)
 
+    def pruned(self, reach: int) -> "FockVector":
+        """The words of length at most ``reach``."""
+        return FockVector(
+            self.d, self.max_len, self.mode,
+            {w: c for w, c in self.terms.items() if len(w) <= reach},
+        )
+
     def max_abs(self) -> float:
         """Largest coefficient magnitude (floating modes only)."""
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -168,8 +176,8 @@ def apply(op: OpSymbol, x: FockVector) -> FockVector:
         raise GroundSetError(f"operator vector has dimension {len(v)}, state {x.d}")
     mode = x.mode
     out: dict[Word, object] = {}
+    left = op.side == LEFT
     if op.flavor == CREATE:
-        left = op.side == LEFT
         for word, c in x.terms.items():
             if len(word) + 1 > x.max_len:
                 raise TruncationOverflowError(
@@ -181,7 +189,6 @@ def apply(op: OpSymbol, x: FockVector) -> FockVector:
                 nw = (i,) + word if left else word + (i,)
                 _accumulate(out, nw, c * vi)
     else:
-        left = op.side == LEFT
         for word, c in x.terms.items():
             n = len(word)
             for k in range(1, n + 1):
@@ -346,37 +353,49 @@ def apply_semi_meander_operator(x: FockVector) -> FockVector:
     return FockVector(x.d, max_len, mode, out)
 
 
-def semi_meander_moment(
-    d: int,
-    n: int,
-    mode: Mode = FORMAL,
-    cap: int | None = None,
-    level: int | None = None,
-    prune: bool = True,
-):
-    """n-th vacuum moment of the semi-meander operator.  The truncation level
-    2n is exact: every elementary factor moves word length by one, so no word
-    above level 2n can feed back into the vacuum amplitude.  For the same
-    reason, after the k-th application any word longer than 2(n-k) is dead
-    weight for the final amplitude; ``prune`` drops such words (exact, and
-    the difference between linear and exponential cost in n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    limit = cap if cap is not None else DEFAULT_T_MOMENT_CAP
+def sweep(start, steps: Sequence[Callable], shrink: int, prune: bool = True) -> list:
+    """Vacuum amplitudes of ``start`` and of its image after each step.
+
+    Each step moves every word length (both legs of a word pair) by at most
+    ``shrink``, so after step k of N a basis element whose word, or longer
+    leg, exceeds ``shrink * (N - k)`` cannot reach the vacuum again, and
+    ``prune`` drops it.  This is exact, so one pass yields every order."""
+    x, amplitudes = start, [start.vacuum_amplitude()]
+    for k, step in enumerate(steps, start=1):
+        x = step(x)
+        if prune:
+            x = x.pruned(shrink * (len(steps) - k))
+        amplitudes.append(x.vacuum_amplitude())
+    return amplitudes
+
+
+def _check_order(n: int, cap: int | None, default: int) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    limit = cap if cap is not None else default
     if n > limit:
         raise EnumerationCapError(
             f"moment order {n} exceeds the cap {limit} (pass cap= to raise it)"
         )
-    x = FockVector.vacuum(d, level if level is not None else 2 * n, mode)
-    for step in range(1, n + 1):
-        x = apply_semi_meander_operator(x)
-        reach = 2 * (n - step)
-        if prune and reach < x.max_len:
-            x = FockVector(
-                x.d, x.max_len, mode,
-                {w: c for w, c in x.terms.items() if len(w) <= reach},
-            )
-    return x.vacuum_amplitude()
+
+
+def semi_meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None,
+                              level: int | None = None, prune: bool = True) -> list:
+    """Vacuum moments m_0..m_n of the semi-meander operator, from one pass.
+    The truncation level 2n is exact: each application moves word length by
+    at most two, so no word above level 2n can feed back into the vacuum."""
+    _check_order(n, cap, DEFAULT_T_MOMENT_CAP)
+    start = FockVector.vacuum(d, level if level is not None else 2 * n, mode)
+    return sweep(start, [apply_semi_meander_operator] * n, 2, prune)
+
+
+def semi_meander_moment(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None,
+                        level: int | None = None, prune: bool = True):
+    """n-th vacuum moment of the semi-meander operator; ``prune=False`` keeps
+    every word up to the truncation level (the reference for pruning)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return semi_meander_moment_sweep(d, n, mode, cap, level, prune)[-1]
 
 
 def _gaussian_moment_pairings(index: IndexTuple, mode: Mode):
@@ -396,17 +415,9 @@ def _gaussian_moment_pairings(index: IndexTuple, mode: Mode):
 def gaussian_joint_moment(index: IndexTuple, mode: Mode = FORMAL, cross_check: bool = False):
     """Vacuum moment of the product of position operators picked by the index
     tuple (leftmost factor carries the last index).  Odd lengths give 0."""
-    x = FockVector.vacuum(index.d, max(len(index), 1), mode)
-    total = len(index)
-    for step, i in enumerate(index.values, start=1):
-        x = _gaussian_factor(x, i)
-        reach = total - step
-        if reach < x.max_len:
-            x = FockVector(
-                x.d, x.max_len, mode,
-                {w: c for w, c in x.terms.items() if len(w) <= reach},
-            )
-    value = x.vacuum_amplitude()
+    start = FockVector.vacuum(index.d, max(len(index), 1), mode)
+    steps = [partial(_gaussian_factor, i=i) for i in index.values]
+    value = sweep(start, steps, 1)[-1]
     if cross_check:
         expected = _gaussian_moment_pairings(index, mode)
         if value != expected:
@@ -417,72 +428,92 @@ def gaussian_joint_moment(index: IndexTuple, mode: Mode = FORMAL, cross_check: b
     return value
 
 
+class _PairVector:
+    """State on the doubled space: a finitely supported map from pairs of
+    words to coefficients; the vacuum is the pair of empty words."""
+
+    __slots__ = ("d", "mode", "terms")
+
+    def __init__(self, d: int, mode: Mode, terms: dict[tuple[Word, Word], object]):
+        self.d = d
+        self.mode = mode
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def vacuum_amplitude(self):
+        return self.terms.get(((), ()), self.mode.zero())
+
+    def pruned(self, reach: int) -> "_PairVector":
+        return _PairVector(self.d, self.mode, {
+            (w1, w2): c for (w1, w2), c in self.terms.items()
+            if len(w1) <= reach and len(w2) <= reach
+        })
+
+
 def _canonical_pattern(values: tuple[int, ...]) -> tuple[int, ...]:
+    """Relabel values 1, 2, ... in order of first appearance."""
     relabel: dict[int, int] = {}
-    out = []
-    for v in values:
-        if v not in relabel:
-            relabel[v] = len(relabel) + 1
-        out.append(relabel[v])
-    return tuple(out)
+    return tuple(relabel.setdefault(v, len(relabel) + 1) for v in values)
+
+
+def _apply_doubled_operator(x: _PairVector) -> _PairVector:
+    """One application of sum_i X_i (x) X_i: the i-th left position operator
+    on both legs of every word pair.
+
+    Relabelling letters commutes with the step, so the state keeps one pair
+    per orbit (letters renamed by first appearance) with the coefficient of
+    each of its d!/(d-u)! pairs, u the letters used.  One fresh letter stands
+    for the d-u unused ones; removing a letter's last occurrence weighs d-u+1."""
+    one, q_pow = x.mode.one(), x.mode.q_power
+
+    def leg(word: Word, i: int) -> list[tuple[Word, object]]:
+        out = [((i,) + word, one)]
+        for k, a in enumerate(word):
+            if a == i:
+                out.append((word[:k] + word[k + 1 :], q_pow(k)))
+        return out
+
+    out: dict[tuple[Word, Word], object] = {}
+    for (w1, w2), c in x.terms.items():
+        used = max(w1 + w2, default=0)
+        for i in range(1, min(used + 1, x.d) + 1):
+            second = leg(w2, i)
+            for nw1, f1 in leg(w1, i):
+                cf1 = c * f1
+                for nw2, f2 in second:
+                    v = cf1 * f2
+                    if i not in nw1 and i not in nw2:
+                        v = v * (x.d - used + 1)
+                    key = _canonical_pattern(nw1 + nw2)
+                    _accumulate(out, (key[: len(nw1)], key[len(nw1) :]), v)
+    return _PairVector(x.d, x.mode, out)
+
+
+def _doubled_sweep(d: int, n: int, mode: Mode, prune: bool) -> list:
+    start = _PairVector(d, mode, {((), ()): mode.one()})
+    return sweep(start, [_apply_doubled_operator] * (2 * n), 1, prune)
+
+
+def meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None) -> list:
+    """Moments m_0..m_n of the squared two-faced sum against the doubled
+    vacuum, from one pass of 2n steps of sum_i X_i (x) X_i: m_k is the
+    amplitude after step 2k (odd steps give 0)."""
+    _check_order(n, cap, DEFAULT_X_MOMENT_CAP if d <= 2 else 3)
+    return _doubled_sweep(d, n, mode, prune=True)[::2]
 
 
 def meander_moment(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None):
-    """n-th moment of the squared two-faced sum against the doubled vacuum:
-    the sum over all index tuples of the squared joint moment.  Joint moments
-    only depend on the level-set pattern, so patterns are memoised."""
+    """n-th moment of the squared two-faced sum against the doubled vacuum."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    limit = cap if cap is not None else (DEFAULT_X_MOMENT_CAP if d <= 2 else 3)
-    if n > limit:
-        raise EnumerationCapError(
-            f"moment order {n} exceeds the cap {limit} (pass cap= to raise it)"
-        )
-    memo: dict[tuple[int, ...], object] = {}
-    total = mode.zero()
-    for values in product(range(1, d + 1), repeat=2 * n):
-        key = _canonical_pattern(values)
-        if key not in memo:
-            memo[key] = gaussian_joint_moment(IndexTuple(key, d), mode)
-        m = memo[key]
-        total = total + m * m
-    return total
+    return meander_moment_sweep(d, n, mode, cap)[-1]
 
 
 def meander_moment_direct(d: int, n: int, mode: Mode = FORMAL):
-    """Cross-check route on the doubled space: states are maps from pairs of
-    words, and each step applies the sum over i of the i-th position operator
-    on both legs.  Exponential in n; intended for n <= 2."""
+    """Unpruned pass over the doubled space, the reference that pruning is
+    exact.  Exponential in n; intended for n <= 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    max_len = 2 * n
-    mode_one = mode.one()
-
-    def a_action(word: Word, i: int) -> list[tuple[Word, object]]:
-        out = [((i,) + word, mode_one)]
-        for k in range(1, len(word) + 1):
-            if word[k - 1] == i:
-                out.append((word[:k - 1] + word[k:], mode.q_power(k - 1)))
-        return out
-
-    terms: dict[tuple[Word, Word], object] = {((), ()): mode.one()}
-    for _ in range(2 * n):
-        out: dict[tuple[Word, Word], object] = {}
-        for (w1, w2), c in terms.items():
-            if len(w1) >= max_len or len(w2) >= max_len:
-                raise TruncationOverflowError("doubled state exceeded its level")
-            for i in range(1, d + 1):
-                for nw1, f1 in a_action(w1, i):
-                    cf1 = c * f1
-                    for nw2, f2 in a_action(w2, i):
-                        key = (nw1, nw2)
-                        val = cf1 * f2
-                        if key in out:
-                            out[key] = out[key] + val
-                        else:
-                            out[key] = val
-        terms = {k: v for k, v in out.items() if v}
-    return terms.get(((), ()), mode.zero())
+    return _doubled_sweep(d, n, mode, prune=False)[-1]
 
 
 def commutator_defect(v: Sequence, w: Sequence, x: FockVector) -> FockVector:

@@ -284,7 +284,12 @@ def enumerate_noncrossing(n: int, cap: int | None = None) -> Iterator[PairPartit
 
 def crossings(pi: PairPartition) -> int:
     """Number of interleaved pair-pairs: {a,b} and {c,d} cross iff a<c<b<d."""
-    ps = pi.pairs
+    return _raw_crossings(pi.pairs)
+
+
+def _raw_crossings(ps: tuple[tuple[int, int], ...]) -> int:
+    """``crossings`` on raw (a, b) pair tuples with a < b, for hot loops that
+    never build a ``PairPartition``."""
     count = 0
     for i in range(len(ps)):
         a, b = ps[i]

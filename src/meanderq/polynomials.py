@@ -17,8 +17,7 @@ from .errors import EnumerationCapError
 from .partitions import (
     _check_cap,
     _iter_matchings_raw,
-    crossings,
-    PairPartition,
+    _raw_crossings,
     rainbow,
 )
 from .scalars import QPoly
@@ -121,17 +120,6 @@ def _partner_array(pairs: tuple[tuple[int, int], ...], m: int) -> list[int]:
     return out
 
 
-def _raw_crossings(pairs: tuple[tuple[int, int], ...]) -> int:
-    count = 0
-    for i in range(len(pairs)):
-        a, b = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            c, d = pairs[j]
-            if a < c < b < d:
-                count += 1
-    return count
-
-
 def _join_block_count(pa: list[int], pb: list[int]) -> int:
     """Blocks of the join of two matchings given as 0-based partner arrays.
 
@@ -155,15 +143,27 @@ def _join_block_count(pa: list[int], pb: list[int]) -> int:
 def _matchings_with_stats(two_n: int, first_partner: int | None = None):
     """(partner_array, crossings) for matchings of {1..2n}; optionally only
     those pairing 1 with the given partner (for parallel chunking)."""
-    points = tuple(range(1, two_n + 1))
-    if first_partner is None:
-        for pairs in _iter_matchings_raw(points):
+    rest = tuple(range(2, two_n + 1))
+    for b in rest if first_partner is None else (first_partner,):
+        for sub in _iter_matchings_raw(tuple(x for x in rest if x != b)):
+            pairs = ((1, b),) + sub
             yield _partner_array(pairs, two_n), _raw_crossings(pairs)
-        return
-    rest = tuple(x for x in points[1:] if x != first_partner)
-    for sub in _iter_matchings_raw(rest):
-        pairs = ((1, first_partner),) + sub
-        yield _partner_array(pairs, two_n), _raw_crossings(pairs)
+
+
+def _sum_chunks(chunk_terms, n: int, jobs: int) -> BivarPoly:
+    """Sum ``chunk_terms`` over the chunks of order n (one per partner of the
+    point 1), in a pool of ``jobs`` worker processes when jobs > 1."""
+    chunks = [(2 * n, fp) for fp in range(2, 2 * n + 1)]
+    if jobs > 1 and len(chunks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(chunk_terms, chunks))
+    else:
+        parts = map(chunk_terms, chunks)
+    terms: dict[tuple[int, int], int] = {}
+    for part in parts:
+        for key, c in part.items():
+            terms[key] = terms.get(key, 0) + c
+    return BivarPoly(terms)
 
 
 def _semi_chunk(args) -> dict[tuple[int, int], int]:
@@ -182,19 +182,7 @@ def semi_meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPol
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_cap(2 * n, cap)
-    chunks = [(2 * n, fp) for fp in range(2, 2 * n + 1)] if n > 1 else [(2, None)]
-    terms: dict[tuple[int, int], int] = {}
-    if jobs > 1 and len(chunks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = pool.map(_semi_chunk, chunks)
-            for part in partials:
-                for key, c in part.items():
-                    terms[key] = terms.get(key, 0) + c
-    else:
-        for chunk in chunks:
-            for key, c in _semi_chunk(chunk).items():
-                terms[key] = terms.get(key, 0) + c
-    return BivarPoly(terms)
+    return _sum_chunks(_semi_chunk, n, jobs)
 
 
 def _meander_chunk(args) -> dict[tuple[int, int], int]:
@@ -219,18 +207,7 @@ def meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
             f"meander order {n} exceeds the double-enumeration cap {limit} "
             "(pass cap= to raise it)"
         )
-    chunks = [(2 * n, fp) for fp in range(2, 2 * n + 1)] if n > 1 else [(2, None)]
-    terms: dict[tuple[int, int], int] = {}
-    if jobs > 1 and len(chunks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_meander_chunk, chunks):
-                for key, c in part.items():
-                    terms[key] = terms.get(key, 0) + c
-    else:
-        for chunk in chunks:
-            for key, c in _meander_chunk(chunk).items():
-                terms[key] = terms.get(key, 0) + c
-    return BivarPoly(terms)
+    return _sum_chunks(_meander_chunk, n, jobs)
 
 
 class CoefficientTable:

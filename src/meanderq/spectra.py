@@ -19,9 +19,9 @@ import numpy as np
 
 from .fock import (
     apply_semi_meander_operator,
-    meander_moment,
+    meander_moment_sweep,
     q_inner_product,
-    semi_meander_moment,
+    semi_meander_moment_sweep,
 )
 from .scalars import Mode
 
@@ -63,18 +63,14 @@ def _as_mode(q) -> Mode:
 def semi_meander_moments(d: int, q, n_max: int, cap: int | None = None) -> MomentSequence:
     """m_0..m_n_max of the semi-meander operator at a fixed deformation."""
     mode = _as_mode(q)
-    moments = [mode.coerce(1) if mode.is_exact else 1.0]
-    for n in range(1, n_max + 1):
-        moments.append(semi_meander_moment(d, n, mode, cap=cap if cap is not None else n_max))
+    moments = semi_meander_moment_sweep(d, n_max, mode, cap=cap if cap is not None else n_max)
     return MomentSequence(tuple(moments), provenance=f"semi-meander-op d={d} q={mode.q}")
 
 
 def meander_moments(d: int, q, n_max: int, cap: int | None = None) -> MomentSequence:
     """m_0..m_n_max of the squared two-faced sum at a fixed deformation."""
     mode = _as_mode(q)
-    moments = [mode.coerce(1) if mode.is_exact else 1.0]
-    for n in range(1, n_max + 1):
-        moments.append(meander_moment(d, n, mode, cap=cap if cap is not None else n_max))
+    moments = meander_moment_sweep(d, n_max, mode, cap=cap if cap is not None else n_max)
     return MomentSequence(tuple(moments), provenance=f"meander-op d={d} q={mode.q}")
 
 

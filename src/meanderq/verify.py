@@ -23,7 +23,9 @@ from .dyck import (
 from .fock import (
     FockVector,
     IndexTuple,
+    _canonical_pattern,
     commutator_defect,
+    gaussian_joint_moment,
     meander_moment,
     meander_moment_direct,
     semi_meander_moment,
@@ -129,9 +131,25 @@ def suite_semi_moments(d_max: int = 3, n_max: int = 4) -> dict:
     return _report("semi-moments", instances, failures)
 
 
+def _pattern_meander_moment(d: int, n: int):
+    """Oracle for the doubled-space sweep, on the single space only: the sum
+    over all d^(2n) index tuples of the squared joint moment, memoised by the
+    level-set pattern of the tuple, which is all a joint moment depends on."""
+    memo: dict[tuple[int, ...], object] = {}
+    total = FORMAL.zero()
+    for values in product(range(1, d + 1), repeat=2 * n):
+        key = _canonical_pattern(values)
+        if key not in memo:
+            memo[key] = gaussian_joint_moment(IndexTuple(key, d))
+        m = memo[key]
+        total = total + m * m
+    return total
+
+
 def suite_meander_moments(d_max: int = 2, n_max: int = 3) -> dict:
-    """Doubled-operator moments == meander polynomial values, with the direct
-    tensor route cross-checked at n <= 2."""
+    """Doubled-operator moments == meander polynomial values == the
+    index-tuple sum of squared joint moments, with the unpruned doubled
+    route cross-checked at n <= 2."""
     failures = []
     instances = 0
     for n in range(1, n_max + 1):
@@ -140,7 +158,7 @@ def suite_meander_moments(d_max: int = 2, n_max: int = 3) -> dict:
             instances += 1
             op = meander_moment(d, n, cap=n_max)
             val = poly.eval_at_t(d)
-            ok = op == val
+            ok = op == val == _pattern_meander_moment(d, n)
             if n <= 2:
                 ok = ok and meander_moment_direct(d, n) == val
             if not ok:
@@ -305,16 +323,18 @@ _SUITE_KNOBS = {
 
 def run_suite(name: str, n: int | None = None, d: int | None = None,
               seed: int | None = None) -> dict:
-    """Dispatch a suite by name (or alias), overriding its main size knobs."""
+    """Dispatch a suite by name (or alias), overriding its main size knobs.
+    A knob left as None keeps the suite's default; a knob the suite does not
+    take raises ValueError rather than being ignored."""
     canonical = SUITE_ALIASES.get(name, name)
     if canonical not in SUITES:
         raise KeyError(name)
     provided = {"n": n, "d": d, "seed": seed}
-    kwargs = {
-        target: provided[src]
-        for src, target in _SUITE_KNOBS[canonical].items()
-        if provided[src] is not None
-    }
+    knobs = _SUITE_KNOBS[canonical]
+    unused = sorted(k for k, v in provided.items() if v is not None and k not in knobs)
+    if unused:
+        raise ValueError(f"suite {name!r} takes no {', '.join('--' + k for k in unused)}")
+    kwargs = {knobs[k]: v for k, v in provided.items() if v is not None}
     report = SUITES[canonical](**kwargs)
     report["suite"] = name
     return report

@@ -134,6 +134,25 @@ class TestVerify:
         assert out1 == out2
         assert json.loads(out1)["seed"] == 7
 
+    def test_suite_defaults_apply_without_flags(self, capsys):
+        # without --d the suite keeps its own d_max=3, n_max=4: 12 instances
+        code, out, _ = run_cli(capsys, "verify", "--suite", "semi-moments")
+        assert code == 0
+        assert json.loads(out)["instances"] == 12
+
+    def test_knob_the_suite_does_not_take_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "commutator", "--n", "7")
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
+    @pytest.mark.parametrize("flag,value", [("--q", "1/2"), ("--jobs", "2"), ("--cap", "3"),
+                                            ("--format", "csv")])
+    def test_compute_flags_not_accepted(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "wick", flag, value])
+        assert exc.value.code == 2
+
     def test_unknown_suite_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])

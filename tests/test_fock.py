@@ -21,13 +21,16 @@ from meanderq.fock import (
     gaussian_joint_moment,
     meander_moment,
     meander_moment_direct,
+    meander_moment_sweep,
     q_inner_product,
     semi_meander_moment,
+    semi_meander_moment_sweep,
     vacuum_expectation,
     vector_inner,
     word_vector,
     _word_inner,
 )
+from meanderq.polynomials import meander_poly
 from meanderq.scalars import FORMAL, Mode, QPoly
 
 from conftest import rational_vectors
@@ -355,13 +358,74 @@ class TestMeanderMoment:
     def test_d1_n2(self):
         assert meander_moment(1, 2) == QPoly((4, 4, 1))
 
-    @pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)])
     def test_direct_route_agrees(self, d, n):
         assert meander_moment_direct(d, n) == meander_moment(d, n)
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             meander_moment(2, 5)
+
+    @pytest.mark.parametrize("d", [3, 5, 10])
+    def test_more_letters_than_pairs(self, d):
+        # word pairs are stored one per relabelling orbit, so a letter count
+        # above 2n enters only through the orbit sizes
+        poly = meander_poly(3)
+        half = Fraction(1, 2)
+        assert meander_moment(d, 3) == poly.eval_at_t(d)
+        assert meander_moment(d, 3, Mode(half)) == poly.eval(d, half)
+        assert meander_moment(d, 3, Mode(0.5)) == pytest.approx(float(poly.eval(d, half)))
+
+    def test_d3_n4(self):
+        assert meander_moment(3, 4, cap=4) == meander_poly(4).eval_at_t(3)
+
+
+SWEEP_MODES = [FORMAL, Mode(Fraction(1, 2)), Mode(Fraction(-1, 3)), Mode(0.5)]
+
+
+def _same_moment(a, b, mode):
+    return a == (b if mode.is_exact else pytest.approx(b, rel=1e-12))
+
+
+class TestMomentSweep:
+    """One pass pruned for horizon N yields m_1..m_N: each prefix entry
+    equals the single-order value computed with its own horizon."""
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES, ids=str)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_semi_meander_horizon_independent(self, d, mode):
+        single = [semi_meander_moment(d, n, mode) for n in range(1, 7)]
+        for horizon in range(1, 7):
+            swept = semi_meander_moment_sweep(d, horizon, mode)
+            assert len(swept) == horizon + 1
+            assert swept[0] == 1
+            for n in range(1, horizon + 1):
+                assert _same_moment(swept[n], single[n - 1], mode), (horizon, n)
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES, ids=str)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_meander_horizon_independent(self, d, mode):
+        single = [meander_moment(d, n, mode) for n in range(1, 5)]
+        for horizon in range(1, 5):
+            swept = meander_moment_sweep(d, horizon, mode)
+            assert len(swept) == horizon + 1
+            assert swept[0] == 1
+            for n in range(1, horizon + 1):
+                assert _same_moment(swept[n], single[n - 1], mode), (horizon, n)
+
+    def test_caps_apply_to_the_horizon(self):
+        with pytest.raises(EnumerationCapError):
+            semi_meander_moment_sweep(2, 8)
+        with pytest.raises(EnumerationCapError):
+            meander_moment_sweep(3, 4)
+        assert len(semi_meander_moment_sweep(1, 8, cap=8)) == 9
+
+    def test_single_orders_start_at_one(self):
+        # the sweeps accept n=0 (m_0 alone); a single order must be >= 1
+        with pytest.raises(ValueError):
+            semi_meander_moment(2, 0)
+        with pytest.raises(ValueError):
+            meander_moment(2, 0)
 
 
 class TestCommutatorDefect:

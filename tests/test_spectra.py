@@ -43,6 +43,11 @@ class TestMomentSequence:
         assert ms.moments[2] == 6
 
 
+    def test_order_zero(self):
+        assert semi_meander_moments(2, Fraction(0), 0).moments == (1,)
+        assert meander_moments(2, 0.5, 0).moments == (1.0,)
+
+
 class TestHankel:
     def test_point_mass_psd(self):
         ok, min_eig = hankel_psd_check(point_mass_moments(3, 8), size=4)
@@ -166,6 +171,9 @@ class TestNormBounds:
         lower, upper = semi_meander_norm_bounds(2)
         assert lower >= math.sqrt(6) - 1e-12
         assert upper == 8.0
+
+    def test_no_moments_gives_the_vacuum_bound(self):
+        assert semi_meander_norm_bounds(2, 0) == (math.sqrt(6), 8.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_ordered(self, d):
