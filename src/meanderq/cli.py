@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .dyck import enumerate_bnc2_alternating, enumerate_dyck
 from .errors import EnumerationCapError, GroundSetError, TruncationOverflowError
-from .fock import meander_moment_sweep, semi_meander_moment_sweep
 from .partitions import enumerate_noncrossing, enumerate_pair_partitions
 from .polynomials import (
     coefficient_table,
@@ -28,6 +27,7 @@ from .scalars import FORMAL, Mode, QPoly, parse_q
 from .spectra import (
     hankel_psd_check,
     jacobi_from_moments,
+    meander_moments,
     quadrature_from_jacobi,
     semi_meander_moments,
 )
@@ -60,28 +60,17 @@ def cmd_poly(cfg: argparse.Namespace) -> int:
 
 def cmd_moments(cfg: argparse.Namespace) -> int:
     mode = cfg.q
-    moments = semi_meander_moment_sweep if cfg.operator == "T" else meander_moment_sweep
-    values = moments(cfg.d, cfg.n, mode, cap=cfg.cap)
+    moments = semi_meander_moments if cfg.operator == "T" else meander_moments
+    ms = moments(cfg.d, mode, cfg.n, cap=cfg.cap)
     q_field = "formal" if mode.is_formal else (str(mode.q) if mode.is_exact else mode.q)
     if cfg.fmt == "csv":
-        sys.stdout.write("n,moment\n")
-        for n, v in enumerate(values):
-            sys.stdout.write(f"{n},{v}\n")
+        sys.stdout.write(ms.to_csv())
     elif cfg.fmt == "pretty":
-        for n, v in enumerate(values):
+        for n, v in enumerate(ms.moments):
             sys.stdout.write(f"m_{n} = {v}\n")
     else:
-        _emit(
-            {
-                "schema_version": 1,
-                "operator": cfg.operator,
-                "d": cfg.d,
-                "q": q_field,
-                "moments": [
-                    {"n": n, "value": _scalar_json(v)} for n, v in enumerate(values)
-                ],
-            }
-        )
+        _emit({"schema_version": 1, "operator": cfg.operator, "d": cfg.d, "q": q_field,
+               "moments": [{"n": n, "value": _scalar_json(v)} for n, v in enumerate(ms.moments)]})
     return 0
 
 
@@ -94,45 +83,35 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
     q = cfg.q if not cfg.q.is_formal else Mode(0.0)
     ms = semi_meander_moments(cfg.d, q, cfg.n, cap=cfg.cap)
-    size = max(2, (len(ms) - 1) // 2 + 1)
-    psd, min_eig = hankel_psd_check(ms, size)
+    psd, min_eig = hankel_psd_check(ms, cfg.n // 2 + 1)
     rec = jacobi_from_moments(ms)
-    k = cfg.nodes if cfg.nodes is not None else rec.depth
-    k = min(k, rec.depth)
+    k = min(cfg.nodes or rec.depth, rec.depth)
     quad = quadrature_from_jacobi(rec, k)
-    reproduced = 2 * k
     bound = 4.0 * cfg.d
     in_bound = all(abs(x) <= bound + 1e-9 for x in quad.nodes)
-    doc = {
+    _emit({
         "schema_version": 1,
         "d": cfg.d,
         "q": str(q.q) if q.is_exact else q.q,
         "n_moments": cfg.n,
         "hankel": {"psd": psd, "min_eigenvalue": min_eig},
         "jacobi_breakdown": rec.breakdown,
-        "nodes": list(quad.nodes),
-        "weights": list(quad.weights),
-        "reproduced_moments": reproduced,
+        **quad.to_json_obj(2 * k),
         "node_bound": bound,
         "nodes_within_bound": in_bound if float(q.q) == 0.0 else "monitored",
-    }
-    _emit(doc)
+    })
     return 0
 
 
 def cmd_enumerate(cfg: argparse.Namespace) -> int:
-    kind = cfg.kind
-    if kind == "pairs":
-        items = [p.to_lists() for p in enumerate_pair_partitions(cfg.n, cap=cfg.cap)]
-    elif kind == "noncrossing":
-        items = [p.to_lists() for p in enumerate_noncrossing(cfg.n, cap=cfg.cap)]
-    elif kind == "bnc":
-        items = [p.to_lists() for p in enumerate_bnc2_alternating(2 * cfg.n, cap=cfg.cap)]
-    elif kind == "dyck":
-        items = [str(t) for t in enumerate_dyck(2 * cfg.n, cap=cfg.cap)]
-    else:
-        raise ValueError(f"unknown enumeration kind {kind!r}")
-    _emit({"schema_version": 1, "kind": kind, "n": cfg.n, "count": len(items), "items": items})
+    n, cap = cfg.n, cfg.cap
+    items = {
+        "pairs": lambda: [p.to_lists() for p in enumerate_pair_partitions(n, cap=cap)],
+        "noncrossing": lambda: [p.to_lists() for p in enumerate_noncrossing(n, cap=cap)],
+        "bnc": lambda: [p.to_lists() for p in enumerate_bnc2_alternating(2 * n, cap=cap)],
+        "dyck": lambda: [str(t) for t in enumerate_dyck(2 * n, cap=cap)],
+    }[cfg.kind]()
+    _emit({"schema_version": 1, "kind": cfg.kind, "n": n, "count": len(items), "items": items})
     return 0
 
 
@@ -157,41 +136,45 @@ def build_parser() -> argparse.ArgumentParser:
         "moments and moment-problem tooling, all in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    flags = {
+        "n": dict(type=_positive_int, default=2),
+        "d": dict(type=_positive_int, default=1),
+        "seed": dict(type=int, default=0),
+        "q": dict(type=_q_mode, default=FORMAL),
+        "cap": dict(type=_positive_int, default=None),
+        "jobs": dict(type=_positive_int, default=1),
+        "format": dict(dest="fmt", choices=("json", "csv", "pretty"), default="json"),
+    }
 
-    def common(p, n_default=2, d_default=1, seed_default=0):
-        p.add_argument("--n", type=_positive_int, default=n_default)
-        p.add_argument("--d", type=_positive_int, default=d_default)
-        p.add_argument("--seed", type=int, default=seed_default)
+    def subcommand(name, handler, help, *names, **defaults):
+        """A subcommand with only the shared flags its handler reads."""
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(f"--{flag}", **flags[flag])
+        p.set_defaults(handler=handler, **defaults)
+        return p
 
-    def compute(p, n_default=2):
-        common(p, n_default)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"),
-                       default="json")
-        p.add_argument("--q", type=_q_mode, default=FORMAL)
-        p.add_argument("--jobs", type=_positive_int, default=1)
-        p.add_argument("--cap", type=_positive_int, default=None)
-
-    p_poly = sub.add_parser("poly", help="build a polynomial by enumeration")
-    compute(p_poly)
+    p_poly = subcommand("poly", cmd_poly, "build a polynomial by enumeration",
+                        "n", "cap", "jobs", "format")
     p_poly.add_argument("--kind", choices=("semi", "meander"), default="semi")
 
-    p_mom = sub.add_parser("moments", help="moment table of an operator")
-    compute(p_mom)
+    p_mom = subcommand("moments", cmd_moments, "moment table of an operator",
+                       "n", "d", "q", "cap", "format")
     p_mom.add_argument("--operator", choices=("T", "X"), default="T")
 
-    p_ver = sub.add_parser("verify", help="run a named verification suite")
     # None keeps each suite's own defaults; run_suite rejects a knob the
-    # suite does not take; verify has no --q, --jobs, --cap or --format.
-    common(p_ver, n_default=None, d_default=None, seed_default=None)
+    # suite does not take.
+    p_ver = subcommand("verify", cmd_verify, "run a named verification suite",
+                       "n", "d", "seed", n=None, d=None, seed=None)
     all_suites = sorted(set(SUITES) | set(SUITE_ALIASES))
     p_ver.add_argument("--suite", choices=all_suites, required=True)
 
-    p_spec = sub.add_parser("spectrum", help="moment -> recurrence -> quadrature")
-    compute(p_spec, n_default=6)
+    p_spec = subcommand("spectrum", cmd_spectrum, "moment -> recurrence -> quadrature",
+                        "n", "d", "q", "cap", n=6)
     p_spec.add_argument("--nodes", type=_positive_int, default=None)
 
-    p_enum = sub.add_parser("enumerate", help="stream combinatorial objects")
-    compute(p_enum)
+    p_enum = subcommand("enumerate", cmd_enumerate, "stream combinatorial objects",
+                        "n", "cap")
     p_enum.add_argument("--kind", choices=("pairs", "noncrossing", "dyck", "bnc"),
                         default="pairs")
 
@@ -200,15 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     cfg = build_parser().parse_args(argv)
-    handlers = {
-        "poly": cmd_poly,
-        "moments": cmd_moments,
-        "verify": cmd_verify,
-        "spectrum": cmd_spectrum,
-        "enumerate": cmd_enumerate,
-    }
     try:
-        return handlers[cfg.subcommand](cfg)
+        return cfg.handler(cfg)
     except (EnumerationCapError, TruncationOverflowError, GroundSetError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

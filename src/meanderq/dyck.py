@@ -17,17 +17,19 @@ this ordering, so it is part of the contract.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 from typing import Iterator, Sequence
 
+from .errors import ENUMERATION_BUDGET, check_size
 from .partitions import (
     LEFT,
     RIGHT,
     PairPartition,
     Permutation,
     SidePattern,
-    _check_cap,
     act,
+    catalan,
     check_side_pattern,
     enumerate_noncrossing,
     labels_to_heights,
@@ -109,7 +111,7 @@ def enumerate_dyck(two_n: int, cap: int | None = None) -> Iterator[DyckTuple]:
     """All Catalan(n) Dyck tuples of length 2n, lexicographic with '1' < '*'."""
     if two_n < 2 or two_n % 2:
         raise ValueError(f"even positive length required, got {two_n}")
-    _check_cap(two_n, cap)
+    check_size(two_n // 2, cap, map(catalan, range(1, two_n // 2 + 1)), ENUMERATION_BUDGET)
 
     def rec(prefix: list[str], ones: int, stars: int) -> Iterator[tuple[str, ...]]:
         if ones + stars == two_n:
@@ -124,8 +126,7 @@ def enumerate_dyck(two_n: int, cap: int | None = None) -> Iterator[DyckTuple]:
             yield from rec(prefix, ones, stars + 1)
             prefix.pop()
 
-    for symbols in rec([], 0, 0):
-        yield DyckTuple(symbols)
+    return map(DyckTuple, rec([], 0, 0))
 
 
 def to_lattice_path(eps: DyckTuple | Sequence[str]) -> tuple[int, ...]:
@@ -283,11 +284,11 @@ def enumerate_preimage(
 ) -> Iterator[PairPartition]:
     """All pair-partitions whose decoration word is ``eps``, one per choice
     tuple, iterating the star parameters in height order."""
-    _check_cap(eps.size, cap)
     chi = _resolve_chi(chi, eps.size)
     stars = eps.star_heights()
-    ranges = [range(1, choice_number(eps, h) + 1) for h in stars]
-    for combo in product(*ranges):
+    choices = [choice_number(eps, h) for h in stars]
+    check_size(eps.size // 2, cap, accumulate(choices, mul), ENUMERATION_BUDGET)
+    for combo in product(*(range(1, c + 1) for c in choices)):
         gammas = [1] * eps.size
         for h, g in zip(stars, combo):
             gammas[h - 1] = g
@@ -307,7 +308,6 @@ def enumerate_bnc2_alternating(
     labels-to-heights permutation (the bi-non-crossing matchings)."""
     if two_n < 2 or two_n % 2:
         raise ValueError(f"even positive length required, got {two_n}")
-    _check_cap(two_n, cap)
-    s = labels_to_heights(two_n // 2)
-    for pi in enumerate_noncrossing(two_n // 2, cap=cap):
-        yield act(s, pi)
+    pis = enumerate_noncrossing(two_n // 2, cap=cap)
+    s = labels_to_heights(two_n // 2).images
+    return (PairPartition((s[a - 1], s[b - 1]) for a, b in pi.pairs) for pi in pis)

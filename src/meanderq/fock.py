@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
-from typing import Callable, Sequence
+from itertools import accumulate, permutations
+from math import perm, prod
+from typing import Callable, Iterator, Sequence
 
-from .errors import EnumerationCapError, GroundSetError, TruncationOverflowError
+from .errors import SWEEP_BUDGET, GroundSetError, TruncationOverflowError, check_size
 from .partitions import IndexTuple, crossings, enumerate_pair_partitions
 from .scalars import FORMAL, Mode, conjugate
 
@@ -29,9 +30,6 @@ CREATE = "create"
 ANNIHILATE = "annihilate"
 LEFT = "l"
 RIGHT = "r"
-
-DEFAULT_T_MOMENT_CAP = 7
-DEFAULT_X_MOMENT_CAP = 4
 
 
 def basis_vector(d: int, i: int) -> CoordVector:
@@ -369,14 +367,49 @@ def sweep(start, steps: Sequence[Callable], shrink: int, prune: bool = True) -> 
     return amplitudes
 
 
-def _check_order(n: int, cap: int | None, default: int) -> None:
+def sweep_sizes(d: int, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
+    """Running totals, over the steps of the pruned sweep for m_n, of the
+    scalar products the steps can make, times in formal mode the most
+    q-degrees a coefficient can reach.  The input of step k holds basis
+    states within the pruning horizon, and every letter of a word (of the
+    two legs of a pair) occurs an even number of times.  With S(L, b) the
+    set partitions of L points into b blocks of even size, there are
+    E(L) = sum_b S(L, b) d!/(d-b)! such words of length L.  A T step makes
+    c^2 + c + 2 products per letter occurring c times: (2L + 2d) E(L) +
+    d L (L-1) E(L-2) over all words of length L.  A pair of legs l1, l2 is
+    stored as one of sum_{b<=d} S(l1+l2, b) relabelling orbits and makes at
+    most (1 + l1)(1 + l2) + min(d, (l1+l2)/2 + 1) - 1 products.  States of
+    the full length m = k-1 per leg had every step create: the d^m
+    palindromes i_m..i_1 i_1..i_m for T, which make 4 m (d+m-1) d^(m-1) +
+    (2m + 2d) d^m products, and pairs of equal words for X, at most
+    prod_{j<=m} min(j, d) orbits of them."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    limit = cap if cap is not None else default
-    if n > limit:
-        raise EnumerationCapError(
-            f"moment order {n} exceeds the cap {limit} (pass cap= to raise it)"
-        )
+    steps, shrink = (2 * n, 1) if doubled else (n, 2)
+    factor = 1 + n * (n - 1) // (1 if doubled else 2) if mode.is_formal else 1
+    row, words, orbits = [1], [], []  # S(2j, b) for the next j; E(2j); orbits of 2j
+
+    def products(k: int) -> int:
+        nonlocal row
+        m, h = k - 1, shrink * min(k - 1, steps - k + 1)
+        while len(words) <= h:
+            words.append(sum(c * perm(d, b) for b, c in enumerate(row)))
+            orbits.append(sum(row))
+            prev = row + [0]  # S(L, b) = b^2 S(L-2, b) + (2b-1) S(L-2, b-1)
+            row = [0] + [b * b * prev[b] + (2 * b - 1) * prev[b - 1]
+                         for b in range(1, min(d, len(words)) + 1)]
+        if doubled:
+            legs = range(m % 2, h + 1, 2)
+            return sum((prod(min(j, d) for j in range(1, m + 1)) if a == b == m
+                        else orbits[(a + b) // 2])
+                       * ((1 + a) * (1 + b) + min(d, (a + b) // 2 + 1) - 1)
+                       for a in legs for b in legs)
+        return sum(4 * m * (d + m - 1) * d ** max(m - 1, 0) + (2 * m + 2 * d) * d**m
+                   if L == 2 * m
+                   else (2 * L + 2 * d) * words[L // 2] + d * L * (L - 1) * words[L // 2 - 1]
+                   for L in range(0, h + 1, 2))
+
+    return accumulate(products(k) * factor for k in range(1, steps + 1))
 
 
 def semi_meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None,
@@ -384,7 +417,7 @@ def semi_meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | No
     """Vacuum moments m_0..m_n of the semi-meander operator, from one pass.
     The truncation level 2n is exact: each application moves word length by
     at most two, so no word above level 2n can feed back into the vacuum."""
-    _check_order(n, cap, DEFAULT_T_MOMENT_CAP)
+    check_size(n, cap, sweep_sizes(d, n, mode, doubled=False), SWEEP_BUDGET)
     start = FockVector.vacuum(d, level if level is not None else 2 * n, mode)
     return sweep(start, [apply_semi_meander_operator] * n, 2, prune)
 
@@ -406,7 +439,7 @@ def _gaussian_moment_pairings(index: IndexTuple, mode: Mode):
         return mode.zero()
     total = mode.zero()
     values = index.values
-    for pi in enumerate_pair_partitions(two_n // 2, cap=two_n):
+    for pi in enumerate_pair_partitions(two_n // 2):
         if all(values[a - 1] == values[b - 1] for a, b in pi.pairs):
             total = total + mode.q_power(crossings(pi))
     return total
@@ -497,7 +530,7 @@ def meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = 
     """Moments m_0..m_n of the squared two-faced sum against the doubled
     vacuum, from one pass of 2n steps of sum_i X_i (x) X_i: m_k is the
     amplitude after step 2k (odd steps give 0)."""
-    _check_order(n, cap, DEFAULT_X_MOMENT_CAP if d <= 2 else 3)
+    check_size(n, cap, sweep_sizes(d, n, mode, doubled=True), SWEEP_BUDGET)
     return _doubled_sweep(d, n, mode, prune=True)[::2]
 
 

@@ -12,48 +12,23 @@ element in increasing order.
 
 from __future__ import annotations
 
-import os
+from math import comb, prod
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import EnumerationCapError, GroundSetError
-
-DEFAULT_ENUMERATION_CAP = 16  # ground-set size 2n
+from .errors import ENUMERATION_BUDGET, GroundSetError, check_size
 
 LEFT = "l"
 RIGHT = "r"
 SidePattern = tuple[str, ...]
 
 
-def enumeration_cap(override: int | None = None) -> int:
-    """Effective ground-set cap: explicit override, else MEANDER_CAP, else default."""
-    if override is not None:
-        return override
-    env = os.environ.get("MEANDER_CAP")
-    return int(env) if env else DEFAULT_ENUMERATION_CAP
-
-
-def _check_cap(size: int, cap: int | None) -> None:
-    limit = enumeration_cap(cap)
-    if size > limit:
-        raise EnumerationCapError(
-            f"ground-set size {size} exceeds the enumeration cap {limit} "
-            "(pass cap= or set MEANDER_CAP to raise it)"
-        )
-
-
 def odd_double_factorial(n: int) -> int:
     """(2n-1)!!, the number of pair-partitions of {1..2n}."""
-    out = 1
-    for k in range(3, 2 * n, 2):
-        out *= k
-    return out
+    return prod(range(1, 2 * n, 2))
 
 
 def catalan(n: int) -> int:
-    out = 1
-    for k in range(n):
-        out = out * 2 * (2 * k + 1) // (k + 2)
-    return out
+    return comb(2 * n, n) // (n + 1)
 
 
 class PairPartition:
@@ -252,9 +227,8 @@ def enumerate_pair_partitions(n: int, cap: int | None = None) -> Iterator[PairPa
     """All (2n-1)!! pair-partitions of {1..2n}, in the frozen recursive order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_cap(2 * n, cap)
-    for pairs in _iter_matchings_raw(tuple(range(1, 2 * n + 1))):
-        yield PairPartition(pairs)
+    check_size(n, cap, map(odd_double_factorial, range(1, n + 1)), ENUMERATION_BUDGET)
+    return map(PairPartition, _iter_matchings_raw(tuple(range(1, 2 * n + 1))))
 
 
 def _iter_noncrossing_raw(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -277,9 +251,8 @@ def enumerate_noncrossing(n: int, cap: int | None = None) -> Iterator[PairPartit
     directly (not by filtering), in a deterministic recursive order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_cap(2 * n, cap)
-    for pairs in _iter_noncrossing_raw(tuple(range(1, 2 * n + 1))):
-        yield PairPartition(pairs)
+    check_size(n, cap, map(catalan, range(1, n + 1)), ENUMERATION_BUDGET)
+    return map(PairPartition, _iter_noncrossing_raw(tuple(range(1, 2 * n + 1))))
 
 
 def crossings(pi: PairPartition) -> int:

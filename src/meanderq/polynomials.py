@@ -13,16 +13,14 @@ import concurrent.futures
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import EnumerationCapError
+from .errors import ENUMERATION_BUDGET, check_size
 from .partitions import (
-    _check_cap,
     _iter_matchings_raw,
     _raw_crossings,
+    odd_double_factorial,
     rainbow,
 )
 from .scalars import QPoly
-
-DEFAULT_MEANDER_CAP = 5  # max n for the double enumeration
 
 
 class BivarPoly:
@@ -181,7 +179,7 @@ def semi_meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPol
     matchings of {1..2n}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_cap(2 * n, cap)
+    check_size(n, cap, map(odd_double_factorial, range(1, n + 1)), ENUMERATION_BUDGET)
     return _sum_chunks(_semi_chunk, n, jobs)
 
 
@@ -201,12 +199,7 @@ def meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
     the system range over all matchings, so ((2n-1)!!)^2 pairs are visited."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    limit = cap if cap is not None else DEFAULT_MEANDER_CAP
-    if n > limit:
-        raise EnumerationCapError(
-            f"meander order {n} exceeds the double-enumeration cap {limit} "
-            "(pass cap= to raise it)"
-        )
+    check_size(n, cap, (odd_double_factorial(k) ** 2 for k in range(1, n + 1)), ENUMERATION_BUDGET)
     return _sum_chunks(_meander_chunk, n, jobs)
 
 

@@ -23,7 +23,7 @@ from .dyck import (
     enumerate_preimage,
     is_dyck,
 )
-from .errors import GroundSetError
+from .errors import ENUMERATION_BUDGET, GroundSetError, check_size
 from .fock import (
     CoordVector,
     FockVector,
@@ -193,10 +193,9 @@ def doubled_compatible_count(pi: PairPartition, d: int) -> int:
 
 
 def doubled_compatible_count_bruteforce(pi: PairPartition, d: int) -> int:
-    """Literal count over all d^(2n) index tuples (capped)."""
+    """Literal count over all d^(2n) index tuples (within the enumeration budget)."""
     two_n = pi.size
-    if d**two_n > 10**6:
-        raise ValueError(f"brute force over {d}^{two_n} tuples refused")
+    check_size(two_n // 2, None, (d**j for j in range(1, two_n + 1)), ENUMERATION_BUDGET)
     count = 0
     for values in product(range(1, d + 1), repeat=two_n):
         if any(values[2 * k] != values[2 * k + 1] for k in range(two_n // 2)):

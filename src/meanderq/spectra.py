@@ -63,14 +63,14 @@ def _as_mode(q) -> Mode:
 def semi_meander_moments(d: int, q, n_max: int, cap: int | None = None) -> MomentSequence:
     """m_0..m_n_max of the semi-meander operator at a fixed deformation."""
     mode = _as_mode(q)
-    moments = semi_meander_moment_sweep(d, n_max, mode, cap=cap if cap is not None else n_max)
+    moments = semi_meander_moment_sweep(d, n_max, mode, cap=cap)
     return MomentSequence(tuple(moments), provenance=f"semi-meander-op d={d} q={mode.q}")
 
 
 def meander_moments(d: int, q, n_max: int, cap: int | None = None) -> MomentSequence:
     """m_0..m_n_max of the squared two-faced sum at a fixed deformation."""
     mode = _as_mode(q)
-    moments = meander_moment_sweep(d, n_max, mode, cap=cap if cap is not None else n_max)
+    moments = meander_moment_sweep(d, n_max, mode, cap=cap)
     return MomentSequence(tuple(moments), provenance=f"meander-op d={d} q={mode.q}")
 
 

@@ -123,7 +123,7 @@ def suite_semi_moments(d_max: int = 3, n_max: int = 4) -> dict:
         poly = semi_meander_poly(n)
         for d in range(1, d_max + 1):
             instances += 1
-            op = semi_meander_moment(d, n, cap=n_max)
+            op = semi_meander_moment(d, n)
             comb = semi_meander_moment_sum(d, n)
             val = poly.eval_at_t(d)
             if not (op == comb == val):
@@ -156,7 +156,7 @@ def suite_meander_moments(d_max: int = 2, n_max: int = 3) -> dict:
         poly = meander_poly(n)
         for d in range(1, d_max + 1):
             instances += 1
-            op = meander_moment(d, n, cap=n_max)
+            op = meander_moment(d, n)
             val = poly.eval_at_t(d)
             ok = op == val == _pattern_meander_moment(d, n)
             if n <= 2:
@@ -278,7 +278,7 @@ def suite_bnc_q0(d_max: int = 3, n_max: int = 5) -> dict:
         poly = semi_meander_poly(n)
         for d in range(1, d_max + 1):
             instances += 1
-            op = semi_meander_moment(d, n, q0, cap=n_max)
+            op = semi_meander_moment(d, n, q0)
             qn = poly.eval(d, 0)
             bnc = bnc_moment_q0(d, n)
             if not (op == qn == bnc):

@@ -61,11 +61,6 @@ class TestPoly:
                                "--cap", "2")
         assert code == 0
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("MEANDER_CAP", "4")
-        code, _, err = run_cli(capsys, "poly", "--kind", "semi", "--n", "3")
-        assert code == 2
-
 
 class TestMoments:
     def test_formal_semi(self, capsys):
@@ -105,7 +100,7 @@ class TestMoments:
 
     def test_cap_exit2(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--operator", "T", "--d", "2",
-                               "--n", "9")
+                               "--n", "11")
         assert code == 2
 
 
@@ -203,6 +198,14 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["nodes_within_bound"] == "monitored"
 
+    def test_order_one_gives_a_one_node_rule(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--d", "2", "--q", "1/2", "--n", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["nodes"] == [2.0]  # m_1 = d
+        assert doc["weights"] == [1.0]
+        assert doc["reproduced_moments"] == 2
+
     def test_breakdown_reported_not_fatal(self, capsys):
         # d=1 q=0 truncated early enough that the recursion stays regular;
         # the field must exist either way
@@ -229,6 +232,23 @@ class TestEnumerate:
         assert json.loads(out)["count"] == 42
         code, out, _ = run_cli(capsys, "enumerate", "--kind", "bnc", "--n", "5")
         assert json.loads(out)["count"] == 42
+
+
+# Flags each computing subcommand used to accept and then ignore.
+UNREAD_FLAGS = [
+    ("poly", "--d", "2"), ("poly", "--q", "1/2"), ("poly", "--seed", "3"),
+    ("moments", "--jobs", "2"), ("moments", "--seed", "3"),
+    ("spectrum", "--format", "csv"), ("spectrum", "--jobs", "8"), ("spectrum", "--seed", "3"),
+    ("enumerate", "--d", "2"), ("enumerate", "--q", "1/2"), ("enumerate", "--jobs", "2"),
+    ("enumerate", "--seed", "3"), ("enumerate", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("subcommand,flag,value", UNREAD_FLAGS)
+def test_unread_flag_is_a_usage_error(subcommand, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--n", "1", flag, value])
+    assert exc.value.code == 2
 
 
 class TestEntryPoint:

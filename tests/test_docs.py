@@ -1,4 +1,10 @@
 import doctest
+import re
+from fractions import Fraction
+from functools import partial
+from pathlib import Path
+
+import pytest
 
 import meanderq.dyck
 import meanderq.partitions
@@ -26,3 +32,56 @@ def test_quadrature_json_obj():
     quad = Quadrature((1.0, -1.0), (0.5, 0.5))
     doc = quad.to_json_obj(reproduced=4)
     assert doc == {"nodes": [1.0, -1.0], "weights": [0.5, 0.5], "reproduced_moments": 4}
+
+
+
+def _table_rows(readme: str, header: str) -> list[list[str]]:
+    """Cells of the README table whose header row starts with ``header``."""
+    rows = []
+    for line in readme[readme.index(header):].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_frontier_matches_the_budgets(monkeypatch):
+    """Each order the README frontier tables list is admitted without a cap
+    and the next order is refused, so the tables cannot drift from the
+    budgets."""
+    import meanderq.fock as fock
+    import meanderq.polynomials as polynomials
+    from meanderq.dyck import enumerate_bnc2_alternating, enumerate_dyck
+    from meanderq.errors import EnumerationCapError
+    from meanderq.partitions import enumerate_noncrossing, enumerate_pair_partitions
+    from meanderq.scalars import FORMAL, Mode
+
+    # a route decides admission before any work, so the work is stubbed out
+    monkeypatch.setattr(polynomials, "_sum_chunks", lambda *args: None)
+    monkeypatch.setattr(fock, "sweep", lambda *args: [])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    routes = {
+        "poly --kind semi": polynomials.semi_meander_poly,
+        "poly --kind meander": polynomials.meander_poly,
+        "enumerate --kind pairs": enumerate_pair_partitions,
+        "enumerate --kind noncrossing": enumerate_noncrossing,
+        "enumerate --kind dyck": lambda n: enumerate_dyck(2 * n),
+        "enumerate --kind bnc": lambda n: enumerate_bnc2_alternating(2 * n),
+    }
+    rows = _table_rows(readme, "| route |")
+    assert sorted(route for route, *_ in rows) == sorted(routes)
+    checks = [(routes[route], int(n)) for route, n, _ in rows]
+    sweeps = {"T": fock.semi_meander_moment_sweep, "X": fock.meander_moment_sweep}
+    modes = [FORMAL, Mode(Fraction(1, 2)), Mode(0.5)]
+    rows = _table_rows(readme, "| `moments` |")
+    listed = sorted((op, int(d)) for op, d, *_ in rows)
+    assert listed == [(op, d) for op in "TX" for d in range(1, 6)]
+    for op, d, *cells in rows:
+        assert len(cells) == len(modes)
+        for mode, cell in zip(modes, cells):
+            n = int(re.fullmatch(r"(\d+) \([\d.]+ s\)", cell).group(1))
+            checks.append((partial(sweeps[op], int(d), mode=mode), n))
+    for admit, n in checks:
+        admit(n)
+        with pytest.raises(EnumerationCapError):
+            admit(n + 1)

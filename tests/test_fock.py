@@ -303,7 +303,7 @@ class TestSemiMeanderMoment:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            semi_meander_moment(2, 8)
+            semi_meander_moment(2, 11)
         assert semi_meander_moment(1, 8, cap=8) is not None
 
     def test_fused_operator_matches_composition(self):
@@ -364,7 +364,7 @@ class TestMeanderMoment:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            meander_moment(2, 5)
+            meander_moment(2, 6)
 
     @pytest.mark.parametrize("d", [3, 5, 10])
     def test_more_letters_than_pairs(self, d):
@@ -415,9 +415,9 @@ class TestMomentSweep:
 
     def test_caps_apply_to_the_horizon(self):
         with pytest.raises(EnumerationCapError):
-            semi_meander_moment_sweep(2, 8)
+            semi_meander_moment_sweep(2, 11)
         with pytest.raises(EnumerationCapError):
-            meander_moment_sweep(3, 4)
+            meander_moment_sweep(3, 6)
         assert len(semi_meander_moment_sweep(1, 8, cap=8)) == 9
 
     def test_single_orders_start_at_one(self):

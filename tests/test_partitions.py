@@ -75,11 +75,6 @@ class TestEnumeration:
         # explicit override raises the cap
         assert next(enumerate_pair_partitions(9, cap=18)) is not None
 
-    def test_cap_env(self, monkeypatch):
-        monkeypatch.setenv("MEANDER_CAP", "4")
-        with pytest.raises(EnumerationCapError):
-            next(enumerate_pair_partitions(3))
-
 
 class TestNoncrossing:
     @pytest.mark.parametrize("n", range(1, 7))
