@@ -13,10 +13,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .dyck import enumerate_bnc2_alternating, enumerate_dyck
 from .errors import EnumerationCapError, GroundSetError, TruncationOverflowError
-from .partitions import enumerate_noncrossing, enumerate_pair_partitions
+from .partitions import (catalan, enumerate_noncrossing, enumerate_pair_partitions,
+                         odd_double_factorial)
 from .polynomials import (
     coefficient_table,
     meander_poly,
@@ -104,14 +106,20 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(cfg: argparse.Namespace) -> int:
+    """Stream the items under their closed-form count: one JSON document, flat memory."""
     n, cap = cfg.n, cfg.cap
     items = {
-        "pairs": lambda: [p.to_lists() for p in enumerate_pair_partitions(n, cap=cap)],
-        "noncrossing": lambda: [p.to_lists() for p in enumerate_noncrossing(n, cap=cap)],
-        "bnc": lambda: [p.to_lists() for p in enumerate_bnc2_alternating(2 * n, cap=cap)],
-        "dyck": lambda: [str(t) for t in enumerate_dyck(2 * n, cap=cap)],
+        "pairs": lambda: (p.to_lists() for p in enumerate_pair_partitions(n, cap=cap)),
+        "noncrossing": lambda: (p.to_lists() for p in enumerate_noncrossing(n, cap=cap)),
+        "bnc": lambda: (p.to_lists() for p in enumerate_bnc2_alternating(2 * n, cap=cap)),
+        "dyck": lambda: (str(t) for t in enumerate_dyck(2 * n, cap=cap)),
     }[cfg.kind]()
-    _emit({"schema_version": 1, "kind": cfg.kind, "n": n, "count": len(items), "items": items})
+    count = odd_double_factorial(n) if cfg.kind == "pairs" else catalan(n)
+    head = {"schema_version": 1, "kind": cfg.kind, "n": n, "count": count, "items": []}
+    sys.stdout.write(json.dumps(head, separators=(",", ":"))[:-2])  # ends '"items":['
+    for k, chunk in enumerate(iter(lambda: list(islice(items, 1024)), [])):
+        sys.stdout.write("," * (k > 0) + json.dumps(chunk, separators=(",", ":"))[1:-1])
+    sys.stdout.write("]}\n")
     return 0
 
 

@@ -9,6 +9,9 @@ from the left for left operators and from the right for right operators.
 
 Inner products are linear in the first argument.  Exact modes restrict to
 rational coordinates; complex coordinates are allowed in floating mode only.
+
+Moments are swept on relabelling orbits, which both operators respect: one
+word (word pair for X) per orbit whatever d, through one step for both.
 """
 
 from __future__ import annotations
@@ -315,49 +318,22 @@ def _gaussian_factor(x: FockVector, i: int) -> FockVector:
 
 def apply_semi_meander_operator(x: FockVector) -> FockVector:
     """One application of sum_i (left create + annihilate)(right create +
-    annihilate) at the i-th basis vector.
-
-    Fused single pass over the support: for every word and letter i, the two
-    right-side branches are expanded and each result is fed through the two
-    left-side branches, accumulating into one output map.
-    """
-    mode = x.mode
-    max_len = x.max_len
-    q_pow = mode.q_power
-    out: dict[Word, object] = {}
-    for word, c in x.terms.items():
-        n = len(word)
-        for i in range(1, x.d + 1):
-            right: list[tuple[Word, object]] = []
-            if n + 1 > max_len:
-                raise TruncationOverflowError(
-                    f"creation on a length-{n} word exceeds level {max_len}"
-                )
-            right.append((word + (i,), c))
-            for k in range(1, n + 1):
-                if word[n - k] == i:
-                    right.append((word[: n - k] + word[n - k + 1 :], c * q_pow(k - 1)))
-            for w2, c2 in right:
-                n2 = len(w2)
-                if n2 + 1 > max_len:
-                    raise TruncationOverflowError(
-                        f"creation on a length-{n2} word exceeds level {max_len}"
-                    )
-                _accumulate(out, (i,) + w2, c2)
-                for k in range(1, n2 + 1):
-                    if w2[k - 1] == i:
-                        nw = w2[: k - 1] + w2[k:]
-                        _accumulate(out, nw, c2 * q_pow(k - 1))
-    return FockVector(x.d, max_len, mode, out)
+    annihilate) at the i-th basis vector, composed from the elementary actions."""
+    out = FockVector.zero(x.d, x.max_len, x.mode)
+    for i in range(1, x.d + 1):
+        e = basis_vector(x.d, i)
+        y = apply(creator(RIGHT, e), x) + apply(annihilator(RIGHT, e), x)
+        out = out + _gaussian_factor(y, i)
+    return out
 
 
 def sweep(start, steps: Sequence[Callable], shrink: int, prune: bool = True) -> list:
     """Vacuum amplitudes of ``start`` and of its image after each step.
 
-    Each step moves every word length (both legs of a word pair) by at most
-    ``shrink``, so after step k of N a basis element whose word, or longer
-    leg, exceeds ``shrink * (N - k)`` cannot reach the vacuum again, and
-    ``prune`` drops it.  This is exact, so one pass yields every order."""
+    Each step moves every word length (every leg of an orbit state) by at
+    most ``shrink``, so after step k of N a basis element whose word, or
+    longest leg, exceeds ``shrink * (N - k)`` cannot reach the vacuum again,
+    and ``prune`` drops it.  This is exact, so one pass yields every order."""
     x, amplitudes = start, [start.vacuum_amplitude()]
     for k, step in enumerate(steps, start=1):
         x = step(x)
@@ -368,67 +344,148 @@ def sweep(start, steps: Sequence[Callable], shrink: int, prune: bool = True) -> 
 
 
 def sweep_sizes(d: int, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
-    """Running totals, over the steps of the pruned sweep for m_n, of the
-    scalar products the steps can make, times in formal mode the most
-    q-degrees a coefficient can reach.  The input of step k holds basis
-    states within the pruning horizon, and every letter of a word (of the
-    two legs of a pair) occurs an even number of times.  With S(L, b) the
-    set partitions of L points into b blocks of even size, there are
-    E(L) = sum_b S(L, b) d!/(d-b)! such words of length L.  A T step makes
-    c^2 + c + 2 products per letter occurring c times: (2L + 2d) E(L) +
-    d L (L-1) E(L-2) over all words of length L.  A pair of legs l1, l2 is
-    stored as one of sum_{b<=d} S(l1+l2, b) relabelling orbits and makes at
-    most (1 + l1)(1 + l2) + min(d, (l1+l2)/2 + 1) - 1 products.  States of
-    the full length m = k-1 per leg had every step create: the d^m
-    palindromes i_m..i_1 i_1..i_m for T, which make 4 m (d+m-1) d^(m-1) +
-    (2m + 2d) d^m products, and pairs of equal words for X, at most
-    prod_{j<=m} min(j, d) orbits of them."""
+    """Running totals, over the steps of the pruned orbit sweep for m_n, of
+    the scalar products the steps can make, times in formal mode the most
+    q-degrees a coefficient can reach.  Step k's input holds states within
+    the pruning horizon, each letter occurring an even number of times:
+    with S(L, b) the partitions of L points into b even blocks, legs of
+    total length L lie in sum_{b<=d} S(L, b) orbits.  A T word of length L
+    makes at most L^2 + L + 2 min(d, L/2 + 1) products (c^2 + c + 2 per
+    letter occurring c times, the fresh letter included), legs l1, l2 at
+    most (1 + l1)(1 + l2) + min(d, (l1+l2)/2 + 1) - 1.  States of the full
+    length m = k-1 per leg (T palindromes i_m..i_1 i_1..i_m, X pairs of
+    equal words) lie in at most prod_{j<=m} min(j, d) orbits."""
     if n < 0:
         raise ValueError("n must be >= 0")
     steps, shrink = (2 * n, 1) if doubled else (n, 2)
     factor = 1 + n * (n - 1) // (1 if doubled else 2) if mode.is_formal else 1
-    row, words, orbits = [1], [], []  # S(2j, b) for the next j; E(2j); orbits of 2j
+    row, orbits = [1], []  # S(2j, b) for the next j; orbits of total length 2j
 
     def products(k: int) -> int:
         nonlocal row
         m, h = k - 1, shrink * min(k - 1, steps - k + 1)
-        while len(words) <= h:
-            words.append(sum(c * perm(d, b) for b, c in enumerate(row)))
+        while len(orbits) <= h:
             orbits.append(sum(row))
             prev = row + [0]  # S(L, b) = b^2 S(L-2, b) + (2b-1) S(L-2, b-1)
             row = [0] + [b * b * prev[b] + (2 * b - 1) * prev[b - 1]
-                         for b in range(1, min(d, len(words)) + 1)]
+                         for b in range(1, min(d, len(orbits)) + 1)]
+        full = prod(min(j, d) for j in range(1, m + 1))
         if doubled:
             legs = range(m % 2, h + 1, 2)
-            return sum((prod(min(j, d) for j in range(1, m + 1)) if a == b == m
-                        else orbits[(a + b) // 2])
+            return sum((full if a == b == m else orbits[(a + b) // 2])
                        * ((1 + a) * (1 + b) + min(d, (a + b) // 2 + 1) - 1)
                        for a in legs for b in legs)
-        return sum(4 * m * (d + m - 1) * d ** max(m - 1, 0) + (2 * m + 2 * d) * d**m
-                   if L == 2 * m
-                   else (2 * L + 2 * d) * words[L // 2] + d * L * (L - 1) * words[L // 2 - 1]
+        return sum((full if L == 2 * m else orbits[L // 2]) * (L * L + L + 2 * min(d, L // 2 + 1))
                    for L in range(0, h + 1, 2))
 
     return accumulate(products(k) * factor for k in range(1, steps + 1))
 
 
-def semi_meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None,
-                              level: int | None = None, prune: bool = True) -> list:
-    """Vacuum moments m_0..m_n of the semi-meander operator, from one pass.
-    The truncation level 2n is exact: each application moves word length by
-    at most two, so no word above level 2n can feed back into the vacuum."""
+class _OrbitVector:
+    """Sweep state with one basis element per orbit of letter relabelling: a
+    map from tuples of legs (one word for T, a word pair for X), renamed
+    jointly by first appearance, to the coefficient of each of the orbit's
+    d!/(d-u)! members, u the letters used."""
+
+    __slots__ = ("d", "mode", "vacuum", "terms")
+
+    def __init__(self, d: int, mode: Mode, vacuum: tuple[Word, ...], terms: dict):
+        self.d, self.mode, self.vacuum = d, mode, vacuum
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def vacuum_amplitude(self):
+        return self.terms.get(self.vacuum, self.mode.zero())
+
+    def pruned(self, reach: int) -> "_OrbitVector":
+        kept = {legs: c for legs, c in self.terms.items() if max(map(len, legs)) <= reach}
+        return _OrbitVector(self.d, self.mode, self.vacuum, kept)
+
+
+def _canonical_pattern(*legs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Relabel values 1, 2, ... in order of first appearance, jointly over the legs."""
+    relabel: dict[int, int] = {}
+    return tuple(tuple(relabel.setdefault(v, len(relabel) + 1) for v in leg) for leg in legs)
+
+
+def _left_x(word: Word, i: int) -> list[tuple[Word, int]]:
+    """l_i + l_i* on a basis word, as (word, power of q) pairs."""
+    out = [((i,) + word, 0)]
+    for k, a in enumerate(word):
+        if a == i:
+            out.append((word[:k] + word[k + 1 :], k))
+    return out
+
+
+def _t_legs(legs: tuple[Word], i: int) -> list:
+    """T_i = (l_i + l_i*)(r_i + r_i*) on one word: r_i + r_i* is left X_i reversed."""
+    return [((), e, w[::-1]) for w, e in _left_x(legs[0][::-1], i)]
+
+
+def _x_legs(legs: tuple[Word, Word], i: int) -> list:
+    """X_i (x) X_i on a word pair: left X_i on the first leg."""
+    return [((w,), e, legs[1]) for w, e in _left_x(legs[0], i)]
+
+
+def _orbit_step(x: _OrbitVector, rule: Callable) -> _OrbitVector:
+    """One application of sum_i O_i: the factor ``rule(legs, i)`` lists as
+    (other legs, power of q, last leg), then left X_i on the last leg.  The
+    letters 1..u of a representative act as themselves and one fresh letter
+    u+1 stands for the d-u unused ones.  An output without the letter i lies
+    in a larger orbit: it weighs d-u+1 if i was an existing letter that left
+    and d-u if the fresh letter was created and annihilated (T only: r_i,
+    then l_i*).  Each distinct raw output is canonicalised once per step."""
+    d, mode = x.d, x.mode
+    longest = max((len(leg) for legs in x.terms for leg in legs), default=0)
+    q_pows = [mode.q_power(e) for e in range(2 * longest + 2)]
+    out, memo = {}, {}  # memo: raw output -> (its orbit key, letters it uses)
+    lookup, add = memo.get, _accumulate
+    for legs, c in x.terms.items():
+        u = max(max(leg, default=0) for leg in legs)
+        for i in range(1, min(u + 1, d) + 1):
+            letters = max(u, i)
+            for head, e, last in rule(legs, i):
+                for w, f in _left_x(last, i):
+                    raw = head + (w,)
+                    hit = lookup(raw)
+                    if hit is None:
+                        key = _canonical_pattern(*raw)
+                        hit = memo[raw] = (key, max(max(leg, default=0) for leg in key))
+                    key, used = hit
+                    value = c * q_pows[e + f] if e + f else c
+                    if used < letters:
+                        value = value * (d - used)
+                    add(out, key, value)
+    return _OrbitVector(d, mode, x.vacuum, out)
+
+
+def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, prune: bool = True) -> list:
+    """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i."""
+    vacuum = ((), ()) if doubled else ((),)
+    step = partial(_orbit_step, rule=_x_legs if doubled else _t_legs)
+    start = _OrbitVector(d, mode, vacuum, {vacuum: mode.one()})
+    return sweep(start, [step] * (len(vacuum) * n), 1 if doubled else 2, prune)
+
+
+def semi_meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None) -> list:
+    """Vacuum moments m_0..m_n of the semi-meander operator, from one pass."""
     check_size(n, cap, sweep_sizes(d, n, mode, doubled=False), SWEEP_BUDGET)
-    start = FockVector.vacuum(d, level if level is not None else 2 * n, mode)
-    return sweep(start, [apply_semi_meander_operator] * n, 2, prune)
+    return _orbit_sweep(d, n, mode, doubled=False)
 
 
-def semi_meander_moment(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None,
-                        level: int | None = None, prune: bool = True):
-    """n-th vacuum moment of the semi-meander operator; ``prune=False`` keeps
-    every word up to the truncation level (the reference for pruning)."""
+def semi_meander_moment(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None):
+    """n-th vacuum moment of the semi-meander operator."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return semi_meander_moment_sweep(d, n, mode, cap, level, prune)[-1]
+    return semi_meander_moment_sweep(d, n, mode, cap)[-1]
+
+
+def semi_meander_moment_direct(d: int, n: int, mode: Mode = FORMAL):
+    """Unpruned pass over basis words, the reference for the orbit sweep; level
+    2n is exact, as a step moves word length by at most two."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    start = FockVector.vacuum(d, 2 * n, mode)
+    return sweep(start, [apply_semi_meander_operator] * n, 2, prune=False)[-1]
 
 
 def _gaussian_moment_pairings(index: IndexTuple, mode: Mode):
@@ -461,77 +518,12 @@ def gaussian_joint_moment(index: IndexTuple, mode: Mode = FORMAL, cross_check: b
     return value
 
 
-class _PairVector:
-    """State on the doubled space: a finitely supported map from pairs of
-    words to coefficients; the vacuum is the pair of empty words."""
-
-    __slots__ = ("d", "mode", "terms")
-
-    def __init__(self, d: int, mode: Mode, terms: dict[tuple[Word, Word], object]):
-        self.d = d
-        self.mode = mode
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def vacuum_amplitude(self):
-        return self.terms.get(((), ()), self.mode.zero())
-
-    def pruned(self, reach: int) -> "_PairVector":
-        return _PairVector(self.d, self.mode, {
-            (w1, w2): c for (w1, w2), c in self.terms.items()
-            if len(w1) <= reach and len(w2) <= reach
-        })
-
-
-def _canonical_pattern(values: tuple[int, ...]) -> tuple[int, ...]:
-    """Relabel values 1, 2, ... in order of first appearance."""
-    relabel: dict[int, int] = {}
-    return tuple(relabel.setdefault(v, len(relabel) + 1) for v in values)
-
-
-def _apply_doubled_operator(x: _PairVector) -> _PairVector:
-    """One application of sum_i X_i (x) X_i: the i-th left position operator
-    on both legs of every word pair.
-
-    Relabelling letters commutes with the step, so the state keeps one pair
-    per orbit (letters renamed by first appearance) with the coefficient of
-    each of its d!/(d-u)! pairs, u the letters used.  One fresh letter stands
-    for the d-u unused ones; removing a letter's last occurrence weighs d-u+1."""
-    one, q_pow = x.mode.one(), x.mode.q_power
-
-    def leg(word: Word, i: int) -> list[tuple[Word, object]]:
-        out = [((i,) + word, one)]
-        for k, a in enumerate(word):
-            if a == i:
-                out.append((word[:k] + word[k + 1 :], q_pow(k)))
-        return out
-
-    out: dict[tuple[Word, Word], object] = {}
-    for (w1, w2), c in x.terms.items():
-        used = max(w1 + w2, default=0)
-        for i in range(1, min(used + 1, x.d) + 1):
-            second = leg(w2, i)
-            for nw1, f1 in leg(w1, i):
-                cf1 = c * f1
-                for nw2, f2 in second:
-                    v = cf1 * f2
-                    if i not in nw1 and i not in nw2:
-                        v = v * (x.d - used + 1)
-                    key = _canonical_pattern(nw1 + nw2)
-                    _accumulate(out, (key[: len(nw1)], key[len(nw1) :]), v)
-    return _PairVector(x.d, x.mode, out)
-
-
-def _doubled_sweep(d: int, n: int, mode: Mode, prune: bool) -> list:
-    start = _PairVector(d, mode, {((), ()): mode.one()})
-    return sweep(start, [_apply_doubled_operator] * (2 * n), 1, prune)
-
-
 def meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None) -> list:
     """Moments m_0..m_n of the squared two-faced sum against the doubled
     vacuum, from one pass of 2n steps of sum_i X_i (x) X_i: m_k is the
     amplitude after step 2k (odd steps give 0)."""
     check_size(n, cap, sweep_sizes(d, n, mode, doubled=True), SWEEP_BUDGET)
-    return _doubled_sweep(d, n, mode, prune=True)[::2]
+    return _orbit_sweep(d, n, mode, doubled=True)[::2]
 
 
 def meander_moment(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None):
@@ -546,7 +538,7 @@ def meander_moment_direct(d: int, n: int, mode: Mode = FORMAL):
     exact.  Exponential in n; intended for n <= 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _doubled_sweep(d, n, mode, prune=False)[-1]
+    return _orbit_sweep(d, n, mode, doubled=True, prune=False)[-1]
 
 
 def commutator_defect(v: Sequence, w: Sequence, x: FockVector) -> FockVector:

@@ -138,7 +138,7 @@ def _pattern_meander_moment(d: int, n: int):
     memo: dict[tuple[int, ...], object] = {}
     total = FORMAL.zero()
     for values in product(range(1, d + 1), repeat=2 * n):
-        key = _canonical_pattern(values)
+        (key,) = _canonical_pattern(values)
         if key not in memo:
             memo[key] = gaussian_joint_moment(IndexTuple(key, d))
         m = memo[key]

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from meanderq.cli import main
+from meanderq.dyck import enumerate_bnc2_alternating, enumerate_dyck
+from meanderq.partitions import enumerate_noncrossing, enumerate_pair_partitions
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +217,15 @@ class TestSpectrum:
         assert "jacobi_breakdown" in json.loads(out)
 
 
+# the items each kind lists, built in one piece
+WHOLE_ITEMS = {
+    "pairs": lambda n: [p.to_lists() for p in enumerate_pair_partitions(n)],
+    "noncrossing": lambda n: [p.to_lists() for p in enumerate_noncrossing(n)],
+    "dyck": lambda n: [str(t) for t in enumerate_dyck(2 * n)],
+    "bnc": lambda n: [p.to_lists() for p in enumerate_bnc2_alternating(2 * n)],
+}
+
+
 class TestEnumerate:
     def test_pairs(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--kind", "pairs", "--n", "2")
@@ -232,6 +244,34 @@ class TestEnumerate:
         assert json.loads(out)["count"] == 42
         code, out, _ = run_cli(capsys, "enumerate", "--kind", "bnc", "--n", "5")
         assert json.loads(out)["count"] == 42
+
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind in WHOLE_ITEMS for n in range(1, 6)]
+                             + [("pairs", 6)])
+    def test_stream_is_the_whole_document(self, kind, n, capsys):
+        # the items are written as they are made, under a closed-form count;
+        # the bytes equal the one-piece document with the counted items
+        # (the 10,395 matchings of n=6 span several write chunks)
+        items = WHOLE_ITEMS[kind](n)
+        whole = {"schema_version": 1, "kind": kind, "n": n, "count": len(items), "items": items}
+        code, out, _ = run_cli(capsys, "enumerate", "--kind", kind, "--n", str(n))
+        assert code == 0
+        assert out == json.dumps(whole, separators=(",", ":")) + "\n"
+
+    def test_memory_stays_flat(self, monkeypatch):
+        # holding all 10,395 matchings of n=6 and their JSON text peaks near
+        # 9 MB; streamed, the run stays far below that
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            assert main(["enumerate", "--kind", "pairs", "--n", "6"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 # Flags each computing subcommand used to accept and then ignore.

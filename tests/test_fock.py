@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanderq.errors import EnumerationCapError, GroundSetError, TruncationOverflowError
 from meanderq.fock import (
@@ -24,13 +25,15 @@ from meanderq.fock import (
     meander_moment_sweep,
     q_inner_product,
     semi_meander_moment,
+    semi_meander_moment_direct,
     semi_meander_moment_sweep,
     vacuum_expectation,
     vector_inner,
     word_vector,
+    _orbit_sweep,
     _word_inner,
 )
-from meanderq.polynomials import meander_poly
+from meanderq.polynomials import meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL, Mode, QPoly
 
 from conftest import rational_vectors
@@ -262,6 +265,13 @@ class TestCanonicalFormAtQZero:
                 assert lhs == rhs
 
 
+SWEEP_MODES = [FORMAL, Mode(Fraction(1, 2)), Mode(Fraction(-1, 3)), Mode(0.5)]
+
+
+def _same_moment(a, b, mode):
+    return a == (b if mode.is_exact else pytest.approx(b, rel=1e-12))
+
+
 class TestSemiMeanderMoment:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_first_moment(self, d):
@@ -279,17 +289,39 @@ class TestSemiMeanderMoment:
     def test_float_mode(self):
         assert semi_meander_moment(2, 2, Mode(0.5)) == pytest.approx(7.0)
 
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
     def test_truncation_insensitive(self, d, n):
-        # no pruning here: the claim is that the level-2n state space alone
-        # already reproduces the wider computation
-        base = semi_meander_moment(d, n, level=2 * n, prune=False)
-        wide = semi_meander_moment(d, n, level=2 * n + 2, prune=False)
-        assert base == wide
+        # the pruned orbit sweep has no truncation level; the unpruned
+        # word-level pass runs at level 2n and raises if that is too small,
+        # so their agreement shows the level, the pruning and the orbit
+        # storage exact
+        assert semi_meander_moment_direct(d, n) == semi_meander_moment(d, n)
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 5)])
     def test_prune_is_exact(self, d, n):
-        assert semi_meander_moment(d, n, prune=False) == semi_meander_moment(d, n)
+        # the same orbit sweep with its horizon pruning switched off
+        unpruned = _orbit_sweep(d, n, FORMAL, doubled=False, prune=False)
+        assert unpruned == semi_meander_moment_sweep(d, n)
+
+    @pytest.mark.parametrize("d", [5, 10])
+    def test_more_letters_than_pairs(self, d):
+        # words are stored one per relabelling orbit, so a letter count above
+        # the n letters a word can hold enters only through the orbit sizes
+        poly = semi_meander_poly(3)
+        half = Fraction(1, 2)
+        assert semi_meander_moment(d, 3) == poly.eval_at_t(d)
+        assert semi_meander_moment(d, 3, Mode(half)) == poly.eval(d, half)
+        assert semi_meander_moment(d, 3, Mode(0.5)) == pytest.approx(float(poly.eval(d, half)))
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SWEEP_MODES))
+    @settings(max_examples=40, deadline=None)
+    def test_orbit_sweep_matches_both_references(self, d, n, mode):
+        # orbit sweep == word-level pass == enumerated polynomial at t = d
+        poly = semi_meander_poly(n)
+        expected = poly.eval_at_t(d) if mode.is_formal else poly.eval(d, Fraction(mode.q))
+        swept = semi_meander_moment(d, n, mode)
+        assert _same_moment(swept, semi_meander_moment_direct(d, n, mode), mode)
+        assert _same_moment(swept, expected if mode.is_exact else float(expected), mode)
 
     @pytest.mark.parametrize("q", [Fraction(-1, 2), Fraction(1, 3)])
     @pytest.mark.parametrize("d,n", [(1, 3), (2, 2), (2, 3)])
@@ -378,13 +410,6 @@ class TestMeanderMoment:
 
     def test_d3_n4(self):
         assert meander_moment(3, 4, cap=4) == meander_poly(4).eval_at_t(3)
-
-
-SWEEP_MODES = [FORMAL, Mode(Fraction(1, 2)), Mode(Fraction(-1, 3)), Mode(0.5)]
-
-
-def _same_moment(a, b, mode):
-    return a == (b if mode.is_exact else pytest.approx(b, rel=1e-12))
 
 
 class TestMomentSweep:

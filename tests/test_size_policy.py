@@ -62,8 +62,8 @@ def test_refusal_does_no_work(route, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a refused route started work")
 
-    for module, name in [(fock, "apply_semi_meander_operator"), (fock, "_apply_doubled_operator"),
-                         (polynomials, "_sum_chunks"), (partitions, "_iter_matchings_raw"),
+    for module, name in [(fock, "_orbit_step"), (polynomials, "_sum_chunks"),
+                         (partitions, "_iter_matchings_raw"),
                          (partitions, "_iter_noncrossing_raw")]:
         monkeypatch.setattr(module, name, no_work)
     start = time.monotonic()
@@ -79,6 +79,8 @@ def test_refusal_does_no_work(route, capsys, monkeypatch):
     "enumerate --kind dyck --n 3 --cap 3",
     "spectrum --d 3 --q 1/2 --n 10",
     "spectrum --d 2 --q 0.5 --n 12",
+    "moments --d 5 --n 7",
+    "moments --d 10 --n 6",
 ])
 def test_documents_admitted(argv, capsys):
     assert main(argv.split()) == 0
