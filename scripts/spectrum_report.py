@@ -6,13 +6,7 @@ import argparse
 import json
 from fractions import Fraction
 
-from meanderq.spectra import (
-    hankel_psd_check,
-    jacobi_from_moments,
-    quadrature_from_jacobi,
-    semi_meander_moments,
-    semi_meander_norm_bounds,
-)
+from meanderq.spectra import realize, semi_meander_moments, semi_meander_norm_bounds
 
 
 def main() -> None:
@@ -26,22 +20,18 @@ def main() -> None:
         lower, upper = semi_meander_norm_bounds(d)
         for q_text in args.q_values:
             q = Fraction(q_text)
-            ms = semi_meander_moments(d, q, args.n_moments)
-            size = (len(ms) - 1) // 2 + 1
-            psd, min_eig = hankel_psd_check(ms, size)
-            rec = jacobi_from_moments(ms)
-            quad = quadrature_from_jacobi(rec, rec.depth)
+            r = realize(semi_meander_moments(d, q, args.n_moments))
             print(
                 json.dumps(
                     {
                         "d": d,
                         "q": str(q),
-                        "hankel_psd": psd,
-                        "hankel_min_eig": min_eig,
-                        "recurrence_depth": rec.depth,
-                        "breakdown": rec.breakdown,
-                        "nodes": [round(x, 12) for x in quad.nodes],
-                        "weights": [round(w, 12) for w in quad.weights],
+                        "hankel_psd": r.recurrence.psd,
+                        "hankel_min_eig": r.min_eigenvalue,
+                        "recurrence_depth": r.recurrence.depth,
+                        "breakdown": r.recurrence.breakdown,
+                        "nodes": [round(x, 12) for x in r.quadrature.nodes],
+                        "weights": [round(w, 12) for w in r.quadrature.weights],
                         "norm_window_q0": [lower, upper],
                     },
                     separators=(",", ":"),

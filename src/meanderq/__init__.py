@@ -81,6 +81,7 @@ from .spectra import (
     meander_moments,
     negativity_witness,
     quadrature_from_jacobi,
+    realize,
     semi_meander_moments,
     semi_meander_norm_bounds,
 )

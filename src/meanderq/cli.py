@@ -26,13 +26,7 @@ from .polynomials import (
     semi_meander_poly,
 )
 from .scalars import FORMAL, Mode, QPoly, parse_q
-from .spectra import (
-    hankel_psd_check,
-    jacobi_from_moments,
-    meander_moments,
-    quadrature_from_jacobi,
-    semi_meander_moments,
-)
+from .spectra import meander_moments, realize, semi_meander_moments
 from .verify import SUITE_ALIASES, SUITES, run_suite
 
 
@@ -84,21 +78,17 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
     q = cfg.q if not cfg.q.is_formal else Mode(0.0)
-    ms = semi_meander_moments(cfg.d, q, cfg.n, cap=cfg.cap)
-    psd, min_eig = hankel_psd_check(ms, cfg.n // 2 + 1)
-    rec = jacobi_from_moments(ms)
-    k = min(cfg.nodes or rec.depth, rec.depth)
-    quad = quadrature_from_jacobi(rec, k)
+    r = realize(semi_meander_moments(cfg.d, q, cfg.n, cap=cfg.cap), cfg.nodes)
     bound = 4.0 * cfg.d
-    in_bound = all(abs(x) <= bound + 1e-9 for x in quad.nodes)
+    in_bound = all(abs(x) <= bound + 1e-9 for x in r.quadrature.nodes)
     _emit({
         "schema_version": 1,
         "d": cfg.d,
         "q": str(q.q) if q.is_exact else q.q,
         "n_moments": cfg.n,
-        "hankel": {"psd": psd, "min_eigenvalue": min_eig},
-        "jacobi_breakdown": rec.breakdown,
-        **quad.to_json_obj(2 * k),
+        "hankel": {"psd": r.recurrence.psd, "min_eigenvalue": r.min_eigenvalue},
+        "jacobi_breakdown": r.recurrence.breakdown,
+        **r.quadrature.to_json_obj(2 * len(r.quadrature.nodes)),
         "node_bound": bound,
         "nodes_within_bound": in_bound if float(q.q) == 0.0 else "monitored",
     })

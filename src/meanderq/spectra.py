@@ -4,9 +4,10 @@ Gauss quadrature realizations of the operator distributions.
 The first moments coming out of the operator modules are exact, so moment
 analysis (rather than diagonalising a truncated matrix, whose spectrum is
 polluted by boundary effects) is the faithful desk-scale realization of the
-underlying probability measures.  The quadrature pipeline runs in floating
-point after the exact moment computation; an exact-rational recursion is
-available behind a flag for small depths.
+underlying probability measures.  One exact route turns moments into a
+recurrence: the Chebyshev recursion in Fractions, whose betas also certify
+the Hankel matrix.  Floating point enters only in the tridiagonal
+eigen-solve (nodes and weights) and the informational Hankel eigenvalue.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fock import (
+    FockVector,
     apply_semi_meander_operator,
     meander_moment_sweep,
     q_inner_product,
@@ -74,71 +76,63 @@ def meander_moments(d: int, q, n_max: int, cap: int | None = None) -> MomentSequ
     return MomentSequence(tuple(moments), provenance=f"meander-op d={d} q={mode.q}")
 
 
-def hankel_psd_check(ms: MomentSequence, size: int, tol: float = 1e-8):
-    """Positive-semidefiniteness certificate for the size x size Hankel matrix
-    H[i][j] = m_{i+j}.  Returns (verdict, min_eigenvalue); the verdict uses a
-    tolerance relative to the trace so the scale of d does not matter."""
+def hankel_psd_check(ms: MomentSequence, size: int):
+    """Certificate for the size x size Hankel matrix H[i][j] = m_{i+j}: the
+    exact recursion on m_0..m_{2size-2} (see jacobi_from_moments).  Returns
+    (verdict, min_eigenvalue); the float64 eigenvalue is information only."""
     if 2 * size - 2 >= len(ms):
-        raise ValueError(
-            f"need moments up to m_{2 * size - 2}, have {len(ms) - 1}"
-        )
+        raise ValueError(f"need moments up to m_{2 * size - 2}, have {len(ms) - 1}")
+    rec = jacobi_from_moments(MomentSequence(ms.moments[: 2 * size - 1]))
+    return rec.psd, _min_eigenvalue(ms, size)
+
+
+def _min_eigenvalue(ms: MomentSequence, size: int) -> float:
     m = ms.floats()
-    h = np.array([[m[i + j] for j in range(size)] for i in range(size)])
-    eigs = np.linalg.eigvalsh(h)
-    min_eig = float(eigs[0])
-    return min_eig >= -tol * float(np.trace(h)), min_eig
+    return float(np.linalg.eigvalsh([[m[i + j] for j in range(size)] for i in range(size)])[0])
 
 
 @dataclass(frozen=True)
 class JacobiRecurrence:
-    """Three-term recurrence data; breakdown marks finite support, not failure."""
+    """Three-term recurrence data, exact.  A breakdown k is the first
+    beta_k <= 0; psd says the moments are those of a positive measure: true
+    without breakdown, and at a breakdown only for finite support (the
+    moments are exactly those of the k-node rule)."""
 
     alphas: tuple
     betas: tuple  # beta_0 = m_0
     breakdown: int | None = None
+    psd: bool = True
 
     @property
     def depth(self) -> int:
         return len(self.alphas)
 
 
-def jacobi_from_moments(ms: MomentSequence, exact: bool = False) -> JacobiRecurrence:
-    """Chebyshev moment-to-recurrence transform.  A vanishing (or, in float,
-    numerically negligible / negative) diagonal minor stops the recursion and
-    is reported as the breakdown index."""
-    if exact:
-        m = [Fraction(x) for x in ms.moments]
-    else:
-        m = list(ms.floats())
-    n_avail = (len(m)) // 2  # alpha_0..alpha_{n_avail-1} need m_0..m_{2*n_avail-1}
-    if n_avail < 1:
-        raise ValueError("need at least m_0 and m_1")
-    zero = Fraction(0) if exact else 0.0
-    sigma_prev = [zero] * (2 * n_avail)
-    sigma_curr = list(m[: 2 * n_avail])
-    alphas = [m[1] / m[0]]
+def jacobi_from_moments(ms: MomentSequence, exact: bool = True) -> JacobiRecurrence:
+    """Chebyshev moment-to-recurrence transform in Fractions (a float moment
+    converts exactly).  beta_k comes from m_0..m_{2k}, alpha_k from
+    m_0..m_{2k+1}; beta_1..beta_s > 0 holds exactly when H_{s+1} is
+    positive definite, so the betas are the certificate.  `exact` is kept
+    for callers that pass True; False raises."""
+    if not exact:
+        raise ValueError("the recursion runs in exact arithmetic only")
+    m = [Fraction(x) for x in ms.moments]
+    top = len(m) - 1
+    alphas = [m[1] / m[0]] if top else []
     betas = [m[0]]
-    breakdown = None
-    for k in range(1, n_avail):
-        sigma_next = [zero] * (2 * n_avail)
-        for l in range(k, 2 * n_avail - k):
-            val = sigma_curr[l + 1] - alphas[k - 1] * sigma_curr[l]
-            if k >= 2:
-                val -= betas[k - 1] * sigma_prev[l]
-            sigma_next[l] = val
-        denom = sigma_next[k]
-        prev_denom = sigma_curr[k - 1]
-        if exact:
-            vanished = denom == 0
-        else:
-            vanished = denom <= 1e-12 * max(1.0, abs(prev_denom))
-        if vanished:
-            breakdown = k
-            break
-        betas.append(denom / prev_denom)
-        alphas.append(sigma_next[k + 1] / denom - sigma_curr[k] / prev_denom)
-        sigma_prev, sigma_curr = sigma_curr, sigma_next
-    return JacobiRecurrence(tuple(alphas), tuple(betas), breakdown)
+    prev, row = [Fraction(0)] * (top + 1), m  # sigma_{k-2}(l), sigma_{k-1}(l) at step k
+    for k in range(1, top // 2 + 1):
+        nxt = [Fraction(0)] * (top + 1)
+        for l in range(k, top - k + 1):
+            nxt[l] = row[l + 1] - alphas[k - 1] * row[l] - betas[k - 1] * prev[l]
+        beta = nxt[k] / row[k - 1]
+        if beta <= 0:
+            return JacobiRecurrence(tuple(alphas), tuple(betas), k, not any(nxt))
+        betas.append(beta)
+        if 2 * k < top:
+            alphas.append(nxt[k + 1] / nxt[k] - row[k] / row[k - 1])
+        prev, row = row, nxt
+    return JacobiRecurrence(tuple(alphas), tuple(betas))
 
 
 @dataclass(frozen=True)
@@ -158,26 +152,25 @@ class Quadrature:
         return sum(w * x**n for x, w in zip(self.nodes, self.weights))
 
     def to_json_obj(self, reproduced: int) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "weights": list(self.weights),
-            "reproduced_moments": reproduced,
-        }
+        return {"nodes": list(self.nodes), "weights": list(self.weights),
+                "reproduced_moments": reproduced}
+
+
+def _jacobi_matrix(rec: JacobiRecurrence, k: int) -> np.ndarray:
+    """The k x k symmetric tridiagonal recurrence matrix, in float64."""
+    j = np.diag([float(a) for a in rec.alphas[:k]])
+    for i in range(k - 1):
+        j[i, i + 1] = j[i + 1, i] = math.sqrt(rec.betas[i + 1])
+    return j
 
 
 def quadrature_from_jacobi(rec: JacobiRecurrence, k: int) -> Quadrature:
-    """Eigen-decomposition of the k x k symmetric tridiagonal recurrence
-    matrix: nodes are the eigenvalues, weights the squared first components.
-    Reproduces m_0..m_{2k-1}."""
+    """Eigen-decomposition of the k x k recurrence matrix: nodes are the
+    eigenvalues, weights the squared first components.  Reproduces
+    m_0..m_{2k-1}."""
     if k < 1 or k > rec.depth:
         raise ValueError(f"k must lie in 1..{rec.depth}")
-    alphas = [float(a) for a in rec.alphas[:k]]
-    offdiag = [math.sqrt(float(b)) for b in rec.betas[1:k]]
-    j = np.diag(alphas)
-    for i, b in enumerate(offdiag):
-        j[i, i + 1] = b
-        j[i + 1, i] = b
-    eigvals, eigvecs = np.linalg.eigh(j)
+    eigvals, eigvecs = np.linalg.eigh(_jacobi_matrix(rec, k))
     weights = (eigvecs[0, :] ** 2) * float(rec.betas[0])
     order = np.argsort(eigvals)
     return Quadrature(
@@ -186,20 +179,29 @@ def quadrature_from_jacobi(rec: JacobiRecurrence, k: int) -> Quadrature:
     )
 
 
+@dataclass(frozen=True)
+class Realization:
+    """A moment sequence m_0..m_N analysed: the exact recurrence, whose psd
+    verdict certifies the Hankel size N//2 + 1, the float64 Hankel minimum
+    eigenvalue (information only) and the Gauss rule before any breakdown."""
+
+    min_eigenvalue: float
+    recurrence: JacobiRecurrence
+    quadrature: Quadrature
+
+
+def realize(ms: MomentSequence, nodes: int | None = None) -> Realization:
+    """The one route from moments to quadrature, on at most `nodes` nodes."""
+    rec = jacobi_from_moments(ms)
+    quad = quadrature_from_jacobi(rec, min(nodes or rec.depth, rec.depth))
+    return Realization(_min_eigenvalue(ms, (len(ms) - 1) // 2 + 1), rec, quad)
+
+
 def moments_from_jacobi(rec: JacobiRecurrence, n_max: int) -> tuple[float, ...]:
     """Re-expand moments from recurrence data (valid through m_{2*depth-1})."""
-    k = rec.depth
-    j = np.diag([float(a) for a in rec.alphas])
-    for i in range(k - 1):
-        b = math.sqrt(float(rec.betas[i + 1]))
-        j[i, i + 1] = b
-        j[i + 1, i] = b
-    e0 = np.zeros(k)
-    e0[0] = 1.0
-    out = []
-    vec = e0
-    for n in range(n_max + 1):
-        out.append(float(e0 @ vec))
+    j, vec, out = _jacobi_matrix(rec, rec.depth), np.eye(rec.depth)[0], []
+    for _ in range(n_max + 1):
+        out.append(float(vec[0]))
         vec = j @ vec
     return tuple(out)
 
@@ -222,7 +224,5 @@ def negativity_witness(d: int, q=0.0):
         raise ValueError("d >= 2 required (the witness uses two letters)")
     mode = _as_mode(q)
     one = mode.one()
-    from .fock import FockVector
-
     xi = FockVector(d, 4, mode, {(1, 2): one, (2, 1): -one})
     return q_inner_product(apply_semi_meander_operator(xi), xi)

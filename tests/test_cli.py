@@ -209,6 +209,40 @@ class TestSpectrum:
         assert doc["weights"] == [1.0]
         assert doc["reproduced_moments"] == 2
 
+    def test_long_exact_sequence_certifies(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--d", "1", "--q", "1/2", "--n", "40")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["hankel"]["psd"] is True
+        assert doc["jacobi_breakdown"] is None
+        assert len(doc["nodes"]) == 20
+        assert doc["reproduced_moments"] == 40
+        from meanderq.spectra import semi_meander_moments
+        from fractions import Fraction
+
+        ms = semi_meander_moments(1, Fraction(1, 2), 39)
+        for n in range(40):
+            got = sum(w * x**n for x, w in zip(doc["nodes"], doc["weights"]))
+            assert got == pytest.approx(float(ms.moments[n]), rel=1e-9)
+
+    def test_rounded_moments_fail_the_certificate(self, capsys):
+        # the float moments at q=0.5 are rounded; their exact recursion first
+        # gives beta_k <= 0 at some k, and the rule keeps the k nodes before it
+        code, out, _ = run_cli(capsys, "spectrum", "--d", "1", "--q", "0.5", "--n", "40")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["hankel"]["psd"] is False
+        k = doc["jacobi_breakdown"]
+        assert 1 <= k <= 20
+        assert len(doc["nodes"]) == k
+        assert doc["reproduced_moments"] == 2 * k
+        from meanderq.spectra import jacobi_from_moments, semi_meander_moments
+
+        rec = jacobi_from_moments(semi_meander_moments(1, 0.5, 40))
+        assert rec.breakdown == k
+        assert all(b > 0 for b in rec.betas)
+        assert len(rec.betas) == k
+
     def test_breakdown_reported_not_fatal(self, capsys):
         # d=1 q=0 truncated early enough that the recursion stays regular;
         # the field must exist either way

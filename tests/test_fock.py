@@ -30,6 +30,7 @@ from meanderq.fock import (
     vacuum_expectation,
     vector_inner,
     word_vector,
+    _gaussian_moment_pairings,
     _orbit_sweep,
     _word_inner,
 )
@@ -371,13 +372,14 @@ class TestGaussianJointMoment:
 
     @pytest.mark.parametrize("values", list(product((1, 2), repeat=4)))
     def test_cross_check_flag(self, values):
-        gaussian_joint_moment(IndexTuple(values, 2), cross_check=True)
+        index = IndexTuple(values, 2)
+        assert gaussian_joint_moment(index) == _gaussian_moment_pairings(index, FORMAL)
 
     def test_cross_check_on_longer_tuples(self):
         rng = random.Random(2)
         for _ in range(10):
-            values = tuple(rng.randint(1, 2) for _ in range(6))
-            gaussian_joint_moment(IndexTuple(values, 2), cross_check=True)
+            index = IndexTuple(tuple(rng.randint(1, 2) for _ in range(6)), 2)
+            assert gaussian_joint_moment(index) == _gaussian_moment_pairings(index, FORMAL)
 
 
 class TestMeanderMoment:

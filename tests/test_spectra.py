@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meanderq.scalars import FORMAL, Mode, QPoly
 from meanderq.spectra import (
@@ -14,6 +16,7 @@ from meanderq.spectra import (
     moments_from_jacobi,
     negativity_witness,
     quadrature_from_jacobi,
+    realize,
     semi_meander_moments,
     semi_meander_norm_bounds,
 )
@@ -23,6 +26,57 @@ Q_VALUES = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
 
 def point_mass_moments(c, n_max):
     return MomentSequence(tuple(c**n for n in range(n_max + 1)), provenance=f"delta_{c}")
+
+
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def finite_measures(draw, max_nodes=4):
+    """m_0..m_N of k <= max_nodes distinct rational nodes with positive
+    rational weights summing to 1."""
+    nodes = draw(st.lists(small_rationals, min_size=1, max_size=max_nodes, unique=True))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(nodes), max_size=len(nodes)))
+    weights = [Fraction(r, sum(raw)) for r in raw]
+    n_max = draw(st.integers(1, 10))
+    ms = [sum(w * x**n for x, w in zip(nodes, weights)) for n in range(n_max + 1)]
+    return len(nodes), MomentSequence(tuple(ms))
+
+
+@st.composite
+def sequences(draw):
+    """m_0 = 1 and random rationals, or a finite measure's moments with one
+    moment moved a little, so both verdicts come up at every size."""
+    if draw(st.booleans()):
+        return MomentSequence((1, *draw(st.lists(small_rationals, min_size=1, max_size=9))))
+    _, ms = draw(finite_measures(max_nodes=6))
+    m = list(ms.moments)
+    m[draw(st.integers(1, len(m) - 1))] += draw(small_rationals) / 16
+    return MomentSequence(tuple(m))
+
+
+def determinant(rows):
+    """Exact determinant by Fraction elimination with row swaps."""
+    h = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(h)):
+        pivot = next((r for r in range(c, len(h)) if h[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            h[c], h[pivot] = h[pivot], h[c]
+            det = -det
+        det *= h[c][c]
+        for r in range(c + 1, len(h)):
+            f = h[r][c] / h[c][c]
+            h[r] = [x - f * y for x, y in zip(h[r], h[c])]
+    return det
+
+
+def leading_hankel_minors(m, size):
+    """det H_1..det H_size of H[i][j] = m_{i+j}."""
+    return [determinant([[m[i + j] for j in range(s)] for i in range(s)])
+            for s in range(1, size + 1)]
 
 
 class TestMomentSequence:
@@ -93,16 +147,60 @@ class TestJacobi:
         for n in range(7):
             assert back[n] == pytest.approx(float(ms.moments[n]), rel=1e-9, abs=1e-9)
 
-    def test_exact_recursion_matches_float(self):
-        ms = semi_meander_moments(2, Fraction(1, 2), 6)
-        exact = jacobi_from_moments(ms, exact=True)
-        approx = jacobi_from_moments(ms)
-        assert exact.breakdown is None
-        for a, b in zip(exact.alphas, approx.alphas):
-            assert float(a) == pytest.approx(b, rel=1e-9)
-        for a, b in zip(exact.betas, approx.betas):
-            assert float(a) == pytest.approx(b, rel=1e-9)
-            assert a > 0
+    def test_float_moments_recurse_exactly(self):
+        # a float moment is a dyadic rational, converted without rounding;
+        # at a short order its recurrence agrees with the exact moments' one
+        exact = jacobi_from_moments(semi_meander_moments(2, Fraction(1, 2), 6))
+        rounded = jacobi_from_moments(semi_meander_moments(2, 0.5, 6))
+        assert exact.breakdown is None and rounded.breakdown is None
+        assert all(isinstance(x, Fraction) for x in rounded.alphas + rounded.betas)
+        for a, b in zip(exact.alphas + exact.betas, rounded.alphas + rounded.betas):
+            assert float(a) == pytest.approx(float(b), rel=1e-9)
+        assert len(exact.betas) == 4  # beta_3 from m_6 certifies H_4
+        assert all(b > 0 for b in exact.betas)
+
+    def test_float_recursion_refused(self):
+        with pytest.raises(ValueError):
+            jacobi_from_moments(point_mass_moments(2, 3), exact=False)
+
+    def test_singular_hankel_without_finite_support_fails(self):
+        # H_3 of (1, 0, 0, 0, 1) is positive semidefinite, but m_2 = 0 forces
+        # the point mass at 0, whose m_4 is 0: no positive measure has these
+        rec = jacobi_from_moments(MomentSequence((1, 0, 0, 0, 1)))
+        assert (rec.breakdown, rec.psd, rec.depth) == (1, False, 1)
+        assert hankel_psd_check(MomentSequence((1, 0, 0, 0, 1)), 3)[0] is False
+
+
+class TestCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(finite_measures())
+    def test_finite_measure_certified(self, drawn):
+        k, ms = drawn
+        size = (len(ms) - 1) // 2 + 1
+        rec = jacobi_from_moments(ms)
+        assert rec.psd
+        assert hankel_psd_check(ms, size)[0]
+        if k < size:
+            assert rec.breakdown == k and rec.depth == k
+        else:
+            assert rec.breakdown is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(sequences())
+    def test_verdict_is_the_sign_of_the_minors(self, ms):
+        size = (len(ms) - 1) // 2 + 1
+        minors = leading_hankel_minors(ms.moments, size)
+        assume(all(x != 0 for x in minors))
+        want = all(x > 0 for x in minors)
+        assert jacobi_from_moments(ms).psd is want
+        assert hankel_psd_check(ms, size)[0] is want
+
+    def test_rule_cut_before_the_stop(self):
+        # m_4 = -1 gives beta_2 < 0; the two-node rule of beta_1 = 1 stays
+        r = realize(MomentSequence((1, 0, 1, 0, -1)))
+        assert (r.recurrence.psd, r.recurrence.breakdown) == (False, 2)
+        assert r.quadrature.nodes == pytest.approx((-1.0, 1.0))
+        assert r.quadrature.weights == pytest.approx((0.5, 0.5))
 
 
 class TestQuadrature:
@@ -144,14 +242,14 @@ class TestShippedSequences:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_semi_meander_psd_n10(self, d, q):
         ms = semi_meander_moments(d, q, 10, cap=10)
-        ok, _ = hankel_psd_check(ms, size=6, tol=1e-8)
+        ok, _ = hankel_psd_check(ms, size=6)
         assert ok
 
     @pytest.mark.parametrize("q", Q_VALUES)
     @pytest.mark.parametrize("d", [1, 2])
     def test_meander_psd_n6(self, d, q):
         ms = meander_moments(d, q, 6, cap=6)
-        ok, _ = hankel_psd_check(ms, size=4, tol=1e-8)
+        ok, _ = hankel_psd_check(ms, size=4)
         assert ok
 
     @pytest.mark.parametrize("d", [1, 2, 3])
