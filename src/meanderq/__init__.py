@@ -68,7 +68,6 @@ from .qwick import (
     doubled_compatible_count,
     doubled_compatible_count_bruteforce,
     height_compatible,
-    semi_meander_moment_sum,
     wick_scalar_combinatorial,
     wick_scalar_operator,
 )

@@ -77,7 +77,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
-    q = cfg.q if not cfg.q.is_formal else Mode(0.0)
+    q = cfg.q
+    if q.is_formal:
+        raise ValueError("spectrum needs a numeric --q")
     r = realize(semi_meander_moments(cfg.d, q, cfg.n, cap=cfg.cap), cfg.nodes)
     bound = 4.0 * cfg.d
     in_bound = all(abs(x) <= bound + 1e-9 for x in r.quadrature.nodes)
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=all_suites, required=True)
 
     p_spec = subcommand("spectrum", cmd_spectrum, "moment -> recurrence -> quadrature",
-                        "n", "d", "q", "cap", n=6)
+                        "n", "d", "q", "cap", n=6, q=Mode(Fraction(0)))
     p_spec.add_argument("--nodes", type=_positive_int, default=None)
 
     p_enum = subcommand("enumerate", cmd_enumerate, "stream combinatorial objects",

@@ -227,17 +227,22 @@ def _candidate_order(
     return same + other
 
 
+def _fibre_frame(eps: DyckTuple, chi: SidePattern):
+    """What both directions of the choice map walk with: the labels-to-heights
+    map, its inverse, the left-column size and the one-decorated labels."""
+    s = side_pattern_permutation(chi)
+    p = sum(1 for c in chi if c == LEFT)
+    ones = [k for k in range(1, eps.size + 1) if eps.symbols[s(k) - 1] == ONE]
+    return s, s.inverse(), p, ones
+
+
 def choices_to_partition(
     ct: ChoiceTuple, chi: Sequence[str] | None = None
 ) -> PairPartition:
     """Rebuild the pair-partition encoded by a choice tuple: visit the star
     heights in increasing order and close each with the gamma_h-th candidate."""
     eps = ct.eps
-    chi = _resolve_chi(chi, eps.size)
-    s = side_pattern_permutation(chi)
-    sinv = s.inverse()
-    p = sum(1 for c in chi if c == LEFT)
-    free_ones = [k for k in range(1, eps.size + 1) if eps.symbols[s(k) - 1] == ONE]
+    s, sinv, p, free_ones = _fibre_frame(eps, _resolve_chi(chi, eps.size))
     pairs = []
     for h in eps.star_heights():
         star_label = sinv(h)
@@ -257,10 +262,7 @@ def partition_to_choices(
     """Inverse of ``choices_to_partition``; round-trips exactly."""
     chi = _resolve_chi(chi, pi.size)
     eps = dyck_tuple_of(pi, chi)
-    s = side_pattern_permutation(chi)
-    sinv = s.inverse()
-    p = sum(1 for c in chi if c == LEFT)
-    free_ones = [k for k in range(1, pi.size + 1) if eps.symbols[s(k) - 1] == ONE]
+    s, sinv, p, free_ones = _fibre_frame(eps, chi)
     gammas = [1] * pi.size
     for h in eps.star_heights():
         star_label = sinv(h)

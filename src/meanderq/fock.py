@@ -249,20 +249,15 @@ def word_vector(
     mode: Mode = FORMAL,
     max_len: int | None = None,
 ) -> FockVector:
-    """Expansion of an elementary tensor of coordinate vectors over basis words."""
-    if max_len is None:
-        max_len = len(vectors)
-    terms: dict[Word, object] = {(): mode.one()}
-    for v in reversed(vectors):
+    """Expansion of an elementary tensor of coordinate vectors over basis
+    words: left creations at the vectors, the last one first, on the vacuum."""
+    for v in vectors:
         if len(v) != d:
             raise GroundSetError(f"vector dimension {len(v)} != {d}")
-        out: dict[Word, object] = {}
-        for word, c in terms.items():
-            for i, vi in enumerate(v, start=1):
-                if vi:
-                    _accumulate(out, (i,) + word, c * vi)
-        terms = out
-    return FockVector(d, max_len, mode, terms)
+    x = FockVector.vacuum(d, len(vectors) if max_len is None else max_len, mode)
+    for v in reversed(vectors):
+        x = apply(creator(LEFT, v), x)
+    return x
 
 
 def _word_inner(w: Word, v: Word, mode: Mode):
@@ -295,25 +290,18 @@ def q_inner_product(x: FockVector, y: FockVector):
     return total
 
 
-def vacuum_expectation(
-    ops: Sequence[OpSymbol],
-    d: int,
-    mode: Mode = FORMAL,
-    max_len: int | None = None,
-):
+def vacuum_expectation(ops: Sequence[OpSymbol], d: int, mode: Mode = FORMAL):
     """Apply a product of factors (written left to right) to the vacuum and
     return the empty-word amplitude."""
-    if max_len is None:
-        max_len = max(len(ops), 1)
-    x = FockVector.vacuum(d, max_len, mode)
+    x = FockVector.vacuum(d, max(len(ops), 1), mode)
     for op in reversed(list(ops)):
         x = apply(op, x)
     return x.vacuum_amplitude()
 
 
-def _gaussian_factor(x: FockVector, i: int) -> FockVector:
-    e = basis_vector(x.d, i)
-    return apply(creator(LEFT, e), x) + apply(annihilator(LEFT, e), x)
+def _position(side: str, v: CoordVector, x: FockVector) -> FockVector:
+    """The position operator (creation + annihilation) at v on one side."""
+    return apply(creator(side, v), x) + apply(annihilator(side, v), x)
 
 
 def apply_semi_meander_operator(x: FockVector) -> FockVector:
@@ -322,8 +310,7 @@ def apply_semi_meander_operator(x: FockVector) -> FockVector:
     out = FockVector.zero(x.d, x.max_len, x.mode)
     for i in range(1, x.d + 1):
         e = basis_vector(x.d, i)
-        y = apply(creator(RIGHT, e), x) + apply(annihilator(RIGHT, e), x)
-        out = out + _gaussian_factor(y, i)
+        out = out + _position(LEFT, e, _position(RIGHT, e, x))
     return out
 
 
@@ -506,7 +493,7 @@ def gaussian_joint_moment(index: IndexTuple, mode: Mode = FORMAL):
     """Vacuum moment of the product of position operators picked by the index
     tuple (leftmost factor carries the last index).  Odd lengths give 0."""
     start = FockVector.vacuum(index.d, max(len(index), 1), mode)
-    steps = [partial(_gaussian_factor, i=i) for i in index.values]
+    steps = [partial(_position, LEFT, basis_vector(index.d, i)) for i in index.values]
     return sweep(start, steps, 1)[-1]
 
 
@@ -539,12 +526,6 @@ def commutator_defect(v: Sequence, w: Sequence, x: FockVector) -> FockVector:
     Identically zero; exercised as an exactness check."""
     v, w = tuple(v), tuple(w)
     room = x.with_max_len(x.max_len + 2)
-
-    def a(y: FockVector) -> FockVector:
-        return apply(creator(LEFT, v), y) + apply(annihilator(LEFT, v), y)
-
-    def b(y: FockVector) -> FockVector:
-        return apply(creator(RIGHT, w), y) + apply(annihilator(RIGHT, w), y)
-
+    a, b = partial(_position, LEFT, v), partial(_position, RIGHT, w)
     c = vector_inner(w, v) - vector_inner(v, w)
     return a(b(room)) - b(a(room)) - apply_q_scaling(room).scaled(c)

@@ -42,13 +42,12 @@ from .partitions import (
     block_count,
     check_side_pattern,
     crossings,
-    enumerate_pair_partitions,
     interval_pairs,
     join,
     rainbow,
     side_pattern_permutation,
 )
-from .scalars import FORMAL, Mode, QPoly
+from .scalars import FORMAL, Mode
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def wick_scalar_combinatorial(wp: WickProduct, mode: Mode = FORMAL):
 
 def wick_scalar_operator(wp: WickProduct, mode: Mode = FORMAL):
     """Vacuum amplitude computed by applying the factors to the vacuum."""
-    return vacuum_expectation(wp.factors(), wp.d, mode, max_len=wp.size)
+    return vacuum_expectation(wp.factors(), wp.d, mode)
 
 
 def apply_choice_product(ct, wp: WickProduct, mode: Mode = FORMAL) -> FockVector:
@@ -168,22 +167,6 @@ def basis_wick_product(index: IndexTuple, eps: Sequence[str], chi: Sequence[str]
         chi = alternating_pattern(len(eps))
     vectors = tuple(basis_vector(index.d, i) for i in index.values)
     return WickProduct(tuple(chi), eps, vectors)
-
-
-def semi_meander_moment_sum(d: int, n: int, cap: int | None = None):
-    """Combinatorial side of the moment identity: sum over all matchings of
-    d^(blocks of the join with the rainbow) * q^crossings, as a polynomial."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rho = rainbow(2 * n)
-    coeffs: dict[int, int] = {}
-    for pi in enumerate_pair_partitions(n, cap=cap):
-        cr = crossings(pi)
-        coeffs[cr] = coeffs.get(cr, 0) + d ** block_count(join(pi, rho))
-    out = [0] * (max(coeffs, default=0) + 1)
-    for cr, c in coeffs.items():
-        out[cr] = c
-    return QPoly(out)
 
 
 def doubled_compatible_count(pi: PairPartition, d: int) -> int:

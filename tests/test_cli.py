@@ -243,6 +243,24 @@ class TestSpectrum:
         assert all(b > 0 for b in rec.betas)
         assert len(rec.betas) == k
 
+    def test_omitted_q_is_exact_zero(self, capsys):
+        # the same document as --q 0, whose exact moments certify to depth 20
+        code, out, _ = run_cli(capsys, "spectrum", "--d", "1", "--n", "40")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["q"] == "0"
+        assert doc["hankel"]["psd"] is True
+        assert doc["jacobi_breakdown"] is None
+        assert len(doc["nodes"]) == 20
+        assert doc["nodes_within_bound"] is True
+        assert run_cli(capsys, "spectrum", "--d", "1", "--q", "0", "--n", "40")[1] == out
+
+    def test_formal_q_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "--q", "formal")
+        assert code == 2
+        assert out == ""
+        assert "numeric --q" in err
+
     def test_breakdown_reported_not_fatal(self, capsys):
         # d=1 q=0 truncated early enough that the recursion stays regular;
         # the field must exist either way

@@ -489,3 +489,11 @@ class TestWordVector:
 
     def test_empty(self):
         assert word_vector([], 2) == FockVector.vacuum(2, 0)
+
+    def test_insertion_order_and_errors(self):
+        out = word_vector([(1, 2), (3, 0)], 2)
+        assert list(out.terms.items()) == [((1, 1), 3), ((2, 1), 6)]
+        with pytest.raises(GroundSetError):
+            word_vector([E1, (1, 2, 3)], 2)
+        with pytest.raises(TruncationOverflowError):
+            word_vector([E1, E1], 2, max_len=1)

@@ -1,5 +1,7 @@
 """Goldens that need no network: the Touchard-Riordan closed form at the d=1
-formal frontiers, and a replay of the benchmark's golden documents."""
+formal frontiers, the published one-curve counts of Q_n(t, u) and P_n(t, u)
+read off the orbit sweep by Kronecker evaluation, and a replay of the
+benchmark's golden documents."""
 
 import types
 from math import comb
@@ -10,6 +12,7 @@ import pytest
 from meanderq.cli import main
 from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep
 from meanderq.partitions import catalan, odd_double_factorial
+from meanderq.polynomials import meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL, QPoly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +60,49 @@ def test_meander_moments_are_its_square():
         assert moments[n] == t2, n
         assert t2.at(1) == odd_double_factorial(n) ** 2
         assert t2.coefficient(0) == catalan(n) ** 2
+
+
+# one-curve semi-meanders (OEIS A000682) and meanders (OEIS A005315), n = 1..
+A000682 = [1, 1, 2, 4, 10, 24, 66, 174, 504, 1406]
+A005315 = [1, 2, 8, 42, 262]
+
+
+def kronecker_terms(value, bits):
+    """The (t, u) terms of a polynomial from its value at t = 2^bits, u = q:
+    every t coefficient is non-negative and below 2^bits, so the base-2^bits
+    digits of each q coefficient are the t coefficients."""
+    terms = {}
+    for u, c in enumerate(value.coeffs):
+        for t in range(c.bit_length() // bits + 1):
+            digit = (c >> (t * bits)) & ((1 << bits) - 1)
+            if digit:
+                terms[(t, u)] = digit
+    return terms
+
+
+def test_semi_meander_polynomials_at_the_sweep_frontier():
+    bits = odd_double_factorial(10).bit_length()
+    moments = semi_meander_moment_sweep(1 << bits, 10, FORMAL, cap=10)
+    for n in range(1, 11):
+        terms = kronecker_terms(moments[n], bits)
+        one_curve = {t: c for (t, u), c in terms.items() if u == 0}
+        assert one_curve[1] == A000682[n - 1], n
+        assert sum(one_curve.values()) == catalan(n)
+        assert one_curve[n] == 1
+        assert sum(terms.values()) == odd_double_factorial(n)
+        if n <= 6:
+            assert terms == semi_meander_poly(n).terms, n
+
+
+def test_meander_polynomials_at_the_sweep_frontier():
+    bits = (odd_double_factorial(9) ** 2).bit_length()
+    moments = meander_moment_sweep(1 << bits, 5, FORMAL, cap=5)
+    for n in range(1, 6):
+        terms = kronecker_terms(moments[n], bits)
+        assert terms.get((1, 0)) == A005315[n - 1], n
+        assert sum(terms.values()) == odd_double_factorial(n) ** 2
+        if n <= 4:
+            assert terms == meander_poly(n).terms, n
 
 
 def _load_checks():

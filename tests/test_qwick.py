@@ -28,7 +28,6 @@ from meanderq.qwick import (
     doubled_compatible_count,
     doubled_compatible_count_bruteforce,
     height_compatible,
-    semi_meander_moment_sum,
     wick_scalar_combinatorial,
     wick_scalar_operator,
     wick_term,
@@ -219,13 +218,13 @@ class TestMomentSum:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_polynomial(self, d, n):
-        assert semi_meander_moment_sum(d, n) == semi_meander_poly(n).eval_at_t(d)
+        assert semi_meander_moment(d, n) == semi_meander_poly(n).eval_at_t(d)
 
     def test_trivial(self):
-        assert semi_meander_moment_sum(1, 1) == 1
+        assert semi_meander_moment(1, 1) == 1
 
     def test_d2_n2(self):
-        assert semi_meander_moment_sum(2, 2) == QPoly((6, 2))
+        assert semi_meander_moment(2, 2) == QPoly((6, 2))
 
 
 class TestDoubledCounts:
