@@ -19,20 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, permutations
-from math import perm, prod
+from math import prod
 from typing import Callable, Iterator, Sequence
 
+from .dyck import ONE, STAR
 from .errors import SWEEP_BUDGET, GroundSetError, TruncationOverflowError, check_size
-from .partitions import IndexTuple, crossings, enumerate_pair_partitions
+from .partitions import LEFT, RIGHT, IndexTuple, crossings, enumerate_pair_partitions
 from .scalars import FORMAL, Mode, conjugate
 
 Word = tuple[int, ...]
 CoordVector = tuple
-
-CREATE = "create"
-ANNIHILATE = "annihilate"
-LEFT = "l"
-RIGHT = "r"
 
 
 def basis_vector(d: int, i: int) -> CoordVector:
@@ -50,7 +46,7 @@ def vector_inner(v: CoordVector, w: CoordVector):
 
 @dataclass(frozen=True)
 class OpSymbol:
-    """One creation or annihilation factor: a side, a flavor and a vector."""
+    """One factor: a side, a flavor (creation '1' or annihilation '*') and a vector."""
 
     side: str
     flavor: str
@@ -59,17 +55,17 @@ class OpSymbol:
     def __post_init__(self):
         if self.side not in (LEFT, RIGHT):
             raise ValueError(f"side must be '{LEFT}' or '{RIGHT}'")
-        if self.flavor not in (CREATE, ANNIHILATE):
-            raise ValueError(f"flavor must be '{CREATE}' or '{ANNIHILATE}'")
+        if self.flavor not in (ONE, STAR):
+            raise ValueError(f"flavor must be '{ONE}' or '{STAR}'")
         object.__setattr__(self, "vector", tuple(self.vector))
 
 
 def creator(side: str, vector: Sequence) -> OpSymbol:
-    return OpSymbol(side, CREATE, tuple(vector))
+    return OpSymbol(side, ONE, tuple(vector))
 
 
 def annihilator(side: str, vector: Sequence) -> OpSymbol:
-    return OpSymbol(side, ANNIHILATE, tuple(vector))
+    return OpSymbol(side, STAR, tuple(vector))
 
 
 class FockVector:
@@ -172,13 +168,31 @@ def _accumulate(out: dict, word: Word, value) -> None:
 
 def apply(op: OpSymbol, x: FockVector) -> FockVector:
     """Linear extension of the four elementary actions to a sparse state."""
+    return _apply(op, x, slice(None))
+
+
+def apply_piece(side: str, flavor: str, k: int, v: Sequence, x: FockVector) -> FockVector:
+    """One term of the annihilation sum (flavor '*'), or creation (flavor '1',
+    which forces k == 1)."""
+    op = OpSymbol(side, flavor, v)
+    if flavor == ONE and k != 1:
+        raise ValueError("creation pieces exist only for k == 1")
+    if k < 1:
+        raise ValueError("piece index k must be positive")
+    return _apply(op, x, slice(k - 1, k))
+
+
+def _apply(op: OpSymbol, x: FockVector, pieces: slice) -> FockVector:
+    """``op`` on a sparse state, an annihilation keeping only the terms whose
+    removal position k (counted from the operator's side) lies in the slice
+    ``pieces`` of 1..n."""
     v = op.vector
     if len(v) != x.d:
         raise GroundSetError(f"operator vector has dimension {len(v)}, state {x.d}")
     mode = x.mode
     out: dict[Word, object] = {}
     left = op.side == LEFT
-    if op.flavor == CREATE:
+    if op.flavor == ONE:
         for word, c in x.terms.items():
             if len(word) + 1 > x.max_len:
                 raise TruncationOverflowError(
@@ -192,43 +206,13 @@ def apply(op: OpSymbol, x: FockVector) -> FockVector:
     else:
         for word, c in x.terms.items():
             n = len(word)
-            for k in range(1, n + 1):
+            for k in range(1, n + 1)[pieces]:
                 pos = k - 1 if left else n - k
                 f = conjugate(v[word[pos] - 1])
                 if not f:
                     continue
                 nw = word[:pos] + word[pos + 1 :]
                 _accumulate(out, nw, c * (f * mode.q_power(k - 1)))
-    return FockVector(x.d, x.max_len, mode, out)
-
-
-def apply_piece(side: str, flavor: str, k: int, v: Sequence, x: FockVector) -> FockVector:
-    """One term of the annihilation sum (flavor '*'), or creation (flavor '1',
-    which forces k == 1)."""
-    if flavor == "1":
-        if k != 1:
-            raise ValueError("creation pieces exist only for k == 1")
-        return apply(creator(side, v), x)
-    if flavor != "*":
-        raise ValueError("flavor must be '1' or '*'")
-    if k < 1:
-        raise ValueError("piece index k must be positive")
-    v = tuple(v)
-    if len(v) != x.d:
-        raise GroundSetError(f"operator vector has dimension {len(v)}, state {x.d}")
-    mode = x.mode
-    weight = mode.q_power(k - 1)
-    out: dict[Word, object] = {}
-    for word, c in x.terms.items():
-        n = len(word)
-        if n < k:
-            continue
-        pos = k - 1 if side == LEFT else n - k
-        f = conjugate(v[word[pos] - 1])
-        if not f:
-            continue
-        nw = word[:pos] + word[pos + 1 :]
-        _accumulate(out, nw, c * (f * weight))
     return FockVector(x.d, x.max_len, mode, out)
 
 

@@ -1,9 +1,8 @@
-"""Pair-partitions and set partitions of {1..m}.
+"""Set partitions of {1..m}, and pair-partitions: those whose blocks are pairs.
 
 Ground sets are 1-indexed everywhere; any 0-indexing below is an internal
 detail that never leaks through the API.  All constructors canonicalize
-(pairs stored min-first and sorted by opener, blocks sorted by minimum), so
-equality is structural.
+(every block sorted, blocks sorted by minimum), so equality is structural.
 
 Enumeration order is part of the contract: pair-partitions are generated by
 recursively pairing the smallest unpaired element with each larger unpaired
@@ -13,7 +12,7 @@ element in increasing order.
 from __future__ import annotations
 
 from math import comb, prod
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ENUMERATION_BUDGET, GroundSetError, check_size
 
@@ -31,85 +30,24 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-class PairPartition:
-    """A perfect matching of {1..2n}, stored canonically.
-
-    >>> PairPartition([(3, 4), (2, 1)]).pairs
-    ((1, 2), (3, 4))
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Iterable[Sequence[int]]):
-        canon = sorted(tuple(sorted(p)) for p in pairs)
-        flat = [x for p in canon for x in p]
-        m = len(flat)
-        if m == 0 or m % 2:
-            raise ValueError("a pair-partition needs n >= 1 pairs")
-        if sorted(flat) != list(range(1, m + 1)):
-            raise ValueError(f"pairs must exactly cover 1..{m}: {canon}")
-        self.pairs = tuple(canon)
-
-    @property
-    def n(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def size(self) -> int:
-        return 2 * len(self.pairs)
-
-    def partner_map(self) -> tuple[int, ...]:
-        """0-based lookup array: partner_map()[a-1] == partner of a."""
-        out = [0] * self.size
-        for a, b in self.pairs:
-            out[a - 1] = b
-            out[b - 1] = a
-        return tuple(out)
-
-    def partner(self, a: int) -> int:
-        for x, y in self.pairs:
-            if x == a:
-                return y
-            if y == a:
-                return x
-        raise ValueError(f"{a} not in ground set 1..{self.size}")
-
-    def to_set_partition(self) -> "SetPartition":
-        return SetPartition(self.pairs)
-
-    def to_lists(self) -> list[list[int]]:
-        """JSON form: array of 2-element arrays."""
-        return [list(p) for p in self.pairs]
-
-    def __eq__(self, other):
-        return isinstance(other, PairPartition) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __repr__(self):
-        inner = ",".join("{%d,%d}" % p for p in self.pairs)
-        return "PairPartition{%s}" % inner
-
-
 class SetPartition:
     """A partition of {1..m} into disjoint blocks, stored canonically."""
 
     __slots__ = ("m", "blocks")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        canon = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else 0)
+        # disjoint blocks have distinct minima, so tuple order is minimum order
+        self._cover(sorted(tuple(sorted(b)) for b in blocks))
+
+    def _cover(self, canon: list[tuple[int, ...]]) -> None:
+        """Check that the canonical blocks cover 1..m exactly, then store them."""
         flat = [x for b in canon for x in b]
         m = len(flat)
-        if m == 0:
-            raise ValueError("a set partition needs a non-empty ground set")
+        if m == 0 or not canon[0]:  # an empty block sorts first
+            raise ValueError(f"blocks must be non-empty, on a non-empty ground set: {canon}")
         if sorted(flat) != list(range(1, m + 1)):
             raise ValueError(f"blocks must exactly cover 1..{m}: {canon}")
-        self.m = m
-        self.blocks = tuple(canon)
+        self.m, self.blocks = m, tuple(canon)
 
     def block_of(self, a: int) -> tuple[int, ...]:
         for b in self.blocks:
@@ -128,10 +66,61 @@ class SetPartition:
 
     def __repr__(self):
         inner = ",".join("{%s}" % ",".join(map(str, b)) for b in self.blocks)
-        return "SetPartition{%s}" % inner
+        return "%s{%s}" % (type(self).__name__, inner)
 
 
-PartitionLike = Union[PairPartition, SetPartition]
+class PairPartition(SetPartition):
+    """A perfect matching of {1..2n}: the set partition whose blocks are pairs.
+
+    >>> PairPartition([(3, 4), (2, 1)]).pairs
+    ((1, 2), (3, 4))
+    """
+
+    __slots__ = ()
+
+    def __init__(self, pairs: Iterable[Sequence[int]]):
+        try:
+            canon = sorted((a, b) if a < b else (b, a) for a, b in pairs)
+        except ValueError:  # a block that does not unpack into two points
+            raise ValueError("every block of a pair-partition must be a pair") from None
+        self._cover(canon)
+
+    @classmethod
+    def _canonical(cls, pairs: tuple[tuple[int, int], ...]) -> "PairPartition":
+        """Trusted constructor for pairs that are already canonical (each
+        min-first, sorted by opener, covering 1..2n), as the enumerators
+        yield them: no sort and no check."""
+        pi = object.__new__(cls)
+        pi.m, pi.blocks = 2 * len(pairs), pairs
+        return pi
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return self.blocks
+
+    @property
+    def n(self) -> int:
+        return self.m // 2
+
+    @property
+    def size(self) -> int:
+        return self.m
+
+    def partner_map(self) -> tuple[int, ...]:
+        """0-based lookup array: partner_map()[a-1] == partner of a."""
+        out = [0] * self.m
+        for a, b in self.blocks:
+            out[a - 1] = b
+            out[b - 1] = a
+        return tuple(out)
+
+    def partner(self, a: int) -> int:
+        for x, y in self.blocks:
+            if x == a:
+                return y
+            if y == a:
+                return x
+        raise ValueError(f"{a} not in ground set 1..{self.m}")
 
 
 class Permutation:
@@ -228,7 +217,7 @@ def enumerate_pair_partitions(n: int, cap: int | None = None) -> Iterator[PairPa
     if n < 1:
         raise ValueError("n must be >= 1")
     check_size(n, cap, map(odd_double_factorial, range(1, n + 1)), ENUMERATION_BUDGET)
-    return map(PairPartition, _iter_matchings_raw(tuple(range(1, 2 * n + 1))))
+    return map(PairPartition._canonical, _iter_matchings_raw(tuple(range(1, 2 * n + 1))))
 
 
 def _iter_noncrossing_raw(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -252,7 +241,7 @@ def enumerate_noncrossing(n: int, cap: int | None = None) -> Iterator[PairPartit
     if n < 1:
         raise ValueError("n must be >= 1")
     check_size(n, cap, map(catalan, range(1, n + 1)), ENUMERATION_BUDGET)
-    return map(PairPartition, _iter_noncrossing_raw(tuple(range(1, 2 * n + 1))))
+    return map(PairPartition._canonical, _iter_noncrossing_raw(tuple(range(1, 2 * n + 1))))
 
 
 def crossings(pi: PairPartition) -> int:
@@ -271,18 +260,6 @@ def _raw_crossings(ps: tuple[tuple[int, int], ...]) -> int:
             if a < c < b < d:
                 count += 1
     return count
-
-
-def _as_blocks(p: PartitionLike) -> tuple[tuple[int, ...], ...]:
-    if isinstance(p, PairPartition):
-        return p.pairs
-    if isinstance(p, SetPartition):
-        return p.blocks
-    raise TypeError(f"expected a partition, got {type(p).__name__}")
-
-
-def _ground_size(p: PartitionLike) -> int:
-    return p.size if isinstance(p, PairPartition) else p.m
 
 
 class _UnionFind:
@@ -308,14 +285,14 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def join(p: PartitionLike, q: PartitionLike) -> SetPartition:
+def join(p: SetPartition, q: SetPartition) -> SetPartition:
     """Least upper bound of two partitions in reverse-refinement order."""
-    m = _ground_size(p)
-    if _ground_size(q) != m:
-        raise GroundSetError(f"ground sets differ: {m} vs {_ground_size(q)}")
+    m = p.m
+    if q.m != m:
+        raise GroundSetError(f"ground sets differ: {m} vs {q.m}")
     uf = _UnionFind(m)
     for part in (p, q):
-        for block in _as_blocks(part):
+        for block in part.blocks:
             first = block[0] - 1
             for x in block[1:]:
                 uf.union(first, x - 1)
@@ -325,8 +302,8 @@ def join(p: PartitionLike, q: PartitionLike) -> SetPartition:
     return SetPartition(groups.values())
 
 
-def block_count(p: PartitionLike) -> int:
-    return len(_as_blocks(p))
+def block_count(p: SetPartition) -> int:
+    return len(p.blocks)
 
 
 def rainbow(two_n: int) -> PairPartition:
@@ -379,14 +356,12 @@ def side_pattern_permutation(chi: Sequence[str]) -> Permutation:
     return Permutation(lefts + rights[::-1])
 
 
-def act(s: Permutation, p: PartitionLike) -> PartitionLike:
-    """Natural action: relabel every block element through ``s``."""
-    if s.m != _ground_size(p):
-        raise GroundSetError(f"ground sets differ: {s.m} vs {_ground_size(p)}")
-    blocks = [[s(x) for x in b] for b in _as_blocks(p)]
-    if isinstance(p, PairPartition):
-        return PairPartition(blocks)
-    return SetPartition(blocks)
+def act(s: Permutation, p: SetPartition) -> SetPartition:
+    """Natural action: relabel every block element through ``s``; the image
+    has the type of ``p``."""
+    if s.m != p.m:
+        raise GroundSetError(f"ground sets differ: {s.m} vs {p.m}")
+    return type(p)([s(x) for x in b] for b in p.blocks)
 
 
 def kernel(index: IndexTuple) -> SetPartition:

@@ -18,7 +18,7 @@ from .dyck import (
     DyckTuple,
     ONE,
     STAR,
-    alternating_pattern,
+    _resolve_chi,
     enumerate_bnc2_alternating,
     enumerate_preimage,
     is_dyck,
@@ -28,9 +28,8 @@ from .fock import (
     CoordVector,
     FockVector,
     OpSymbol,
-    annihilator,
+    apply_piece,
     basis_vector,
-    creator,
     vacuum_expectation,
     vector_inner,
 )
@@ -84,10 +83,8 @@ class WickProduct:
 
     def factors(self) -> list[OpSymbol]:
         """Operator factors in product order (position 2n leftmost)."""
-        ops = []
-        for side, flavor, vec in zip(self.chi, self.eps, self.vectors):
-            ops.append(creator(side, vec) if flavor == ONE else annihilator(side, vec))
-        return list(reversed(ops))
+        ops = zip(self.chi, self.eps, self.vectors)
+        return [OpSymbol(side, flavor, vec) for side, flavor, vec in ops][::-1]
 
 
 def wick_term(pi: PairPartition, wp: WickProduct, mode: Mode = FORMAL):
@@ -123,8 +120,6 @@ def apply_choice_product(ct, wp: WickProduct, mode: Mode = FORMAL) -> FockVector
     """Apply the single product of annihilation pieces / creations selected
     by a choice tuple to the vacuum.  Summing the vacuum amplitude over all
     choice tuples recovers the full Wick scalar term by term."""
-    from .fock import apply_piece
-
     if ct.eps.symbols != tuple(wp.eps):
         raise GroundSetError("choice tuple belongs to a different flavor word")
     x = FockVector.vacuum(wp.d, wp.size, mode)
@@ -140,9 +135,7 @@ def height_compatible(
     read in height coordinates."""
     if len(index) != pi.size:
         raise GroundSetError(f"lengths differ: {len(index)} vs {pi.size}")
-    if chi is None:
-        chi = alternating_pattern(pi.size)
-    heights = act(side_pattern_permutation(chi), pi)
+    heights = act(side_pattern_permutation(_resolve_chi(chi, pi.size)), pi)
     return all(index(a) == index(b) for a, b in heights.pairs)
 
 
@@ -163,10 +156,8 @@ def compatible_crossing_sum(index: IndexTuple, eps: DyckTuple, mode: Mode = FORM
 def basis_wick_product(index: IndexTuple, eps: Sequence[str], chi: Sequence[str] | None = None) -> WickProduct:
     """The product whose h-th factor carries the I(h)-th basis vector."""
     eps = tuple(eps)
-    if chi is None:
-        chi = alternating_pattern(len(eps))
     vectors = tuple(basis_vector(index.d, i) for i in index.values)
-    return WickProduct(tuple(chi), eps, vectors)
+    return WickProduct(_resolve_chi(chi, len(eps)), eps, vectors)
 
 
 def doubled_compatible_count(pi: PairPartition, d: int) -> int:

@@ -55,11 +55,7 @@ class MomentSequence:
 
 
 def _as_mode(q) -> Mode:
-    if isinstance(q, Mode):
-        return q
-    if isinstance(q, (int, Fraction)):
-        return Mode(Fraction(q))
-    return Mode(float(q))
+    return q if isinstance(q, Mode) else Mode(q)
 
 
 def semi_meander_moments(d: int, q, n_max: int, cap: int | None = None) -> MomentSequence:

@@ -22,7 +22,6 @@ from .dyck import (
 )
 from .fock import (
     FockVector,
-    IndexTuple,
     _canonical_pattern,
     commutator_defect,
     gaussian_joint_moment,
@@ -33,6 +32,7 @@ from .fock import (
 from .partitions import (
     LEFT,
     RIGHT,
+    IndexTuple,
     crossings,
     enumerate_pair_partitions,
 )

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanderq.dyck import ONE, STAR
 from meanderq.errors import EnumerationCapError, GroundSetError, TruncationOverflowError
 from meanderq.fock import (
     FockVector,
     IndexTuple,
+    OpSymbol,
     annihilator,
     apply,
     apply_piece,
@@ -34,6 +36,7 @@ from meanderq.fock import (
     _orbit_sweep,
     _word_inner,
 )
+from meanderq.partitions import LEFT, RIGHT
 from meanderq.polynomials import meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL, Mode, QPoly
 
@@ -114,6 +117,14 @@ class TestApply:
     def test_dimension_error(self):
         with pytest.raises(GroundSetError):
             apply(creator("l", (1, 0, 0)), FockVector.vacuum(2, 2))
+        with pytest.raises(GroundSetError):
+            apply(annihilator("r", (1, 0, 0)), FockVector.vacuum(2, 2))
+
+    def test_flavors_are_the_dyck_letters(self):
+        assert creator(LEFT, E1).flavor == ONE
+        assert annihilator(RIGHT, E1).flavor == STAR
+        with pytest.raises(ValueError):
+            OpSymbol(LEFT, "create", E1)
 
 
 class TestPieces:
@@ -143,6 +154,15 @@ class TestPieces:
     def test_creation_piece_requires_k1(self):
         with pytest.raises(ValueError):
             apply_piece("l", "1", 2, E1, FockVector.vacuum(2, 2))
+
+    def test_piece_validation(self):
+        x = FockVector.vacuum(2, 2)
+        with pytest.raises(ValueError):
+            apply_piece("l", "*", 0, E1, x)
+        with pytest.raises(ValueError):
+            apply_piece("l", "x", 1, E1, x)
+        with pytest.raises(GroundSetError):
+            apply_piece("l", "*", 1, (1, 0, 0), x)
 
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("n", range(1, 6))

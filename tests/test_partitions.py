@@ -51,6 +51,28 @@ class TestPairPartition:
         # wire format shared with the CLI
         assert json.dumps(REFERENCE_PI.to_lists()) == "[[1, 9], [2, 7], [3, 10], [4, 5], [6, 8]]"
 
+    def test_rejects_blocks_that_are_not_pairs(self):
+        with pytest.raises(ValueError):
+            PairPartition([(1, 2, 3, 4)])
+        with pytest.raises(ValueError):
+            PairPartition([(1,), (2, 3, 4)])
+
+    def test_is_the_set_partition_of_its_pairs(self):
+        as_sets = SetPartition(REFERENCE_PI.pairs)
+        assert isinstance(REFERENCE_PI, SetPartition)
+        assert REFERENCE_PI == as_sets and as_sets == REFERENCE_PI
+        assert hash(REFERENCE_PI) == hash(as_sets)
+        assert (REFERENCE_PI.m, REFERENCE_PI.size, REFERENCE_PI.n) == (10, 10, 5)
+        assert repr(REFERENCE_PI) == "PairPartition{{1,9},{2,7},{3,10},{4,5},{6,8}}"
+
+
+class TestSetPartition:
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(ValueError):
+            SetPartition([(1, 2), ()])
+        with pytest.raises(ValueError):
+            SetPartition([()])
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 8))
@@ -74,6 +96,16 @@ class TestEnumeration:
             next(enumerate_pair_partitions(9))
         # explicit override raises the cap
         assert next(enumerate_pair_partitions(9, cap=18)) is not None
+
+    @pytest.mark.parametrize(
+        "enumerate_, n_max", [(enumerate_pair_partitions, 6), (enumerate_noncrossing, 7)]
+    )
+    def test_trusted_items_equal_checked_ones(self, enumerate_, n_max):
+        for n in range(1, n_max + 1):
+            for p in enumerate_(n):
+                checked = PairPartition(p.pairs)
+                assert p == checked and hash(p) == hash(checked)
+                assert (p.pairs, p.m) == (checked.pairs, checked.m)
 
 
 class TestNoncrossing:
@@ -113,7 +145,7 @@ class TestJoin:
         # Frozen from the chain closure: 2~7, 7~4, 4~5, 5~6, 6~3, 3~2
         # connects everything between the outer pair.
         other = SetPartition([(1, 8), (2, 3), (4, 7), (5, 6)])
-        j = join(rainbow(8).to_set_partition(), other)
+        j = join(SetPartition(rainbow(8).pairs), other)
         assert j.blocks == ((1, 8), (2, 3, 4, 5, 6, 7))
         # Three closed curves arise from the interval-style diagram instead.
         three = join(rainbow(8), PairPartition([(1, 8), (2, 3), (4, 5), (6, 7)]))
@@ -226,6 +258,13 @@ class TestAct:
     def test_dimension_error(self):
         with pytest.raises(GroundSetError):
             act(Permutation.identity(4), REFERENCE_PI)
+
+    def test_image_has_the_input_type(self):
+        s = labels_to_heights(5)
+        as_pairs = act(s, REFERENCE_PI)
+        as_sets = act(s, SetPartition(REFERENCE_PI.pairs))
+        assert type(as_pairs) is PairPartition and type(as_sets) is SetPartition
+        assert as_pairs.blocks == as_sets.blocks
 
     @given(st.data())
     @settings(max_examples=60)

@@ -10,7 +10,7 @@ from conftest import rational_vectors
 
 from meanderq.dyck import ChoiceTuple, DyckTuple, alternating_pattern, enumerate_dyck
 from meanderq.errors import GroundSetError
-from meanderq.fock import IndexTuple, basis_vector, semi_meander_moment, vector_inner
+from meanderq.fock import IndexTuple, OpSymbol, basis_vector, semi_meander_moment, vector_inner
 from meanderq.partitions import (
     PairPartition,
     act,
@@ -50,6 +50,13 @@ class TestWickProduct:
             WickProduct(("l", "r"), ("1", "x"), ((1, 0), (0, 1)))
         with pytest.raises(GroundSetError):
             WickProduct(("l", "r"), ("1", "*"), ((1, 0), (0, 1, 0)))
+
+    def test_factors_keep_the_side_and_flavor_letters(self):
+        chi, eps = ("r", "l", "l", "r"), ("1", "1", "*", "*")
+        vectors = ((1, 0), (0, 1), (1, 1), (2, 0))
+        wp = WickProduct(chi, eps, vectors)
+        expected = [OpSymbol(c, e, v) for c, e, v in zip(chi, eps, vectors)]
+        assert wp.factors() == expected[::-1]
 
 
 class TestTwoRoutes:
