@@ -242,9 +242,14 @@ def choices_to_partition(
     """Rebuild the pair-partition encoded by a choice tuple: visit the star
     heights in increasing order and close each with the gamma_h-th candidate."""
     eps = ct.eps
-    s, sinv, p, free_ones = _fibre_frame(eps, _resolve_chi(chi, eps.size))
-    pairs = []
-    for h in eps.star_heights():
+    return _partition_in_frame(ct, _fibre_frame(eps, _resolve_chi(chi, eps.size)))
+
+
+def _partition_in_frame(ct: ChoiceTuple, frame) -> PairPartition:
+    """``choices_to_partition`` with the fibre's frame already built."""
+    s, sinv, p, ones = frame
+    free_ones, pairs = list(ones), []
+    for h in ct.eps.star_heights():
         star_label = sinv(h)
         order = _candidate_order(star_label, h, free_ones, s, p)
         gamma = ct.gammas[h - 1]
@@ -290,11 +295,12 @@ def enumerate_preimage(
     stars = eps.star_heights()
     choices = [choice_number(eps, h) for h in stars]
     check_size(eps.size // 2, cap, accumulate(choices, mul), ENUMERATION_BUDGET)
+    frame = _fibre_frame(eps, chi)
     for combo in product(*(range(1, c + 1) for c in choices)):
         gammas = [1] * eps.size
         for h, g in zip(stars, combo):
             gammas[h - 1] = g
-        yield choices_to_partition(ChoiceTuple(gammas, eps), chi)
+        yield _partition_in_frame(ChoiceTuple(gammas, eps), frame)
 
 
 def crossings_from_choices(ct: ChoiceTuple) -> int:

@@ -3,7 +3,7 @@
 from typing import Iterable
 
 ENUMERATION_BUDGET = 2_027_025  # 15!!: objects one enumeration may stream
-SWEEP_BUDGET = 1_000_000  # scalar products (times q-degrees if formal) one moment sweep may make
+SWEEP_BUDGET = 1_300_000  # width-weighted scalar products one moment sweep may make
 
 
 class EnumerationCapError(ValueError):

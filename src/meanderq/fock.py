@@ -18,14 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, permutations
-from math import prod
+from fractions import Fraction
+from itertools import permutations
+from math import ceil, log2, prod
+from operator import lshift, mul
 from typing import Callable, Iterator, Sequence
 
 from .dyck import ONE, STAR
 from .errors import SWEEP_BUDGET, GroundSetError, TruncationOverflowError, check_size
 from .partitions import LEFT, RIGHT, IndexTuple, crossings, enumerate_pair_partitions
-from .scalars import FORMAL, Mode, conjugate
+from .scalars import FORMAL, Mode, QPoly, conjugate
 
 Word = tuple[int, ...]
 CoordVector = tuple
@@ -314,27 +316,61 @@ def sweep(start, steps: Sequence[Callable], shrink: int, prune: bool = True) -> 
     return amplitudes
 
 
+def _state_products(d: int, a: int, b: int | None = None) -> int:
+    """Most scalar products one orbit step makes from a T word of length a
+    (c^2 + c + 2 per letter occurring c times, the fresh letter included),
+    or from X legs of lengths a, b."""
+    if b is None:
+        return a * a + a + 2 * min(d, a // 2 + 1)
+    return (1 + a) * (1 + b) + min(d, (a + b) // 2 + 1) - 1
+
+
+def _horizons(n: int, doubled: bool, prune: bool = True) -> Iterator[int]:
+    """The longest leg a state can have entering each step of the sweep for m_n."""
+    steps, shrink = (2 * n, 1) if doubled else (n, 2)
+    return (shrink * (min(k - 1, steps - k + 1) if prune else k - 1)
+            for k in range(1, steps + 1))
+
+
+# The packed width at which a product costs one float product more, fitted
+# to T and X sweeps at d = 1..4 (2-core VM, Python 3.11): a formal product
+# shifts and adds ints of up to C (degree + 1) bits, an exact one multiplies
+# a numerator of up to S log2(b) bits by a table entry of up to M log2(b)
+# bits, S the sum and M the largest of the steps' tops (see _orbit_step).
+_FORMAL_BITS = 50_000
+_EXACT_BITS_SQUARED = 2_000_000
+
+
+def _product_weight(d: int, n: int, mode: Mode, doubled: bool) -> float:
+    """Cost of one product of the sweep for m_n, in float products."""
+    if mode.is_formal:
+        degree = n * (n - 1) // (1 if doubled else 2)  # most crossings of n pairs
+        return 1 + _packed_width(d, n, doubled) * (degree + 1) / _FORMAL_BITS
+    if mode.is_exact:
+        tops = [2 * h + 1 for h in _horizons(n, doubled)]
+        bits = log2(mode.q.denominator)
+        return 1 + sum(tops) * max(tops, default=0) * bits**2 / _EXACT_BITS_SQUARED
+    return 1
+
+
 def sweep_sizes(d: int, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
     """Running totals, over the steps of the pruned orbit sweep for m_n, of
-    the scalar products the steps can make, times in formal mode the most
-    q-degrees a coefficient can reach.  Step k's input holds states within
-    the pruning horizon, each letter occurring an even number of times:
-    with S(L, b) the partitions of L points into b even blocks, legs of
-    total length L lie in sum_{b<=d} S(L, b) orbits.  A T word of length L
-    makes at most L^2 + L + 2 min(d, L/2 + 1) products (c^2 + c + 2 per
-    letter occurring c times, the fresh letter included), legs l1, l2 at
-    most (1 + l1)(1 + l2) + min(d, (l1+l2)/2 + 1) - 1.  States of the full
-    length m = k-1 per leg (T palindromes i_m..i_1 i_1..i_m, X pairs of
-    equal words) lie in at most prod_{j<=m} min(j, d) orbits."""
+    the scalar products the steps can make, and last their total weighted by
+    the width of the packed ints (``_product_weight``), which is at least 1
+    and read only once the count fits.  Step k's input holds states
+    within the pruning horizon, each letter occurring an even number of
+    times: with S(L, b) the partitions of L points into b even blocks, legs
+    of total length L lie in sum_{b<=d} S(L, b) orbits, and make at most
+    ``_state_products`` products each.  States of the full length m = k-1
+    per leg (T palindromes i_m..i_1 i_1..i_m, X pairs of equal words) lie in
+    at most prod_{j<=m} min(j, d) orbits."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    steps, shrink = (2 * n, 1) if doubled else (n, 2)
-    factor = 1 + n * (n - 1) // (1 if doubled else 2) if mode.is_formal else 1
     row, orbits = [1], []  # S(2j, b) for the next j; orbits of total length 2j
 
-    def products(k: int) -> int:
+    def products(k: int, h: int) -> int:
         nonlocal row
-        m, h = k - 1, shrink * min(k - 1, steps - k + 1)
+        m = k - 1
         while len(orbits) <= h:
             orbits.append(sum(row))
             prev = row + [0]  # S(L, b) = b^2 S(L-2, b) + (2b-1) S(L-2, b-1)
@@ -343,33 +379,51 @@ def sweep_sizes(d: int, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
         full = prod(min(j, d) for j in range(1, m + 1))
         if doubled:
             legs = range(m % 2, h + 1, 2)
-            return sum((full if a == b == m else orbits[(a + b) // 2])
-                       * ((1 + a) * (1 + b) + min(d, (a + b) // 2 + 1) - 1)
+            return sum((full if a == b == m else orbits[(a + b) // 2]) * _state_products(d, a, b)
                        for a in legs for b in legs)
-        return sum((full if L == 2 * m else orbits[L // 2]) * (L * L + L + 2 * min(d, L // 2 + 1))
+        return sum((full if L == 2 * m else orbits[L // 2]) * _state_products(d, L)
                    for L in range(0, h + 1, 2))
 
-    return accumulate(products(k) * factor for k in range(1, steps + 1))
+    def totals() -> Iterator[int]:
+        total = 0
+        for k, h in enumerate(_horizons(n, doubled), start=1):
+            total += products(k, h)
+            yield total
+        yield ceil(total * _product_weight(d, n, mode, doubled))
+
+    return totals()
 
 
 class _OrbitVector:
     """Sweep state with one basis element per orbit of letter relabelling: a
     map from tuples of legs (one word for T, a word pair for X), renamed
     jointly by first appearance, to the coefficient of each of the orbit's
-    d!/(d-u)! members, u the letters used."""
+    d!/(d-u)! members, u the letters used.  In the exact modes a coefficient
+    is one int (see ``_orbit_step``): its value at q = 2^width if q is
+    formal, its numerator over b^scale if q = a/b."""
 
-    __slots__ = ("d", "mode", "vacuum", "terms")
+    __slots__ = ("d", "mode", "vacuum", "terms", "width", "scale")
 
-    def __init__(self, d: int, mode: Mode, vacuum: tuple[Word, ...], terms: dict):
+    def __init__(self, d: int, mode: Mode, vacuum: tuple[Word, ...], terms: dict,
+                 width: int = 0, scale: int = 0):
         self.d, self.mode, self.vacuum = d, mode, vacuum
         self.terms = {k: c for k, c in terms.items() if c}
+        self.width, self.scale = width, scale
 
     def vacuum_amplitude(self):
-        return self.terms.get(self.vacuum, self.mode.zero())
+        c = self.terms.get(self.vacuum)
+        if c is None:
+            return self.mode.zero()
+        if self.mode.is_formal:
+            mask, width = (1 << self.width) - 1, self.width
+            return QPoly([c >> s & mask for s in range(0, c.bit_length(), width)])
+        if self.mode.is_exact:
+            return Fraction(c, self.mode.q.denominator ** self.scale)
+        return c
 
     def pruned(self, reach: int) -> "_OrbitVector":
         kept = {legs: c for legs, c in self.terms.items() if max(map(len, legs)) <= reach}
-        return _OrbitVector(self.d, self.mode, self.vacuum, kept)
+        return _OrbitVector(self.d, self.mode, self.vacuum, kept, self.width, self.scale)
 
 
 def _canonical_pattern(*legs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -404,10 +458,37 @@ def _orbit_step(x: _OrbitVector, rule: Callable) -> _OrbitVector:
     u+1 stands for the d-u unused ones.  An output without the letter i lies
     in a larger orbit: it weighs d-u+1 if i was an existing letter that left
     and d-u if the fresh letter was created and annihilated (T only: r_i,
-    then l_i*).  Each distinct raw output is canonicalised once per step."""
+    then l_i*).  Each distinct raw output is canonicalised once per step.
+
+    A product is c q^e times an int weight, e <= M = 2 (longest leg) + 1,
+    and in the exact modes c is a packed int:
+
+    * formal q: c is the polynomial's value at q = 2^C, C = ``x.width``,
+      and q^e is a shift by C e.  This is exact when 2^C exceeds every
+      q-coefficient of every state, which ``_packed_width`` ensures: the
+      sweep starts at 1 and multiplies only by q^e and by d - used >= 1, so
+      every coefficient is non-negative and at most the state's value at
+      q = 1.  Step k makes at most P_k products from an input state (its
+      legs lie within the step's horizon, see ``sweep_sizes``), each
+      weighing at most d, and pruning only drops states; so the values at
+      q = 1 summed over the states grow at most by a factor P_k d per step,
+      and every coefficient is at most prod_k P_k d < 2^C.  Digits below
+      2^C never carry into each other, so the base-2^C digits of a vacuum
+      amplitude are its q-coefficients.
+    * q = a/b: c is the numerator over b^S, S = ``x.scale``, and q^e is a
+      multiply by a^e b^(M-e) onto the denominator b^(S+M).  No gcd is taken
+      until an amplitude is read.
+    * float q: c is the float and q^e its power."""
     d, mode = x.d, x.mode
     longest = max((len(leg) for legs in x.terms for leg in legs), default=0)
-    q_pows = [mode.q_power(e) for e in range(2 * longest + 2)]
+    top, scale = 2 * longest + 1, x.scale
+    if mode.is_formal:
+        times, q_pows = lshift, [x.width * e for e in range(top + 1)]
+    elif mode.is_exact:
+        a, b = mode.q.numerator, mode.q.denominator
+        times, q_pows, scale = mul, [a**e * b ** (top - e) for e in range(top + 1)], scale + top
+    else:
+        times, q_pows = mul, [mode.q_power(e) for e in range(top + 1)]
     out, memo = {}, {}  # memo: raw output -> (its orbit key, letters it uses)
     lookup, add = memo.get, _accumulate
     for legs, c in x.terms.items():
@@ -422,18 +503,27 @@ def _orbit_step(x: _OrbitVector, rule: Callable) -> _OrbitVector:
                         key = _canonical_pattern(*raw)
                         hit = memo[raw] = (key, max(max(leg, default=0) for leg in key))
                     key, used = hit
-                    value = c * q_pows[e + f] if e + f else c
+                    value = times(c, q_pows[e + f])
                     if used < letters:
                         value = value * (d - used)
                     add(out, key, value)
-    return _OrbitVector(d, mode, x.vacuum, out)
+    return _OrbitVector(d, mode, x.vacuum, out, x.width, scale)
+
+
+def _packed_width(d: int, n: int, doubled: bool, prune: bool = True) -> int:
+    """Bits C per q-degree of a formal orbit sweep: the bit length of
+    prod_k P_k d, P_k the most products a step-k input state can make (see
+    ``_orbit_step``)."""
+    return prod(d * _state_products(d, h, h if doubled else None)
+                for h in _horizons(n, doubled, prune)).bit_length()
 
 
 def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, prune: bool = True) -> list:
     """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i."""
     vacuum = ((), ()) if doubled else ((),)
     step = partial(_orbit_step, rule=_x_legs if doubled else _t_legs)
-    start = _OrbitVector(d, mode, vacuum, {vacuum: mode.one()})
+    width = _packed_width(d, n, doubled, prune) if mode.is_formal else 0
+    start = _OrbitVector(d, mode, vacuum, {vacuum: 1 if mode.is_exact else mode.one()}, width)
     return sweep(start, [step] * (len(vacuum) * n), 1 if doubled else 2, prune)
 
 

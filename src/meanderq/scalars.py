@@ -9,6 +9,11 @@ Three regimes are used throughout the package, selected by :class:`Mode`:
   are ``fractions.Fraction``.
 * floating mode -- ``q`` is a float in (-1, 1) and scalars are floats (or
   complex, when complex vector coordinates are in play).
+
+The moment sweeps of :mod:`meanderq.fock` carry packed ints internally in
+the two exact modes, a formal coefficient as its value at ``q = 2^C`` and
+an exact one as its numerator over a shared power of ``q``'s denominator,
+and return these scalars only for the vacuum amplitudes.
 """
 
 from __future__ import annotations

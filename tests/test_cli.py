@@ -103,7 +103,7 @@ class TestMoments:
 
     def test_cap_exit2(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--operator", "T", "--d", "2",
-                               "--n", "11")
+                               "--n", "15")
         assert code == 2
 
 

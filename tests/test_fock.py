@@ -29,11 +29,13 @@ from meanderq.fock import (
     semi_meander_moment,
     semi_meander_moment_direct,
     semi_meander_moment_sweep,
+    sweep,
     vacuum_expectation,
     vector_inner,
     word_vector,
     _gaussian_moment_pairings,
     _orbit_sweep,
+    _packed_width,
     _word_inner,
 )
 from meanderq.partitions import LEFT, RIGHT
@@ -286,7 +288,10 @@ class TestCanonicalFormAtQZero:
                 assert lhs == rhs
 
 
-SWEEP_MODES = [FORMAL, Mode(Fraction(1, 2)), Mode(Fraction(-1, 3)), Mode(0.5)]
+# the exact modes include denominators and numerators that are not powers of
+# two, a negative q and q = 0, for the packed ints of the orbit sweep
+SWEEP_MODES = [FORMAL, Mode(Fraction(1, 2)), Mode(Fraction(-1, 3)), Mode(0.5),
+               Mode(Fraction(0)), Mode(Fraction(-9, 10)), Mode(Fraction(7, 9))]
 
 
 def _same_moment(a, b, mode):
@@ -356,8 +361,23 @@ class TestSemiMeanderMoment:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            semi_meander_moment(2, 11)
+            semi_meander_moment(2, 15)
         assert semi_meander_moment(1, 8, cap=8) is not None
+
+    @pytest.mark.parametrize("d,n", [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3), (4, 3)])
+    def test_packed_width_bounds_every_coefficient(self, d, n):
+        # the formal orbit sweep packs a polynomial into its value at q = 2^C;
+        # the unpruned word-level pass holds every coefficient the sweep can
+        # build, and each must stay below 2^C
+        states = []
+
+        def step(x):
+            states.append(apply_semi_meander_operator(x))
+            return states[-1]
+
+        sweep(FockVector.vacuum(d, 2 * n, FORMAL), [step] * n, 2, prune=False)
+        largest = max(c for x in states for p in x.terms.values() for c in p.coeffs)
+        assert largest < 1 << _packed_width(d, n, doubled=False)
 
     def test_fused_operator_matches_composition(self):
         rng = random.Random(9)
@@ -418,7 +438,16 @@ class TestMeanderMoment:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            meander_moment(2, 6)
+            meander_moment(2, 8)
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES, ids=str)
+    def test_orbit_sweep_matches_the_enumeration(self, mode):
+        for n in range(1, 5):
+            poly = meander_poly(n)
+            for d in (1, 2, 3):
+                expected = poly.eval_at_t(d) if mode.is_formal else poly.eval(d, Fraction(mode.q))
+                swept = meander_moment(d, n, mode)
+                assert _same_moment(swept, expected if mode.is_exact else float(expected), mode)
 
     @pytest.mark.parametrize("d", [3, 5, 10])
     def test_more_letters_than_pairs(self, d):
@@ -462,9 +491,9 @@ class TestMomentSweep:
 
     def test_caps_apply_to_the_horizon(self):
         with pytest.raises(EnumerationCapError):
-            semi_meander_moment_sweep(2, 11)
+            semi_meander_moment_sweep(2, 15)
         with pytest.raises(EnumerationCapError):
-            meander_moment_sweep(3, 6)
+            meander_moment_sweep(3, 7)
         assert len(semi_meander_moment_sweep(1, 8, cap=8)) == 9
 
     def test_single_orders_start_at_one(self):

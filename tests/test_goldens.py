@@ -63,8 +63,8 @@ def test_meander_moments_are_its_square():
 
 
 # one-curve semi-meanders (OEIS A000682) and meanders (OEIS A005315), n = 1..
-A000682 = [1, 1, 2, 4, 10, 24, 66, 174, 504, 1406]
-A005315 = [1, 2, 8, 42, 262]
+A000682 = [1, 1, 2, 4, 10, 24, 66, 174, 504, 1406, 4210]
+A005315 = [1, 2, 8, 42, 262, 1828]
 
 
 def kronecker_terms(value, bits):
@@ -81,9 +81,9 @@ def kronecker_terms(value, bits):
 
 
 def test_semi_meander_polynomials_at_the_sweep_frontier():
-    bits = odd_double_factorial(10).bit_length()
-    moments = semi_meander_moment_sweep(1 << bits, 10, FORMAL, cap=10)
-    for n in range(1, 11):
+    bits = odd_double_factorial(11).bit_length()
+    moments = semi_meander_moment_sweep(1 << bits, 11, FORMAL, cap=11)
+    for n in range(1, 12):
         terms = kronecker_terms(moments[n], bits)
         one_curve = {t: c for (t, u), c in terms.items() if u == 0}
         assert one_curve[1] == A000682[n - 1], n
@@ -95,9 +95,9 @@ def test_semi_meander_polynomials_at_the_sweep_frontier():
 
 
 def test_meander_polynomials_at_the_sweep_frontier():
-    bits = (odd_double_factorial(9) ** 2).bit_length()
-    moments = meander_moment_sweep(1 << bits, 5, FORMAL, cap=5)
-    for n in range(1, 6):
+    bits = (odd_double_factorial(6) ** 2).bit_length()
+    moments = meander_moment_sweep(1 << bits, 6, FORMAL, cap=6)
+    for n in range(1, 7):
         terms = kronecker_terms(moments[n], bits)
         assert terms.get((1, 0)) == A005315[n - 1], n
         assert sum(terms.values()) == odd_double_factorial(n) ** 2

@@ -3,6 +3,7 @@ and without one every route is checked against a closed-form size estimate
 before it does any work."""
 
 import itertools
+import math
 import time
 from collections import deque
 from fractions import Fraction
@@ -14,7 +15,7 @@ import meanderq.partitions as partitions
 import meanderq.polynomials as polynomials
 from meanderq.cli import main
 from meanderq.dyck import enumerate_bnc2_alternating, enumerate_dyck
-from meanderq.errors import EnumerationCapError, check_size
+from meanderq.errors import SWEEP_BUDGET, EnumerationCapError, check_size
 from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep, sweep_sizes
 from meanderq.partitions import enumerate_noncrossing, enumerate_pair_partitions
 from meanderq.polynomials import meander_poly, semi_meander_poly
@@ -81,6 +82,7 @@ def test_refusal_does_no_work(route, capsys, monkeypatch):
     "spectrum --d 2 --q 0.5 --n 12",
     "moments --d 5 --n 7",
     "moments --d 10 --n 6",
+    "moments --operator T --d 3 --n 9",
 ])
 def test_documents_admitted(argv, capsys):
     assert main(argv.split()) == 0
@@ -144,9 +146,36 @@ def test_sweep_estimate_bounds_the_products(doubled, d, n, monkeypatch):
     assert made <= estimate <= 10 * made
 
 
-def test_formal_mode_weighs_the_q_degrees():
-    assert _estimate(1, 30, FORMAL, False) == 436 * _estimate(1, 30, Mode(0.5), False)
-    assert _estimate(2, 5, FORMAL, True) == 21 * _estimate(2, 5, Mode(Fraction(1, 2)), True)
-    semi_meander_moment_sweep(1, 30, Mode(0.5))
+def test_products_are_weighed_by_their_packed_width():
+    """A formal product shifts ints of C (degree + 1) bits; a product at
+    q = a/b multiplies a numerator over b^S by a^e b^(M-e), S the sum and M
+    the largest of the steps' q-power tops 2 (longest leg) + 1; a float
+    product weighs 1."""
+    assert fock._packed_width(1, 30, doubled=False) == 218
+    assert fock._product_weight(1, 30, FORMAL, False) == 1 + 218 * 436 / 50_000
+    assert fock._product_weight(2, 5, FORMAL, True) == 1 + 45 * 21 / 50_000
+    tops = [2 * h + 1 for h in fock._horizons(60, doubled=False)]
+    assert (sum(tops), max(tops)) == (3660, 121)
+    for q in (Fraction(1, 2), Fraction(9, 10), Fraction(-7, 9)):
+        weight = fock._product_weight(1, 60, Mode(q), False)
+        assert weight == 1 + 3660 * 121 * math.log2(q.denominator) ** 2 / 2_000_000
+    assert fock._product_weight(1, 60, Mode(Fraction(0)), False) == 1
+    assert fock._product_weight(1, 60, Mode(0.5), False) == 1
+    # the running product counts, then their total times the weight
+    for d, n, mode, doubled in [(1, 30, FORMAL, False), (2, 5, FORMAL, True),
+                                (1, 60, Mode(Fraction(9, 10)), False)]:
+        counts = list(sweep_sizes(d, n, Mode(0.5), doubled))
+        weight = fock._product_weight(d, n, mode, doubled)
+        assert counts[-1] == counts[-2]
+        assert list(sweep_sizes(d, n, mode, doubled)) == [
+            *counts[:-1], math.ceil(counts[-1] * weight)]
+
+
+def test_wide_denominators_are_refused(capsys):
+    # q = 9/10 at n = 60 weighs 3.4 float products a product; q = 1/2 fits
+    assert _estimate(1, 68, Mode(Fraction(1, 2)), False) <= SWEEP_BUDGET
+    assert _estimate(1, 60, Mode(Fraction(9, 10)), False) > SWEEP_BUDGET
+    assert main("spectrum --d 1 --q 9/10 --n 60".split()) == 2
     with pytest.raises(EnumerationCapError):
-        semi_meander_moment_sweep(1, 30, FORMAL)
+        semi_meander_moment_sweep(1, 44, FORMAL)
+    assert _estimate(1, 44, Mode(0.5), False) <= SWEEP_BUDGET
