@@ -38,6 +38,7 @@ from .dyck import (
 from .polynomials import (
     BivarPoly,
     coefficient_table,
+    kronecker_poly,
     meander_poly,
     poly_eval,
     semi_meander_poly,

@@ -19,12 +19,7 @@ from .dyck import enumerate_bnc2_alternating, enumerate_dyck
 from .errors import EnumerationCapError, GroundSetError, TruncationOverflowError
 from .partitions import (catalan, enumerate_noncrossing, enumerate_pair_partitions,
                          odd_double_factorial)
-from .polynomials import (
-    coefficient_table,
-    meander_poly,
-    poly_json_doc,
-    semi_meander_poly,
-)
+from .polynomials import coefficient_table, kronecker_poly, poly_json_doc
 from .scalars import FORMAL, Mode, QPoly, parse_q
 from .spectra import meander_moments, realize, semi_meander_moments
 from .verify import SUITE_ALIASES, SUITES, run_suite
@@ -43,8 +38,7 @@ def _scalar_json(value):
 
 
 def cmd_poly(cfg: argparse.Namespace) -> int:
-    builder = semi_meander_poly if cfg.kind == "semi" else meander_poly
-    p = builder(cfg.n, cap=cfg.cap, jobs=cfg.jobs)
+    p = kronecker_poly(cfg.kind, cfg.n, cap=cfg.cap)
     if cfg.fmt == "csv":
         sys.stdout.write(coefficient_table(p).to_csv())
     elif cfg.fmt == "pretty":
@@ -142,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         "seed": dict(type=int, default=0),
         "q": dict(type=_q_mode, default=FORMAL),
         "cap": dict(type=_positive_int, default=None),
-        "jobs": dict(type=_positive_int, default=1),
+        "jobs": dict(type=int, choices=(1,), default=1,
+                     help="only 1: the sweep runs in one process; the flag goes away "
+                     "once the benchmark documents stop passing --jobs 1"),
         "format": dict(dest="fmt", choices=("json", "csv", "pretty"), default="json"),
     }
 
@@ -154,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, **defaults)
         return p
 
-    p_poly = subcommand("poly", cmd_poly, "build a polynomial by enumeration",
+    p_poly = subcommand("poly", cmd_poly, "a polynomial, read off one moment sweep",
                         "n", "cap", "jobs", "format")
     p_poly.add_argument("--kind", choices=("semi", "meander"), default="semi")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import permutations
-from math import ceil, log2, prod
+from math import ceil, inf, log2, prod
 from operator import lshift, mul
 from typing import Callable, Iterator, Sequence
 
@@ -421,10 +421,6 @@ class _OrbitVector:
             return Fraction(c, self.mode.q.denominator ** self.scale)
         return c
 
-    def pruned(self, reach: int) -> "_OrbitVector":
-        kept = {legs: c for legs, c in self.terms.items() if max(map(len, legs)) <= reach}
-        return _OrbitVector(self.d, self.mode, self.vacuum, kept, self.width, self.scale)
-
 
 def _canonical_pattern(*legs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Relabel values 1, 2, ... in order of first appearance, jointly over the legs."""
@@ -451,14 +447,17 @@ def _x_legs(legs: tuple[Word, Word], i: int) -> list:
     return [((w,), e, legs[1]) for w, e in _left_x(legs[0], i)]
 
 
-def _orbit_step(x: _OrbitVector, rule: Callable) -> _OrbitVector:
+def _orbit_step(x: _OrbitVector, rule: Callable, reach: float) -> _OrbitVector:
     """One application of sum_i O_i: the factor ``rule(legs, i)`` lists as
     (other legs, power of q, last leg), then left X_i on the last leg.  The
     letters 1..u of a representative act as themselves and one fresh letter
     u+1 stands for the d-u unused ones.  An output without the letter i lies
     in a larger orbit: it weighs d-u+1 if i was an existing letter that left
     and d-u if the fresh letter was created and annihilated (T only: r_i,
-    then l_i*).  Each distinct raw output is canonicalised once per step.
+    then l_i*).  An output with a leg longer than ``reach`` cannot reach
+    the vacuum again (see ``sweep``) and is dropped before it is
+    canonicalised; each other distinct raw output is canonicalised once per
+    step.
 
     A product is c q^e times an int weight, e <= M = 2 (longest leg) + 1,
     and in the exact modes c is a packed int:
@@ -470,7 +469,7 @@ def _orbit_step(x: _OrbitVector, rule: Callable) -> _OrbitVector:
       every coefficient is non-negative and at most the state's value at
       q = 1.  Step k makes at most P_k products from an input state (its
       legs lie within the step's horizon, see ``sweep_sizes``), each
-      weighing at most d, and pruning only drops states; so the values at
+      weighing at most d, and pruning only drops outputs; so the values at
       q = 1 summed over the states grow at most by a factor P_k d per step,
       and every coefficient is at most prod_k P_k d < 2^C.  Digits below
       2^C never carry into each other, so the base-2^C digits of a vacuum
@@ -496,7 +495,11 @@ def _orbit_step(x: _OrbitVector, rule: Callable) -> _OrbitVector:
         for i in range(1, min(u + 1, d) + 1):
             letters = max(u, i)
             for head, e, last in rule(legs, i):
+                if head and len(head[0]) > reach:
+                    continue
                 for w, f in _left_x(last, i):
+                    if len(w) > reach:
+                        continue
                     raw = head + (w,)
                     hit = lookup(raw)
                     if hit is None:
@@ -519,12 +522,14 @@ def _packed_width(d: int, n: int, doubled: bool, prune: bool = True) -> int:
 
 
 def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, prune: bool = True) -> list:
-    """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i."""
+    """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i;
+    each step drops its own outputs past the pruning horizon of ``sweep``."""
     vacuum = ((), ()) if doubled else ((),)
-    step = partial(_orbit_step, rule=_x_legs if doubled else _t_legs)
+    steps, shrink, rule = (2 * n, 1, _x_legs) if doubled else (n, 2, _t_legs)
     width = _packed_width(d, n, doubled, prune) if mode.is_formal else 0
     start = _OrbitVector(d, mode, vacuum, {vacuum: 1 if mode.is_exact else mode.one()}, width)
-    return sweep(start, [step] * (len(vacuum) * n), 1 if doubled else 2, prune)
+    reaches = [shrink * (steps - k) if prune else inf for k in range(1, steps + 1)]
+    return sweep(start, [partial(_orbit_step, rule=rule, reach=r) for r in reaches], shrink, False)
 
 
 def semi_meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None) -> list:

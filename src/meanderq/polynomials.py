@@ -1,10 +1,12 @@
-"""Exact bivariate polynomials in (t, u) and the enumeration-based builders.
+"""Exact bivariate polynomials in (t, u), read off the orbit sweep or enumerated.
 
 The semi-meander polynomial of order n counts closed-curve systems drawn from
 a single matching against the rainbow; the meander polynomial counts pairs of
 matchings.  In both, the t-exponent is the number of closed curves (blocks of
 the join) and the u-exponent the number of crossings.  Coefficients are plain
-Python integers, so there is no overflow at any order.
+Python integers, so there is no overflow at any order.  ``kronecker_poly``
+reads them off one moment sweep; the enumerations ``semi_meander_poly`` and
+``meander_poly`` are its independent oracle.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ENUMERATION_BUDGET, check_size
+from .fock import meander_moment_sweep, semi_meander_moment_sweep
 from .partitions import (
     _iter_matchings_raw,
     _raw_crossings,
     odd_double_factorial,
     rainbow,
 )
-from .scalars import QPoly
+from .scalars import FORMAL, QPoly
 
 
 class BivarPoly:
@@ -148,30 +151,35 @@ def _matchings_with_stats(two_n: int, first_partner: int | None = None):
             yield _partner_array(pairs, two_n), _raw_crossings(pairs)
 
 
-def _sum_chunks(chunk_terms, n: int, jobs: int) -> BivarPoly:
-    """Sum ``chunk_terms`` over the chunks of order n (one per partner of the
+def _systems(args) -> dict[tuple[int, int], int]:
+    """Terms of the systems (pi, sigma) of order n whose pi pairs the point 1
+    with ``first_partner``: sigma is the rainbow, or every matching if
+    ``meander``."""
+    two_n, first_partner, meander = args
+    lower = (list(_matchings_with_stats(two_n)) if meander
+             else [(_partner_array(rainbow(two_n).pairs, two_n), 0)])
+    terms: dict[tuple[int, int], int] = {}
+    for pa, cra in _matchings_with_stats(two_n, first_partner):
+        for pb, crb in lower:
+            key = (_join_block_count(pa, pb), cra + crb)
+            terms[key] = terms.get(key, 0) + 1
+    return terms
+
+
+def _sum_chunks(n: int, meander: bool, jobs: int) -> BivarPoly:
+    """Sum ``_systems`` over the chunks of order n (one per partner of the
     point 1), in a pool of ``jobs`` worker processes when jobs > 1."""
-    chunks = [(2 * n, fp) for fp in range(2, 2 * n + 1)]
+    chunks = [(2 * n, fp, meander) for fp in range(2, 2 * n + 1)]
     if jobs > 1 and len(chunks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(chunk_terms, chunks))
+            parts = list(pool.map(_systems, chunks))
     else:
-        parts = map(chunk_terms, chunks)
+        parts = map(_systems, chunks)
     terms: dict[tuple[int, int], int] = {}
     for part in parts:
         for key, c in part.items():
             terms[key] = terms.get(key, 0) + c
     return BivarPoly(terms)
-
-
-def _semi_chunk(args) -> dict[tuple[int, int], int]:
-    two_n, first_partner = args
-    rho = _partner_array(rainbow(two_n).pairs, two_n)
-    terms: dict[tuple[int, int], int] = {}
-    for pa, cr in _matchings_with_stats(two_n, first_partner):
-        key = (_join_block_count(pa, rho), cr)
-        terms[key] = terms.get(key, 0) + 1
-    return terms
 
 
 def semi_meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
@@ -180,18 +188,7 @@ def semi_meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPol
     if n < 1:
         raise ValueError("n must be >= 1")
     check_size(n, cap, map(odd_double_factorial, range(1, n + 1)), ENUMERATION_BUDGET)
-    return _sum_chunks(_semi_chunk, n, jobs)
-
-
-def _meander_chunk(args) -> dict[tuple[int, int], int]:
-    two_n, first_partner = args
-    inner = [(pa, cr) for pa, cr in _matchings_with_stats(two_n)]
-    terms: dict[tuple[int, int], int] = {}
-    for pa, cra in _matchings_with_stats(two_n, first_partner):
-        for pb, crb in inner:
-            key = (_join_block_count(pa, pb), cra + crb)
-            terms[key] = terms.get(key, 0) + 1
-    return terms
+    return _sum_chunks(n, False, jobs)
 
 
 def meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
@@ -200,7 +197,26 @@ def meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_size(n, cap, (odd_double_factorial(k) ** 2 for k in range(1, n + 1)), ENUMERATION_BUDGET)
-    return _sum_chunks(_meander_chunk, n, jobs)
+    return _sum_chunks(n, True, jobs)
+
+
+def kronecker_poly(kind: str, n: int, cap: int | None = None) -> BivarPoly:
+    """Q_n (kind "semi") or P_n ("meander") from one orbit sweep at d = 2^B.
+
+    The sweep gives Q_n(d, q) (P_n(d, q)) exactly.  Each t-coefficient is
+    non-negative and at most the total (2n-1)!! < (2n)^n <= 2^(n bitlen(2n))
+    (squared for P_n), and B is that exponent, so the base-2^B digits of each
+    q-coefficient are the t-coefficients (Kronecker substitution).  The sweep
+    checks its own size, so no (2n-1)!! is built."""
+    if n < 1 or kind not in ("semi", "meander"):
+        raise ValueError(f"need n >= 1 and kind 'semi' or 'meander', got {n}, {kind!r}")
+    meander = kind == "meander"
+    bits = (2 if meander else 1) * n * (2 * n).bit_length()
+    sweep = meander_moment_sweep if meander else semi_meander_moment_sweep
+    mask = (1 << bits) - 1
+    return BivarPoly(((t, u), c >> t * bits & mask)
+                     for u, c in enumerate(sweep(1 << bits, n, FORMAL, cap)[-1].coeffs)
+                     for t in range(c.bit_length() // bits + 1))
 
 
 class CoefficientTable:

@@ -8,6 +8,7 @@ import pytest
 from meanderq.cli import main
 from meanderq.dyck import enumerate_bnc2_alternating, enumerate_dyck
 from meanderq.partitions import enumerate_noncrossing, enumerate_pair_partitions
+from meanderq.polynomials import coefficient_table, meander_poly, poly_json_doc, semi_meander_poly
 
 
 def run_cli(capsys, *argv):
@@ -55,7 +56,7 @@ class TestPoly:
         assert exc.value.code == 2
 
     def test_cap_error_exit2(self, capsys):
-        code, _, err = run_cli(capsys, "poly", "--kind", "semi", "--n", "9")
+        code, _, err = run_cli(capsys, "poly", "--kind", "semi", "--n", "11")
         assert code == 2
         assert "cap" in err
 
@@ -63,6 +64,29 @@ class TestPoly:
         code, out, _ = run_cli(capsys, "poly", "--kind", "meander", "--n", "2",
                                "--cap", "2")
         assert code == 0
+
+    def test_jobs_takes_only_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--kind", "meander", "--n", "2", "--jobs", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        plain = run_cli(capsys, "poly", "--kind", "meander", "--n", "3")
+        assert run_cli(capsys, "poly", "--kind", "meander", "--n", "3", "--jobs", "1") == plain
+
+    @pytest.mark.parametrize("kind,last", [("semi", 7), ("meander", 5)])
+    def test_documents_match_the_enumeration(self, capsys, kind, last):
+        # poly reads the sweep; the enumeration is its independent oracle
+        enumerate_poly = semi_meander_poly if kind == "semi" else meander_poly
+        for n in range(1, last + 1):
+            p = enumerate_poly(n)
+            expected = {
+                "json": json.dumps(poly_json_doc(p, kind, n), separators=(",", ":")) + "\n",
+                "csv": coefficient_table(p).to_csv(),
+                "pretty": f"{p}\n",
+            }
+            for fmt, text in expected.items():
+                argv = ["poly", "--kind", kind, "--n", str(n), "--format", fmt]
+                assert run_cli(capsys, *argv) == (0, text, ""), (kind, n, fmt)
 
 
 class TestMoments:

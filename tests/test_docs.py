@@ -56,13 +56,13 @@ def test_readme_frontier_matches_the_budgets(monkeypatch):
     from meanderq.partitions import enumerate_noncrossing, enumerate_pair_partitions
     from meanderq.scalars import FORMAL, Mode
 
-    # a route decides admission before any work, so the work is stubbed out
-    monkeypatch.setattr(polynomials, "_sum_chunks", lambda *args: None)
-    monkeypatch.setattr(fock, "sweep", lambda *args: [])
+    # a route decides admission before any work, so a sweep is stubbed out
+    # to the vacuum amplitude it starts from
+    monkeypatch.setattr(fock, "sweep", lambda start, *args: [start.vacuum_amplitude()])
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     routes = {
-        "poly --kind semi": polynomials.semi_meander_poly,
-        "poly --kind meander": polynomials.meander_poly,
+        "poly --kind semi": partial(polynomials.kronecker_poly, "semi"),
+        "poly --kind meander": partial(polynomials.kronecker_poly, "meander"),
         "enumerate --kind pairs": enumerate_pair_partitions,
         "enumerate --kind noncrossing": enumerate_noncrossing,
         "enumerate --kind dyck": lambda n: enumerate_dyck(2 * n),

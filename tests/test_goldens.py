@@ -1,7 +1,7 @@
 """Goldens that need no network: the Touchard-Riordan closed form at the d=1
 formal frontiers, the published one-curve counts of Q_n(t, u) and P_n(t, u)
-read off the orbit sweep by Kronecker evaluation, and a replay of the
-benchmark's golden documents."""
+as ``poly`` reads them off the orbit sweep (Kronecker evaluation), and a
+replay of the benchmark's golden documents."""
 
 import types
 from math import comb
@@ -12,7 +12,7 @@ import pytest
 from meanderq.cli import main
 from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep
 from meanderq.partitions import catalan, odd_double_factorial
-from meanderq.polynomials import meander_poly, semi_meander_poly
+from meanderq.polynomials import kronecker_poly
 from meanderq.scalars import FORMAL, QPoly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,42 +67,21 @@ A000682 = [1, 1, 2, 4, 10, 24, 66, 174, 504, 1406, 4210]
 A005315 = [1, 2, 8, 42, 262, 1828]
 
 
-def kronecker_terms(value, bits):
-    """The (t, u) terms of a polynomial from its value at t = 2^bits, u = q:
-    every t coefficient is non-negative and below 2^bits, so the base-2^bits
-    digits of each q coefficient are the t coefficients."""
-    terms = {}
-    for u, c in enumerate(value.coeffs):
-        for t in range(c.bit_length() // bits + 1):
-            digit = (c >> (t * bits)) & ((1 << bits) - 1)
-            if digit:
-                terms[(t, u)] = digit
-    return terms
-
-
 def test_semi_meander_polynomials_at_the_sweep_frontier():
-    bits = odd_double_factorial(11).bit_length()
-    moments = semi_meander_moment_sweep(1 << bits, 11, FORMAL, cap=11)
     for n in range(1, 12):
-        terms = kronecker_terms(moments[n], bits)
+        terms = kronecker_poly("semi", n, cap=11).terms
         one_curve = {t: c for (t, u), c in terms.items() if u == 0}
         assert one_curve[1] == A000682[n - 1], n
         assert sum(one_curve.values()) == catalan(n)
         assert one_curve[n] == 1
         assert sum(terms.values()) == odd_double_factorial(n)
-        if n <= 6:
-            assert terms == semi_meander_poly(n).terms, n
 
 
 def test_meander_polynomials_at_the_sweep_frontier():
-    bits = (odd_double_factorial(6) ** 2).bit_length()
-    moments = meander_moment_sweep(1 << bits, 6, FORMAL, cap=6)
     for n in range(1, 7):
-        terms = kronecker_terms(moments[n], bits)
+        terms = kronecker_poly("meander", n).terms
         assert terms.get((1, 0)) == A005315[n - 1], n
         assert sum(terms.values()) == odd_double_factorial(n) ** 2
-        if n <= 4:
-            assert terms == meander_poly(n).terms, n
 
 
 def _load_checks():
@@ -120,7 +99,7 @@ GOLDENS = CHECKS.load_goldens()
 
 
 @pytest.mark.parametrize(
-    "template", sorted(t for t in GOLDENS if t.split()[0] in ("moments", "spectrum"))
+    "template", sorted(t for t in GOLDENS if t.split()[0] in ("moments", "spectrum", "poly"))
 )
 def test_benchmark_golden_replays(capsys, template):
     rc = main(template.split())
