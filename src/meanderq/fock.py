@@ -93,6 +93,16 @@ class FockVector:
                 raise ValueError(f"letters of {w} outside 1..{d}")
 
     @classmethod
+    def _trusted(cls, d: int, max_len: int, mode: Mode, terms: dict[Word, object]) -> "FockVector":
+        """A state built from checked ones: every word of ``terms`` already
+        lies within the truncation level and the alphabet, so only zero
+        coefficients are dropped."""
+        x = object.__new__(cls)
+        x.d, x.max_len, x.mode = d, max_len, mode
+        x.terms = {w: c for w, c in terms.items() if c}
+        return x
+
+    @classmethod
     def vacuum(cls, d: int, max_len: int, mode: Mode = FORMAL) -> "FockVector":
         return cls(d, max_len, mode, {(): mode.one()})
 
@@ -120,13 +130,13 @@ class FockVector:
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out[w] + c if w in out else c
-        return FockVector(self.d, max(self.max_len, other.max_len), self.mode, out)
+        return FockVector._trusted(self.d, max(self.max_len, other.max_len), self.mode, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "FockVector":
-        return FockVector(
+        return FockVector._trusted(
             self.d, self.max_len, self.mode, {w: x * c for w, x in self.terms.items()}
         )
 
@@ -191,7 +201,10 @@ def _apply(op: OpSymbol, x: FockVector, pieces: slice) -> FockVector:
     v = op.vector
     if len(v) != x.d:
         raise GroundSetError(f"operator vector has dimension {len(v)}, state {x.d}")
+    # Integral Fractions as ints keep integer coefficients integer.
+    v = [int(a) if type(a) is Fraction and a.denominator == 1 else a for a in v]
     mode = x.mode
+    formal = mode.is_formal
     out: dict[Word, object] = {}
     left = op.side == LEFT
     if op.flavor == ONE:
@@ -214,19 +227,20 @@ def _apply(op: OpSymbol, x: FockVector, pieces: slice) -> FockVector:
                 if not f:
                     continue
                 nw = word[:pos] + word[pos + 1 :]
-                _accumulate(out, nw, c * (f * mode.q_power(k - 1)))
-    return FockVector(x.d, x.max_len, mode, out)
+                if formal and type(c) is QPoly:
+                    _accumulate(out, nw, c.shifted(k - 1, f))
+                else:
+                    _accumulate(out, nw, c * (f * mode.q_power(k - 1)))
+    return FockVector._trusted(x.d, x.max_len, mode, out)
 
 
 def apply_q_scaling(x: FockVector) -> FockVector:
     """Multiply every length-n word by q^n; the vacuum is fixed."""
     mode = x.mode
-    return FockVector(
-        x.d,
-        x.max_len,
-        mode,
-        {w: c * mode.q_power(len(w)) for w, c in x.terms.items()},
-    )
+    return FockVector._trusted(x.d, x.max_len, mode, {
+        w: c.shifted(len(w)) if mode.is_formal and type(c) is QPoly else c * mode.q_power(len(w))
+        for w, c in x.terms.items()
+    })
 
 
 def word_vector(

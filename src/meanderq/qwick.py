@@ -46,7 +46,7 @@ from .partitions import (
     rainbow,
     side_pattern_permutation,
 )
-from .scalars import FORMAL, Mode
+from .scalars import FORMAL, Mode, QPoly
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,17 @@ class WickProduct:
 
 def wick_term(pi: PairPartition, wp: WickProduct, mode: Mode = FORMAL):
     """Contribution of one pair-partition: q^cr times the product of inner
-    products over its pairs in height coordinates (opener first)."""
+    products over its pairs in height coordinates (opener first).  For formal
+    q the inner products multiply as plain scalars and q^cr is one shift."""
     s = side_pattern_permutation(wp.chi)
     heights = act(s, pi)
-    value = mode.q_power(crossings(pi))
+    cr = crossings(pi)
+    value = 1 if mode.is_formal else mode.q_power(cr)
     for k, h in heights.pairs:
         value = value * vector_inner(wp.vectors[k - 1], wp.vectors[h - 1])
         if not value:
             break
-    return value
+    return QPoly.one().shifted(cr, value) if mode.is_formal else value
 
 
 def wick_scalar_combinatorial(wp: WickProduct, mode: Mode = FORMAL):

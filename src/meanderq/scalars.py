@@ -49,22 +49,30 @@ class QPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _trusted(cls, coeffs: tuple) -> "QPoly":
+        """A ring result: ``coeffs`` is a tuple of exact coefficients whose
+        last one, if any, is non-zero, so neither check nor strip is needed."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def const(cls, c: ExactCoeff) -> "QPoly":
         return cls((c,))
 
     @classmethod
     def zero(cls) -> "QPoly":
-        return cls(())
+        return cls._trusted(())
 
     @classmethod
     def one(cls) -> "QPoly":
-        return cls((1,))
+        return cls._trusted((1,))
 
     @classmethod
     def q_power(cls, k: int) -> "QPoly":
         if k < 0:
             raise ValueError("negative power")
-        return cls((0,) * k + (1,))
+        return cls._trusted((0,) * k + (1,))
 
     @property
     def degree(self) -> int:
@@ -88,7 +96,7 @@ class QPoly:
         return hash(self.coeffs)
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._trusted(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -101,7 +109,9 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        while out and out[-1] == 0:
+            out.pop()
+        return QPoly._trusted(tuple(out))
 
     __radd__ = __add__
 
@@ -116,21 +126,38 @@ class QPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        # A product of non-zero exact numbers is non-zero, so no strip.
         if isinstance(other, (int, Fraction)):
-            return QPoly(tuple(c * other for c in self.coeffs))
+            if not other:
+                return QPoly._trusted(())
+            return QPoly._trusted(tuple(c * other for c in self.coeffs))
         if not isinstance(other, QPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return QPoly.zero()
+            return QPoly._trusted(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return QPoly(out)
+        return QPoly._trusted(tuple(out))
 
     __rmul__ = __mul__
+
+    def shifted(self, k: int, c=1) -> "QPoly":
+        """``self * c * q^k`` for ``k >= 0`` and an exact scalar or QPoly ``c``,
+        as one shift of the scaled coefficients."""
+        if isinstance(c, QPoly):
+            return (self * c).shifted(k)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"exact scalar expected, got {type(c).__name__}")
+        if k < 0:
+            raise ValueError("negative power")
+        if not c or not self.coeffs:
+            return QPoly._trusted(())
+        cs = self.coeffs if c == 1 else tuple(a * c for a in self.coeffs)
+        return QPoly._trusted((0,) * k + cs if k else cs)
 
     def __pow__(self, k: int) -> "QPoly":
         if k < 0:
@@ -181,8 +208,14 @@ class QPoly:
         return f"QPoly({self.coeffs!r})"
 
 
+_SELF_CONJUGATE = frozenset((int, Fraction, QPoly))
+
+
 def conjugate(x):
-    """Complex conjugate; the identity on exact scalars and QPoly."""
+    """Complex conjugate; the identity on exact scalars and QPoly, which are
+    returned as they are (``Fraction.conjugate`` builds a copy)."""
+    if type(x) in _SELF_CONJUGATE:
+        return x
     return x.conjugate()
 
 

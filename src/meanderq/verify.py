@@ -2,7 +2,8 @@
 
 Each suite runs a family of exact checks and returns a machine-readable
 report {"suite", "instances", "failures", "seed", ...}; randomized suites
-echo their seed so a rerun reproduces the instances byte for byte.
+echo their seed so a rerun with the same version of the package reproduces
+the instances byte for byte.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import random
 from fractions import Fraction
 
 from .dyck import (
+    ONE,
+    STAR,
     ChoiceTuple,
     DyckTuple,
     alternating_pattern,
@@ -74,14 +77,24 @@ def _random_chi(rng: random.Random, two_n: int) -> tuple[str, ...]:
     return tuple(rng.choice((LEFT, RIGHT)) for _ in range(two_n))
 
 
+def _cycle_lemma_dyck(symbols: list[str]) -> DyckTuple:
+    """The Dyck word of an arrangement of n ones and n+1 stars (cycle lemma):
+    rotate it to start just after the first minimum of its prefix height,
+    which leaves a star last, and drop that star.  Each Dyck word comes from
+    exactly 2n+1 arrangements, the rotations of the word with a star appended."""
+    height = low = cut = 0
+    for i, s in enumerate(symbols, start=1):
+        height += 1 if s == ONE else -1
+        if height < low:
+            low, cut = height, i
+    return DyckTuple(symbols[cut:] + symbols[: cut - 1])
+
+
 def _random_dyck(rng: random.Random, two_n: int) -> DyckTuple:
-    symbols = ["1"] * (two_n // 2) + ["*"] * (two_n // 2)
-    while True:
-        rng.shuffle(symbols)
-        try:
-            return DyckTuple(symbols)
-        except ValueError:
-            continue
+    """A uniform Dyck word of length two_n, from one shuffle."""
+    symbols = [ONE] * (two_n // 2) + [STAR] * (two_n // 2 + 1)
+    rng.shuffle(symbols)
+    return _cycle_lemma_dyck(symbols)
 
 
 def suite_wick(n_max: int = 3, d: int = 2, chi_samples: int = 5,

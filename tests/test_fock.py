@@ -122,6 +122,49 @@ class TestApply:
         with pytest.raises(GroundSetError):
             apply(annihilator("r", (1, 0, 0)), FockVector.vacuum(2, 2))
 
+    @pytest.mark.parametrize("make", [creator, annihilator])
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("bad", [0.5, 1.0, 0.5 - 0.5j, 1j])
+    def test_formal_mode_rejects_inexact_coordinates(self, make, side, bad):
+        x = fv(2, {(1, 2): 1}, max_len=3)
+        with pytest.raises(TypeError):
+            apply(make(side, (bad, bad)), x)
+
+    @pytest.mark.parametrize("make", [creator, annihilator])
+    @pytest.mark.parametrize("side", ["l", "r"])
+    @pytest.mark.parametrize("v", [
+        (2, -1), (Fraction(2), Fraction(-1)), (Fraction(1, 2), Fraction(-3)),
+        (QPoly((0, 1)), QPoly((1, Fraction(-1, 2)))), (Q(2), 3),
+    ])
+    def test_formal_apply_is_the_linear_extension(self, make, side, v):
+        # c (f q^(k-1)) for annihilation at removal position k, c v_i for creation
+        x = fv(2, {(1, 2, 1): QPoly((1, -2)), (2,): Fraction(3, 2), (): 1}, max_len=4)
+        want = {}
+        for word, c in x.terms.items():
+            if make is creator:
+                for i in (1, 2):
+                    nw = (i,) + word if side == "l" else word + (i,)
+                    want[nw] = want.get(nw, 0) + c * v[i - 1]
+                continue
+            for k in range(1, len(word) + 1):
+                pos = k - 1 if side == "l" else len(word) - k
+                nw = word[:pos] + word[pos + 1:]
+                want[nw] = want.get(nw, 0) + c * (v[word[pos] - 1] * Q(k - 1))
+        out = apply(make(side, v), x)
+        assert out.terms == {w: c for w, c in want.items() if c}
+        assert all(isinstance(c, QPoly) for c in out.terms.values())
+
+    def test_public_constructor_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            FockVector(0, 1, FORMAL, {})
+        with pytest.raises(ValueError):
+            FockVector(2, -1, FORMAL, {})
+        with pytest.raises(TruncationOverflowError):
+            FockVector(2, 1, FORMAL, {(1, 2): QPoly.one()})
+        with pytest.raises(ValueError):
+            FockVector(2, 2, FORMAL, {(1, 3): QPoly.one()})
+        assert FockVector(2, 1, FORMAL, {(1,): QPoly.zero(), (): 1}).terms == {(): 1}
+
     def test_flavors_are_the_dyck_letters(self):
         assert creator(LEFT, E1).flavor == ONE
         assert annihilator(RIGHT, E1).flavor == STAR

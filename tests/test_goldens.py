@@ -98,9 +98,10 @@ CHECKS = _load_checks()
 GOLDENS = CHECKS.load_goldens()
 
 
-@pytest.mark.parametrize(
-    "template", sorted(t for t in GOLDENS if t.split()[0] in ("moments", "spectrum", "poly"))
-)
-def test_benchmark_golden_replays(capsys, template):
-    rc = main(template.split())
-    assert CHECKS.check_document(GOLDENS, template, 0, rc, capsys.readouterr().out) == []
+@pytest.mark.parametrize("template,seed", [
+    pytest.param(t, seed, id=t.format(seed=seed))
+    for t in sorted(GOLDENS) for seed in ((0, 1) if "{seed}" in t else (0,))
+])
+def test_benchmark_golden_replays(capsys, template, seed):
+    rc = main(template.format(seed=seed).split())
+    assert CHECKS.check_document(GOLDENS, template, seed, rc, capsys.readouterr().out) == []

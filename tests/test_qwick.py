@@ -17,6 +17,7 @@ from meanderq.partitions import (
     crossings,
     enumerate_pair_partitions,
     labels_to_heights,
+    side_pattern_permutation,
 )
 from meanderq.polynomials import semi_meander_poly
 from meanderq.qwick import (
@@ -149,6 +150,24 @@ class TestWorkedSummand:
 
         pi = choices_to_partition(ct)
         assert wick_term(pi, wp) == apply_choice_product(ct, wp).vacuum_amplitude()
+
+    @pytest.mark.parametrize("mode", [Mode(), Mode(Fraction(1, 3)), Mode(0.5)])
+    def test_wick_term_is_q_to_the_crossings_times_the_inner_products(self, mode):
+        rng = random.Random(45)
+        us = [rational_vec(rng) for _ in range(10)]
+        wp = WickProduct(alternating_pattern(10), EPS_EXAMPLE.symbols, tuple(us))
+        want = mode.q_power(crossings(REFERENCE_PI))
+        for k, h in act(side_pattern_permutation(wp.chi), REFERENCE_PI).pairs:
+            want = want * vector_inner(us[k - 1], us[h - 1])
+        assert wick_term(REFERENCE_PI, wp, mode) == want
+
+    @pytest.mark.parametrize("bad", [0.5, 1j])
+    def test_formal_wick_rejects_inexact_coordinates(self, bad):
+        wp = WickProduct(("l", "r"), ("1", "*"), ((bad, 1), (1, bad)))
+        with pytest.raises(TypeError):
+            wick_scalar_operator(wp)
+        with pytest.raises(TypeError):
+            wick_scalar_combinatorial(wp)
 
     def test_sum_of_choice_products_is_wick_scalar(self):
         rng = random.Random(44)

@@ -1,8 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanderq.scalars import FORMAL, Mode, QPoly, parse_q
+
+from conftest import rationals
+
+# Small values, so that zeros, cancellations and trailing zeros are common.
+EXACT = st.one_of(st.integers(min_value=-2, max_value=2), rationals(max_num=2, max_den=2))
+QPOLYS = st.lists(EXACT, max_size=5).map(QPoly)
 
 
 def test_qpoly_normalizes_trailing_zeros():
@@ -14,6 +22,35 @@ def test_qpoly_normalizes_trailing_zeros():
 def test_qpoly_rejects_floats():
     with pytest.raises(TypeError):
         QPoly((0.5,))
+
+
+@pytest.mark.parametrize("bad", [1.0, 1j, True, "1", None])
+def test_qpoly_rejects_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        QPoly((1, bad))
+
+
+def _normalized(p: QPoly) -> bool:
+    return p.coeffs == QPoly(list(p.coeffs)).coeffs and (not p.coeffs or p.coeffs[-1] != 0)
+
+
+@given(QPOLYS, QPOLYS, EXACT, st.integers(min_value=0, max_value=4))
+@settings(max_examples=300)
+def test_ring_results_are_normalized(p, r, c, k):
+    results = [p * r, p + r, p - r, -p, p * c, c * p, p + c, c - p,
+               p.shifted(k), p.shifted(k, c), p.shifted(k, r)]
+    assert all(_normalized(x) for x in results)
+    assert p.shifted(k, c) == p * c * QPoly.q_power(k)
+    assert p.shifted(k, r) == p * r * QPoly.q_power(k)
+
+
+def test_shift_rejects_inexact_scalars():
+    with pytest.raises(TypeError):
+        QPoly((1, 2)).shifted(1, 0.5)
+    with pytest.raises(TypeError):
+        QPoly((1, 2)).shifted(0, 1j)
+    with pytest.raises(ValueError):
+        QPoly((1, 2)).shifted(-1)
 
 
 def test_qpoly_arithmetic():
