@@ -11,7 +11,9 @@ Inner products are linear in the first argument.  Exact modes restrict to
 rational coordinates; complex coordinates are allowed in floating mode only.
 
 Moments are swept on relabelling orbits, which both operators respect: one
-word (word pair for X) per orbit whatever d, through one step for both.
+word (word pair for X) per orbit whatever d, through one step for both.  The
+polynomials in (t, q) are swept in a loop basis, which keeps only which two
+open ends belong to one path and counts closed loops with t in place of d.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from typing import Callable, Iterator, Sequence
 
 from .dyck import ONE, STAR
 from .errors import SWEEP_BUDGET, GroundSetError, TruncationOverflowError, check_size
-from .partitions import LEFT, RIGHT, IndexTuple, crossings, enumerate_pair_partitions
+from .partitions import (
+    LEFT,
+    RIGHT,
+    IndexTuple,
+    crossings,
+    enumerate_pair_partitions,
+    odd_double_factorial,
+)
 from .scalars import FORMAL, Mode, QPoly, conjugate
 
 Word = tuple[int, ...]
@@ -355,11 +364,17 @@ _FORMAL_BITS = 50_000
 _EXACT_BITS_SQUARED = 2_000_000
 
 
+def _formal_weight(width: int, n: int, doubled: bool) -> float:
+    """Cost of one product of a formal sweep for m_n packing C = ``width``
+    bits per q-degree, in float products."""
+    degree = n * (n - 1) // (1 if doubled else 2)  # most crossings of n pairs
+    return 1 + width * (degree + 1) / _FORMAL_BITS
+
+
 def _product_weight(d: int, n: int, mode: Mode, doubled: bool) -> float:
     """Cost of one product of the sweep for m_n, in float products."""
     if mode.is_formal:
-        degree = n * (n - 1) // (1 if doubled else 2)  # most crossings of n pairs
-        return 1 + _packed_width(d, n, doubled) * (degree + 1) / _FORMAL_BITS
+        return _formal_weight(_packed_width(d, n, doubled), n, doubled)
     if mode.is_exact:
         tops = [2 * h + 1 for h in _horizons(n, doubled)]
         bits = log2(mode.q.denominator)
@@ -404,6 +419,62 @@ def sweep_sizes(d: int, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
             total += products(k, h)
             yield total
         yield ceil(total * _product_weight(d, n, mode, doubled))
+
+    return totals()
+
+
+def _loop_states(m: int, a: int, b: int | None = None) -> int:
+    """Most states the loop sweep holds after m steps with a T word of length
+    a, or X legs of lengths a, b.  A state matches its L = a (+ b) ends in
+    pairs, so there are at most (L-1)!!, and the two layers with no slack
+    hold fewer:
+
+    * L = 2m (T), a = b = m (X): every factor created, each step a new path
+      with both ends, so there is one state.
+    * L = 2m-2: exactly one factor removed, at some step j, while the
+      earlier steps' j-1 nested paths were open.  For T, its right factor
+      moved one of their 2j-2 ends to the left end (removed it, and the left
+      factor re-created its path there), or its left factor moved one to
+      the right end (joined the fresh path to it), or closed the fresh path.
+      A loop leaves the nested paths, as does moving the leftmost end left
+      or the rightmost right, and the later steps nest around what step j
+      left; so there are at most 1 + sum_{j<=m} 2 max(2j-3, 0) =
+      1 + 2(m-1)^2 states.  For X, leg 1 (legs (m-2, m)) or leg 2 (legs
+      (m, m-2)) lost one of its j-1 ends, so each holds at most
+      sum_{j<=m} (j-1) = m(m-1)/2 states."""
+    if b is None:
+        if a == 2 * m - 2:
+            return min(odd_double_factorial(m - 1), 1 + 2 * (m - 1) ** 2)
+        return 1 if a == 2 * m else odd_double_factorial(a // 2)
+    if a + b == 2 * m - 2:
+        return m * (m - 1) // 2
+    return 1 if a == b == m else odd_double_factorial((a + b) // 2)
+
+
+def loop_sweep_sizes(n: int, doubled: bool) -> Iterator[int]:
+    """Running totals, over the steps of the loop sweep for Q_n (P_n if
+    ``doubled``), of the products the steps can make, and last their total
+    weighted by the width of the packed ints (``_formal_weight``).  Step
+    m+1's input holds states within the pruning horizon, at most
+    ``_loop_states`` of each shape; one makes at most L^2 + L + 2 products
+    from a T word of length L (a created first end leaves L + 2 choices to
+    the second factor, each of the L removals leaves L), or (1 + a)(1 + b)
+    from X legs of lengths a, b."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+    def products(m: int, h: int) -> int:
+        if doubled:
+            legs = range(m % 2, h + 1, 2)
+            return sum(_loop_states(m, a, b) * (1 + a) * (1 + b) for a in legs for b in legs)
+        return sum(_loop_states(m, L) * (L * L + L + 2) for L in range(0, h + 1, 2))
+
+    def totals() -> Iterator[int]:
+        total = 0
+        for k, h in enumerate(_horizons(n, doubled), start=1):
+            total += products(k - 1, h)
+            yield total
+        yield ceil(total * _formal_weight(_digit_bits(n, doubled) * (n + 1), n, doubled))
 
     return totals()
 
@@ -527,6 +598,71 @@ def _orbit_step(x: _OrbitVector, rule: Callable, reach: float) -> _OrbitVector:
     return _OrbitVector(d, mode, x.vacuum, out, x.width, scale)
 
 
+def _left_ends(word: Word) -> list[tuple[Word, int, int]]:
+    """A factor on the left of a word of path ends, as (word, power of q,
+    the path the step extends): a fresh end, labelled 0, or each removal."""
+    out = [((0,) + word, 0, 0)]
+    for k, a in enumerate(word):
+        out.append((word[:k] + word[k + 1 :], k, a))
+    return out
+
+
+def _loop_key(memo: dict, raw: tuple) -> tuple:
+    """The state that a raw output (other legs, last leg, the step's path,
+    the removed end's path) stands for: the removed end's path renamed to
+    the step's, then every label by first appearance."""
+    head, last, path, end = raw
+    legs = (*head, last)
+    if end != path:
+        legs = [tuple(path if a == end else a for a in leg) for leg in legs]
+    key = memo[raw] = _canonical_pattern(*legs)
+    return key
+
+
+def _loop_step(x: _OrbitVector, doubled: bool, reach: int, digit_bits: int,
+               memo: dict) -> _OrbitVector:
+    """One application of sum_i O_i in the loop basis.  A state keeps, of
+    the open paths the steps have drawn, only which two ends belong to one
+    path: a tuple of legs (one word for T, a word pair for X) of path ends,
+    each label occurring exactly twice over the legs, renamed jointly by
+    first appearance.  A path's letter is free, so summing the orbit
+    sweep's letters gives d per closed loop; the loop basis makes each
+    pairing of the factors once, with t per loop in place of d.
+
+    The first factor (T: r_i, on the word read from the right; X: leg 1)
+    creates a fresh end, or removes the end with k ends before it (weight
+    q^k) and so extends that end's path; either way the step's path has
+    one far end e.  The second factor (T: l_i; X: leg 2, from the left)
+    creates an end of e's path, or removes the end with j ends before it
+    (q^j): removing e closes a loop (t), and removing another end joins its
+    path to the step's, the survivor of its pair taking e's label.  Outputs
+    past ``reach`` are dropped, as in ``_orbit_step``; ``memo`` holds the
+    key of each raw output and join, and is shared by a sweep's steps.
+
+    A coefficient is one int, the polynomial in (t, q) at t = 2^W and
+    q = 2^(W(n+1)), W = ``digit_bits`` and W(n+1) = ``x.width``: t is a
+    shift by W and q^k one by W(n+1)k (see ``_digit_bits``)."""
+    block, add, lookup, out = x.width, _accumulate, memo.get, {}
+    for legs, c in x.terms.items():
+        for first, k, path in _left_ends(legs[0] if doubled else legs[0][::-1]):
+            if doubled:
+                if len(first) > reach:
+                    continue
+                head, last = (first,), legs[1]
+            else:
+                head, last = (), first[::-1]
+            if len(last) < reach:
+                raw = (head, (path,) + last, path, path)
+                add(out, lookup(raw) or _loop_key(memo, raw), c << block * k)
+            if len(last) > reach + 1:
+                continue
+            for j, end in enumerate(last):
+                raw = (head, last[:j] + last[j + 1 :], path, end)
+                shift = block * (k + j) + (digit_bits if end == path else 0)
+                add(out, lookup(raw) or _loop_key(memo, raw), c << shift)
+    return _OrbitVector(x.d, x.mode, x.vacuum, out, block)
+
+
 def _packed_width(d: int, n: int, doubled: bool, prune: bool = True) -> int:
     """Bits C per q-degree of a formal orbit sweep: the bit length of
     prod_k P_k d, P_k the most products a step-k input state can make (see
@@ -544,6 +680,47 @@ def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, prune: bool = True) 
     start = _OrbitVector(d, mode, vacuum, {vacuum: 1 if mode.is_exact else mode.one()}, width)
     reaches = [shrink * (steps - k) if prune else inf for k in range(1, steps + 1)]
     return sweep(start, [partial(_orbit_step, rule=rule, reach=r) for r in reaches], shrink, False)
+
+
+def _digit_bits(n: int, doubled: bool) -> int:
+    """Bits W of one t-digit of the loop sweep for Q_n (P_n if ``doubled``):
+    n bitlen(2n), doubled for P_n.
+
+    A history is a run of choices, one per factor; one that ends at the
+    vacuum is one term t^loops q^crossings of the vacuum amplitude Q_n(t, q),
+    so there are Q_n(1, 1) = (2n-1)!! of them ((2n-1)!!^2 for P_n).  The
+    digit of t^a q^b in a kept state counts the histories that reach the
+    state with those exponents, and each extends to a history that ends at
+    the vacuum: a T word of length L <= 2r, r steps left, can lose two ends
+    a step and then close a one-step loop a step, and each X leg, of length
+    at most r and of r's parity, moves by one end a step, up or down, on
+    its own.  Different histories have different extensions, so every
+    digit is at most (2n-1)!! < (2n)^n <= 2^W (squared for P_n), and digits
+    never carry.  A loop takes at least one T step or two X steps, so the
+    t-degree is at most n and a q-degree block of W(n+1) bits holds every
+    t-digit."""
+    return (2 if doubled else 1) * n * (2 * n).bit_length()
+
+
+def _loop_sweep(n: int, doubled: bool, digit_bits: int) -> list:
+    """Vacuum amplitudes over n T steps, or 2n X steps, of the loop basis,
+    each a QPoly whose q-coefficients pack their t-digits ``digit_bits``
+    wide."""
+    vacuum = ((), ()) if doubled else ((),)
+    steps, shrink = (2 * n, 1) if doubled else (n, 2)
+    start = _OrbitVector(1, FORMAL, vacuum, {vacuum: 1}, digit_bits * (n + 1))
+    memo: dict = {}
+    return sweep(start, [partial(_loop_step, doubled=doubled, reach=shrink * (steps - k),
+                                 digit_bits=digit_bits, memo=memo)
+                         for k in range(1, steps + 1)], shrink, False)
+
+
+def loop_sweep(n: int, doubled: bool, cap: int | None = None) -> list:
+    """Q_k(t, q) for k = 0..n (P_k(t, q) at the even steps if ``doubled``)
+    from one pass of the loop basis, each a QPoly in q whose coefficients
+    are polynomials in t at t = 2^W, W = ``_digit_bits(n, doubled)``."""
+    check_size(n, cap, loop_sweep_sizes(n, doubled), SWEEP_BUDGET)
+    return _loop_sweep(n, doubled, _digit_bits(n, doubled))
 
 
 def semi_meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None) -> list:

@@ -1,11 +1,12 @@
-"""Exact bivariate polynomials in (t, u), read off the orbit sweep or enumerated.
+"""Exact bivariate polynomials in (t, u), read off the loop sweep or enumerated.
 
 The semi-meander polynomial of order n counts closed-curve systems drawn from
 a single matching against the rainbow; the meander polynomial counts pairs of
 matchings.  In both, the t-exponent is the number of closed curves (blocks of
 the join) and the u-exponent the number of crossings.  Coefficients are plain
 Python integers, so there is no overflow at any order.  ``kronecker_poly``
-reads them off one moment sweep; the enumerations ``semi_meander_poly`` and
+reads them off one sweep of the Fock-space step in the loop basis, where a
+closed loop counts t; the enumerations ``semi_meander_poly`` and
 ``meander_poly`` are its independent oracle.
 """
 
@@ -16,14 +17,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ENUMERATION_BUDGET, check_size
-from .fock import meander_moment_sweep, semi_meander_moment_sweep
+from .fock import _digit_bits, loop_sweep
 from .partitions import (
     _iter_matchings_raw,
     _raw_crossings,
     odd_double_factorial,
     rainbow,
 )
-from .scalars import FORMAL, QPoly
+from .scalars import QPoly
 
 
 class BivarPoly:
@@ -201,21 +202,19 @@ def meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
 
 
 def kronecker_poly(kind: str, n: int, cap: int | None = None) -> BivarPoly:
-    """Q_n (kind "semi") or P_n ("meander") from one orbit sweep at d = 2^B.
+    """Q_n (kind "semi") or P_n ("meander") from one loop sweep.
 
-    The sweep gives Q_n(d, q) (P_n(d, q)) exactly.  Each t-coefficient is
-    non-negative and at most the total (2n-1)!! < (2n)^n <= 2^(n bitlen(2n))
-    (squared for P_n), and B is that exponent, so the base-2^B digits of each
-    q-coefficient are the t-coefficients (Kronecker substitution).  The sweep
-    checks its own size, so no (2n-1)!! is built."""
+    The sweep's last amplitude is Q_n(t, q) (P_n(t, q)) at t = 2^W, so the
+    base-2^W digits of each q-coefficient are the t-coefficients (Kronecker
+    substitution); ``fock._digit_bits`` proves that no digit carries.  The
+    sweep checks its own size, so no (2n-1)!! is built."""
     if n < 1 or kind not in ("semi", "meander"):
         raise ValueError(f"need n >= 1 and kind 'semi' or 'meander', got {n}, {kind!r}")
     meander = kind == "meander"
-    bits = (2 if meander else 1) * n * (2 * n).bit_length()
-    sweep = meander_moment_sweep if meander else semi_meander_moment_sweep
+    bits = _digit_bits(n, meander)
     mask = (1 << bits) - 1
     return BivarPoly(((t, u), c >> t * bits & mask)
-                     for u, c in enumerate(sweep(1 << bits, n, FORMAL, cap)[-1].coeffs)
+                     for u, c in enumerate(loop_sweep(n, meander, cap)[-1].coeffs)
                      for t in range(c.bit_length() // bits + 1))
 
 

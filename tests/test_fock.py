@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meanderq.fock as fock
 from meanderq.dyck import ONE, STAR
 from meanderq.errors import EnumerationCapError, GroundSetError, TruncationOverflowError
 from meanderq.fock import (
@@ -33,12 +34,14 @@ from meanderq.fock import (
     vacuum_expectation,
     vector_inner,
     word_vector,
+    _digit_bits,
     _gaussian_moment_pairings,
+    _loop_sweep,
     _orbit_sweep,
     _packed_width,
     _word_inner,
 )
-from meanderq.partitions import LEFT, RIGHT
+from meanderq.partitions import LEFT, RIGHT, odd_double_factorial
 from meanderq.polynomials import meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL, Mode, QPoly
 
@@ -421,6 +424,30 @@ class TestSemiMeanderMoment:
         sweep(FockVector.vacuum(d, 2 * n, FORMAL), [step] * n, 2, prune=False)
         largest = max(c for x in states for p in x.terms.values() for c in p.coeffs)
         assert largest < 1 << _packed_width(d, n, doubled=False)
+
+    @pytest.mark.parametrize("n,doubled", [(n, False) for n in range(1, 10)]
+                             + [(n, True) for n in range(1, 6)])
+    def test_digit_bits_bound_every_loop_coefficient(self, n, doubled, monkeypatch):
+        # the loop sweep packs t-digits W = _digit_bits wide; run it with
+        # digits 3W wide, unpack every state it holds, and each digit must
+        # stay below 2^W
+        bits, wide = _digit_bits(n, doubled), 3 * _digit_bits(n, doubled)
+        states, step = [], fock._loop_step
+
+        def recording(x, **kwargs):
+            states.append(step(x, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(fock, "_loop_step", recording)
+        _loop_sweep(n, doubled, wide)
+
+        def digits(c):  # a q-degree block is n + 1 digits, so each chunk is a digit
+            return [c >> shift & (1 << wide) - 1 for shift in range(0, c.bit_length(), wide)]
+
+        assert len(states) == (2 * n if doubled else n)
+        assert max(t for x in states for c in x.terms.values() for t in digits(c)) < 1 << bits
+        total = sum(digits(states[-1].terms[states[-1].vacuum]))
+        assert total == odd_double_factorial(n) ** (2 if doubled else 1)
 
     def test_fused_operator_matches_composition(self):
         rng = random.Random(9)

@@ -1,6 +1,6 @@
 """Goldens that need no network: the Touchard-Riordan closed form at the d=1
 formal frontiers, the published one-curve counts of Q_n(t, u) and P_n(t, u)
-as ``poly`` reads them off the orbit sweep (Kronecker evaluation), and a
+as ``poly`` reads them off the loop sweep (Kronecker evaluation), and a
 replay of the benchmark's golden documents."""
 
 import types
@@ -63,13 +63,13 @@ def test_meander_moments_are_its_square():
 
 
 # one-curve semi-meanders (OEIS A000682) and meanders (OEIS A005315), n = 1..
-A000682 = [1, 1, 2, 4, 10, 24, 66, 174, 504, 1406, 4210]
-A005315 = [1, 2, 8, 42, 262, 1828]
+A000682 = [1, 1, 2, 4, 10, 24, 66, 174, 504, 1406, 4210, 12198, 37378]
+A005315 = [1, 2, 8, 42, 262, 1828, 13820]
 
 
 def test_semi_meander_polynomials_at_the_sweep_frontier():
-    for n in range(1, 12):
-        terms = kronecker_poly("semi", n, cap=11).terms
+    for n in range(1, 14):
+        terms = kronecker_poly("semi", n).terms
         one_curve = {t: c for (t, u), c in terms.items() if u == 0}
         assert one_curve[1] == A000682[n - 1], n
         assert sum(one_curve.values()) == catalan(n)
@@ -78,9 +78,10 @@ def test_semi_meander_polynomials_at_the_sweep_frontier():
 
 
 def test_meander_polynomials_at_the_sweep_frontier():
-    for n in range(1, 7):
+    for n in range(1, 8):
         terms = kronecker_poly("meander", n).terms
         assert terms.get((1, 0)) == A005315[n - 1], n
+        assert sum(c for (t, u), c in terms.items() if u == 0) == catalan(n) ** 2
         assert sum(terms.values()) == odd_double_factorial(n) ** 2
 
 

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from meanderq.errors import EnumerationCapError
+from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep
 from meanderq.polynomials import (
     BivarPoly,
     _join_block_count,
     _partner_array,
     coefficient_table,
+    kronecker_poly,
     meander_poly,
     poly_eval,
     poly_json_doc,
@@ -22,7 +24,7 @@ from meanderq.partitions import (
     odd_double_factorial,
     rainbow,
 )
-from meanderq.scalars import QPoly
+from meanderq.scalars import FORMAL, QPoly
 
 from conftest import pair_partitions
 
@@ -173,6 +175,24 @@ class TestClassicalSequences:
             for pi in enumerate_pair_partitions(n):
                 dist[crossings(pi)] = dist.get(crossings(pi), 0) + 1
             assert [dist.get(k, 0) for k in range(max(dist) + 1)] == expected
+
+
+class TestLoopSweepAgainstTheOrbitSweep:
+    """``kronecker_poly`` reads the loop sweep, which has no d; at t = d it
+    must be the orbit sweep's formal moment, an oracle that reaches orders
+    the enumeration does not."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_semi_meander(self, d):
+        moments = semi_meander_moment_sweep(d, 9, FORMAL, cap=9)
+        for n in range(1, 10):
+            assert kronecker_poly("semi", n).eval_at_t(d) == moments[n], (d, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_meander(self, d):
+        moments = meander_moment_sweep(d, 5, FORMAL, cap=5)
+        for n in range(1, 6):
+            assert kronecker_poly("meander", n).eval_at_t(d) == moments[n], (d, n)
 
 
 class TestJoinFastPath:

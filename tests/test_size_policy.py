@@ -5,7 +5,7 @@ before it does any work."""
 import itertools
 import math
 import time
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -16,7 +16,13 @@ import meanderq.polynomials as polynomials
 from meanderq.cli import main
 from meanderq.dyck import enumerate_bnc2_alternating, enumerate_dyck
 from meanderq.errors import SWEEP_BUDGET, EnumerationCapError, check_size
-from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep, sweep_sizes
+from meanderq.fock import (
+    loop_sweep,
+    loop_sweep_sizes,
+    meander_moment_sweep,
+    semi_meander_moment_sweep,
+    sweep_sizes,
+)
 from meanderq.partitions import enumerate_noncrossing, enumerate_pair_partitions
 from meanderq.polynomials import meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL, Mode
@@ -63,7 +69,8 @@ def test_refusal_does_no_work(route, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a refused route started work")
 
-    for module, name in [(fock, "_orbit_step"), (polynomials, "_sum_chunks"),
+    for module, name in [(fock, "_orbit_step"), (fock, "_loop_step"),
+                         (polynomials, "_sum_chunks"),
                          (partitions, "_iter_matchings_raw"),
                          (partitions, "_iter_noncrossing_raw")]:
         monkeypatch.setattr(module, name, no_work)
@@ -119,6 +126,19 @@ class TestEnumerationBoundaries:
         enumerate_order(last + 1, cap=last + 1)
 
 
+def _counting_products(monkeypatch):
+    """A counter of the scalar products a step makes, one per ``_accumulate`` call."""
+    ticks = itertools.count()
+    accumulate = fock._accumulate
+
+    def counting(out, word, value):
+        next(ticks)
+        accumulate(out, word, value)
+
+    monkeypatch.setattr(fock, "_accumulate", counting)
+    return ticks
+
+
 def _estimate(d, n, mode, doubled):
     return deque(sweep_sizes(d, n, mode, doubled), maxlen=1)[0]
 
@@ -131,19 +151,40 @@ def _estimate(d, n, mode, doubled):
 def test_sweep_estimate_bounds_the_products(doubled, d, n, monkeypatch):
     """Every scalar product of a step is one ``_accumulate`` call; the
     estimate is at least their number and at most ten times it."""
-    ticks = itertools.count()
-    accumulate = fock._accumulate
-
-    def counting(out, word, value):
-        next(ticks)
-        accumulate(out, word, value)
-
-    monkeypatch.setattr(fock, "_accumulate", counting)
+    ticks = _counting_products(monkeypatch)
     sweep = meander_moment_sweep if doubled else semi_meander_moment_sweep
     sweep(d, n, Mode(0.5), cap=n)
     made = next(ticks)
     estimate = _estimate(d, n, Mode(0.5), doubled)
     assert made <= estimate <= 10 * made
+
+
+@pytest.mark.parametrize("doubled,n", [(False, n) for n in range(1, 13)]
+                         + [(True, n) for n in range(1, 7)])
+def test_loop_estimate_bounds_the_products(doubled, n, monkeypatch):
+    """The loop sweep's count, before its width weight, is at least the
+    products the sweep makes and at most ten times them."""
+    ticks = _counting_products(monkeypatch)
+    loop_sweep(n, doubled, cap=n)
+    made = next(ticks)
+    *_, estimate, weighted = loop_sweep_sizes(n, doubled)
+    assert made <= estimate <= 10 * made
+    width = fock._digit_bits(n, doubled) * (n + 1)
+    assert weighted == math.ceil(estimate * fock._formal_weight(width, n, doubled))
+
+
+@pytest.mark.parametrize("doubled,steps", [(False, 8), (True, 8)])
+def test_loop_states_bound_every_layer(doubled, steps):
+    """The unpruned loop sweep after m steps holds at most ``_loop_states``
+    states of each shape, and exactly one of the full length."""
+    vacuum = ((), ()) if doubled else ((),)
+    x, memo = fock._OrbitVector(1, FORMAL, vacuum, {vacuum: 1}, 64), {}
+    for m in range(1, steps + 1):
+        x = fock._loop_step(x, doubled=doubled, reach=4 * steps, digit_bits=8, memo=memo)
+        shapes = Counter(tuple(map(len, legs)) for legs in x.terms)
+        assert shapes[(m, m) if doubled else (2 * m,)] == 1
+        for shape, count in shapes.items():
+            assert count <= fock._loop_states(m, *shape), (m, shape)
 
 
 def test_products_are_weighed_by_their_packed_width():
