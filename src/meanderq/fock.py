@@ -11,7 +11,8 @@ Inner products are linear in the first argument.  Exact modes restrict to
 rational coordinates; complex coordinates are allowed in floating mode only.
 
 Moments are swept on relabelling orbits, which both operators respect: one
-word (word pair for X) per orbit whatever d, through one step for both.  The
+word (word pair for X) per orbit whatever d, through one step for both, whose
+two factors meet in half-states keyed on the legs and the pending letter.  The
 polynomials in (t, q) are swept in a loop basis, which keeps only which two
 open ends belong to one path and counts closed loops with t in place of d.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import ceil, inf, log2, prod
 from operator import lshift, mul
 from typing import Callable, Iterator, Sequence
@@ -340,9 +341,10 @@ def sweep(start, steps: Sequence[Callable], shrink: int, prune: bool = True) -> 
 
 
 def _state_products(d: int, a: int, b: int | None = None) -> int:
-    """Most scalar products one orbit step makes from a T word of length a
-    (c^2 + c + 2 per letter occurring c times, the fresh letter included),
-    or from X legs of lengths a, b."""
+    """Most pairs of a first and a second factor that one orbit step has on a
+    T word of length a (c^2 + c + 2 per letter occurring c times, the fresh
+    letter included), or on X legs of lengths a, b: the growth factor of
+    ``_packed_width``."""
     if b is None:
         return a * a + a + 2 * min(d, a // 2 + 1)
     return (1 + a) * (1 + b) + min(d, (a + b) // 2 + 1) - 1
@@ -358,10 +360,15 @@ def _horizons(n: int, doubled: bool, prune: bool = True) -> Iterator[int]:
 # The packed width at which a product costs one float product more, fitted
 # to T and X sweeps at d = 1..4 (2-core VM, Python 3.11): a formal product
 # shifts and adds ints of up to C (degree + 1) bits, an exact one multiplies
-# a numerator of up to S log2(b) bits by a table entry of up to M log2(b)
-# bits, S the sum and M the largest of the steps' tops (see _orbit_step).
+# a numerator of up to S log2(b) bits by a table entry of at most M log2(b)
+# bits, S the sum and M the largest of the steps' denominator growths
+# 2 (longest leg) + 1 (see _orbit_step).
+# Every product of an orbit sweep also slices, hashes and looks up words of
+# up to n letters in all (2n for X); at _LEG_ENDS letters that doubles its
+# cost (T and X float sweeps at d = 1, n = 20..196, same VM).
 _FORMAL_BITS = 50_000
 _EXACT_BITS_SQUARED = 2_000_000
+_LEG_ENDS = 100
 
 
 def _formal_weight(width: int, n: int, doubled: bool) -> float:
@@ -372,51 +379,82 @@ def _formal_weight(width: int, n: int, doubled: bool) -> float:
 
 
 def _product_weight(d: int, n: int, mode: Mode, doubled: bool) -> float:
-    """Cost of one product of the sweep for m_n, in float products."""
+    """Cost of one product of the orbit sweep for m_n, in float products of
+    short words."""
+    legs = (2 if doubled else 1) * n / _LEG_ENDS
     if mode.is_formal:
-        return _formal_weight(_packed_width(d, n, doubled), n, doubled)
+        return _formal_weight(_packed_width(d, n, doubled), n, doubled) + legs
     if mode.is_exact:
         tops = [2 * h + 1 for h in _horizons(n, doubled)]
         bits = log2(mode.q.denominator)
-        return 1 + sum(tops) * max(tops, default=0) * bits**2 / _EXACT_BITS_SQUARED
-    return 1
+        return 1 + sum(tops) * max(tops, default=0) * bits**2 / _EXACT_BITS_SQUARED + legs
+    return 1 + legs
 
 
 def sweep_sizes(d: int, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
     """Running totals, over the steps of the pruned orbit sweep for m_n, of
     the scalar products the steps can make, and last their total weighted by
     the width of the packed ints (``_product_weight``), which is at least 1
-    and read only once the count fits.  Step k's input holds states
-    within the pruning horizon, each letter occurring an even number of
-    times: with S(L, b) the partitions of L points into b even blocks, legs
-    of total length L lie in sum_{b<=d} S(L, b) orbits, and make at most
-    ``_state_products`` products each.  States of the full length m = k-1
-    per leg (T palindromes i_m..i_1 i_1..i_m, X pairs of equal words) lie in
-    at most prod_{j<=m} min(j, d) orbits."""
+    and read only once the count fits.
+
+    Step m+1's input holds states within the pruning horizon h, each letter
+    occurring an even number of times, and its half-states (see
+    ``_orbit_step``) have a last leg within the step's reach r, plus one;
+    their pending letter is their one letter of odd count.  So legs of even
+    total length L with b letters are among the S(L, b) partitions of L
+    points into b even blocks, and of odd L among the S(L+1, b) with one odd
+    block (the point L+1 joins it).  A state makes a + min(b+1, d) first-pass
+    products, a the length of the leg its first factor acts on (one per
+    letter present or fresh, and one per occurrence); a half-state makes
+    1 + c second-pass products, c the odd letter's occurrences in its last
+    leg, of length l.  Summed over the partitions, c gives l W(L, b), W the
+    partitions with a given point in the odd block: that point alone, or in
+    one of the b blocks of the other L-1 points, so W(L, b) = S(L-1, b-1) +
+    b S(L-1, b).  States of the full length m per leg (T palindromes
+    i_m..i_1 i_1..i_m, X pairs of equal words) lie in at most
+    prod_{j<=m} min(j, d) orbits and use at most m letters, and the
+    half-states one longer, made from them by a creation, in at most
+    prod_{j<=m+1} min(j, d); there the count takes c <= l."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    row, orbits = [1], []  # S(2j, b) for the next j; orbits of total length 2j
+    rows = [[1]]  # rows[j][b] = S(2j, b) for b <= min(d, j)
+    steps, shrink = (2 * n, 1) if doubled else (n, 2)
 
-    def products(k: int, h: int) -> int:
-        nonlocal row
-        m = k - 1
-        while len(orbits) <= h:
-            orbits.append(sum(row))
-            prev = row + [0]  # S(L, b) = b^2 S(L-2, b) + (2b-1) S(L-2, b-1)
-            row = [0] + [b * b * prev[b] + (2 * b - 1) * prev[b - 1]
-                         for b in range(1, min(d, len(orbits)) + 1)]
-        full = prod(min(j, d) for j in range(1, m + 1))
+    def even(L: int, b: int) -> int:
+        """S(L, b), the partitions of L points into b even blocks."""
+        while len(rows) <= L // 2:
+            prev = rows[-1] + [0]  # S(L, b) = b^2 S(L-2, b) + (2b-1) S(L-2, b-1)
+            rows.append([0] + [b * b * prev[b] + (2 * b - 1) * prev[b - 1]
+                               for b in range(1, min(d, len(rows)) + 1)])
+        row = rows[L // 2]
+        return row[b] if 0 <= b < len(row) else 0
+
+    def first(L: int, a: int, m: int) -> int:
+        """First-pass products from the states of total length L, leg a."""
+        if L == 2 * m:
+            return prod(min(j, d) for j in range(1, m + 1)) * (a + min(m + 1, d))
+        return sum(even(L, b) * (a + min(b + 1, d)) for b in range(min(d, L // 2) + 1))
+
+    def second(L: int, l: int, m: int) -> int:
+        """Second-pass products from the half-states of total length L, last leg l."""
+        if L == 2 * m + 1:
+            return prod(min(j, d) for j in range(1, m + 2)) * (1 + l)
+        return sum(even(L + 1, b) + l * (even(L - 1, b - 1) + b * even(L - 1, b))
+                   for b in range(1, min(d, (L + 1) // 2) + 1))
+
+    def products(m: int, h: int, reach: int) -> int:
         if doubled:
             legs = range(m % 2, h + 1, 2)
-            return sum((full if a == b == m else orbits[(a + b) // 2]) * _state_products(d, a, b)
-                       for a in legs for b in legs)
-        return sum((full if L == 2 * m else orbits[L // 2]) * _state_products(d, L)
-                   for L in range(0, h + 1, 2))
+            ends = range((m + 1) % 2, min(h + 1, reach) + 1, 2)
+            return (sum(first(a + b, a, m) for a in legs for b in legs)
+                    + sum(second(a + b, b, m) for a in ends for b in legs if b <= reach + 1))
+        return (sum(first(L, L, m) for L in range(0, h + 1, 2))
+                + sum(second(L, L, m) for L in range(1, min(h, reach) + 2, 2)))
 
     def totals() -> Iterator[int]:
         total = 0
         for k, h in enumerate(_horizons(n, doubled), start=1):
-            total += products(k, h)
+            total += products(k - 1, h, shrink * (steps - k))
             yield total
         yield ceil(total * _product_weight(d, n, mode, doubled))
 
@@ -508,9 +546,20 @@ class _OrbitVector:
 
 
 def _canonical_pattern(*legs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Relabel values 1, 2, ... in order of first appearance, jointly over the legs."""
+    """Relabel values 1, 2, ... in order of first appearance, jointly over the
+    legs.  Both sweeps call this for every distinct raw output, so it runs
+    plain loops: a generator per leg made it about 1.7 times slower."""
     relabel: dict[int, int] = {}
-    return tuple(tuple(relabel.setdefault(v, len(relabel) + 1) for v in leg) for leg in legs)
+    out = []
+    for leg in legs:
+        new = []
+        for v in leg:
+            k = relabel.get(v)
+            if k is None:
+                k = relabel[v] = len(relabel) + 1
+            new.append(k)
+        out.append(tuple(new))
+    return tuple(out)
 
 
 def _left_x(word: Word, i: int) -> list[tuple[Word, int]]:
@@ -532,69 +581,98 @@ def _x_legs(legs: tuple[Word, Word], i: int) -> list:
     return [((w,), e, legs[1]) for w, e in _left_x(legs[0], i)]
 
 
-def _orbit_step(x: _OrbitVector, rule: Callable, reach: float) -> _OrbitVector:
-    """One application of sum_i O_i: the factor ``rule(legs, i)`` lists as
-    (other legs, power of q, last leg), then left X_i on the last leg.  The
-    letters 1..u of a representative act as themselves and one fresh letter
-    u+1 stands for the d-u unused ones.  An output without the letter i lies
-    in a larger orbit: it weighs d-u+1 if i was an existing letter that left
-    and d-u if the fresh letter was created and annihilated (T only: r_i,
-    then l_i*).  An output with a leg longer than ``reach`` cannot reach
-    the vacuum again (see ``sweep``) and is dropped before it is
-    canonicalised; each other distinct raw output is canonicalised once per
-    step.
+def _orbit_step(x: _OrbitVector, rule: Callable, reach: float, memo: dict) -> _OrbitVector:
+    """One application of sum_i O_i, in two passes joined by half-states.
+    The letters 1..u of a representative act as themselves and one fresh
+    letter u+1 stands for the d-u unused ones.
 
-    A product is c q^e times an int weight, e <= M = 2 (longest leg) + 1,
-    and in the exact modes c is a packed int:
+    * First pass: the factor ``rule(legs, i)``, listed as (other legs, power
+      of q, last leg).  Its output with the pending letter i as one more leg,
+      renamed jointly by first appearance, is a half-state.  The factor moves
+      the count of i alone, by one, so a half-state holds every letter of its
+      input, and i is its one letter of odd count: its orbit has one member
+      per (input member, i), and this pass needs no weight.
+    * Second pass: left X_i on the last leg of each half-state.  An output
+      without the letter i lies in a larger orbit and weighs d - used, used
+      the letters it keeps: d-u+1 if i was an existing letter that left, d-u
+      if the fresh letter was created and annihilated (T only: r_i, then
+      l_i*).
 
-    * formal q: c is the polynomial's value at q = 2^C, C = ``x.width``,
-      and q^e is a shift by C e.  This is exact when 2^C exceeds every
-      q-coefficient of every state, which ``_packed_width`` ensures: the
-      sweep starts at 1 and multiplies only by q^e and by d - used >= 1, so
-      every coefficient is non-negative and at most the state's value at
-      q = 1.  Step k makes at most P_k products from an input state (its
-      legs lie within the step's horizon, see ``sweep_sizes``), each
-      weighing at most d, and pruning only drops outputs; so the values at
-      q = 1 summed over the states grow at most by a factor P_k d per step,
-      and every coefficient is at most prod_k P_k d < 2^C.  Digits below
-      2^C never carry into each other, so the base-2^C digits of a vacuum
-      amplitude are its q-coefficients.
-    * q = a/b: c is the numerator over b^S, S = ``x.scale``, and q^e is a
-      multiply by a^e b^(M-e) onto the denominator b^(S+M).  No gcd is taken
-      until an amplitude is read.
+    A half-state whose last leg is longer than ``reach`` + 1, or an output
+    with a leg longer than ``reach``, cannot reach the vacuum again (see
+    ``sweep``) and is dropped before it is canonicalised.  ``memo``, shared
+    by a sweep's steps, maps each other raw half-state to its key, and each
+    other raw output (one leg fewer) to its key and the letters it uses.
+    Half-states of value 0 (at exact q = 0, every removal past position 0)
+    are dropped between the passes.
+
+    A first-pass product is c q^e, e < M = longest leg, and a second-pass
+    one c q^f times an int weight, f <= M.  In the exact modes c is a packed
+    int:
+
+    * formal q: c is the polynomial's value at q = 2^C, C = ``x.width``, and
+      q^e is a shift by C e.  This is exact when 2^C exceeds every
+      q-coefficient of every state and half-state, which ``_packed_width``
+      ensures: the sweep starts at 1 and multiplies only by q^e and by
+      d - used >= 1, so every coefficient is non-negative and at most its
+      state's value at q = 1.  A step-k input state (its legs within the
+      step's horizon, see ``sweep_sizes``) has at most P_k pairs of a first
+      and a second factor, each weighing at most d, and each of its first
+      outputs starts at least one pair (the creation); pruning only drops
+      outputs.  So the values at q = 1 summed over the half-states are at
+      most P_k times, and those over the states at most P_k d times, the sum
+      over the step's input, and every coefficient is at most prod_k P_k d
+      < 2^C.  Digits below 2^C never carry into each other, so the base-2^C
+      digits of a vacuum amplitude are its q-coefficients.
+    * q = a/b: c is the numerator over b^S, S = ``x.scale``; the first pass
+      multiplies by a^e b^(M-e) and the second by a^f b^(M+1-f), onto the
+      denominator b^(S+2M+1).  No gcd is taken until an amplitude is read.
     * float q: c is the float and q^e its power."""
     d, mode = x.d, x.mode
     longest = max((len(leg) for legs in x.terms for leg in legs), default=0)
-    top, scale = 2 * longest + 1, x.scale
+    powers, scale = range(longest + 1), x.scale
     if mode.is_formal:
-        times, q_pows = lshift, [x.width * e for e in range(top + 1)]
+        times, first = lshift, [x.width * e for e in powers]
+        second = first
     elif mode.is_exact:
         a, b = mode.q.numerator, mode.q.denominator
-        times, q_pows, scale = mul, [a**e * b ** (top - e) for e in range(top + 1)], scale + top
+        times, scale = mul, scale + 2 * longest + 1
+        first = [a**e * b ** (longest - e) for e in powers]
+        second = [a**f * b ** (longest + 1 - f) for f in powers]
     else:
-        times, q_pows = mul, [mode.q_power(e) for e in range(top + 1)]
-    out, memo = {}, {}  # memo: raw output -> (its orbit key, letters it uses)
-    lookup, add = memo.get, _accumulate
+        times, first = mul, [mode.q_power(e) for e in powers]
+        second = first
+    add, lookup, half, out = _accumulate, memo.get, {}, {}
     for legs, c in x.terms.items():
-        u = max(max(leg, default=0) for leg in legs)
+        u = max(chain.from_iterable(legs), default=0)
         for i in range(1, min(u + 1, d) + 1):
-            letters = max(u, i)
+            pending = (i,)
             for head, e, last in rule(legs, i):
-                if head and len(head[0]) > reach:
+                if head and len(head[0]) > reach or len(last) > reach + 1:
                     continue
-                for w, f in _left_x(last, i):
-                    if len(w) > reach:
-                        continue
-                    raw = head + (w,)
-                    hit = lookup(raw)
-                    if hit is None:
-                        key = _canonical_pattern(*raw)
-                        hit = memo[raw] = (key, max(max(leg, default=0) for leg in key))
-                    key, used = hit
-                    value = times(c, q_pows[e + f])
-                    if used < letters:
-                        value = value * (d - used)
-                    add(out, key, value)
+                raw = (*head, last, pending)
+                key = lookup(raw)
+                if key is None:
+                    key = memo[raw] = _canonical_pattern(*raw)
+                add(half, key, times(c, first[e]))
+    for state, c in half.items():
+        if not c:
+            continue
+        head, last, (i,) = state[:-2], state[-2], state[-1]
+        letters = max(chain.from_iterable(state))
+        for w, f in _left_x(last, i):
+            if len(w) > reach:
+                continue
+            raw = head + (w,)
+            hit = lookup(raw)
+            if hit is None:
+                key = _canonical_pattern(*raw)
+                hit = memo[raw] = (key, max(chain.from_iterable(key), default=0))
+            key, used = hit
+            value = times(c, second[f])
+            if used < letters:
+                value = value * (d - used)
+            add(out, key, value)
     return _OrbitVector(d, mode, x.vacuum, out, x.width, scale)
 
 
@@ -665,7 +743,7 @@ def _loop_step(x: _OrbitVector, doubled: bool, reach: int, digit_bits: int,
 
 def _packed_width(d: int, n: int, doubled: bool, prune: bool = True) -> int:
     """Bits C per q-degree of a formal orbit sweep: the bit length of
-    prod_k P_k d, P_k the most products a step-k input state can make (see
+    prod_k P_k d, P_k the most factor pairs a step-k input state has (see
     ``_orbit_step``)."""
     return prod(d * _state_products(d, h, h if doubled else None)
                 for h in _horizons(n, doubled, prune)).bit_length()
@@ -679,7 +757,9 @@ def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, prune: bool = True) 
     width = _packed_width(d, n, doubled, prune) if mode.is_formal else 0
     start = _OrbitVector(d, mode, vacuum, {vacuum: 1 if mode.is_exact else mode.one()}, width)
     reaches = [shrink * (steps - k) if prune else inf for k in range(1, steps + 1)]
-    return sweep(start, [partial(_orbit_step, rule=rule, reach=r) for r in reaches], shrink, False)
+    memo: dict = {}
+    return sweep(start, [partial(_orbit_step, rule=rule, reach=r, memo=memo) for r in reaches],
+                 shrink, False)
 
 
 def _digit_bits(n: int, doubled: bool) -> int:

@@ -12,7 +12,6 @@ closed loop counts t; the enumerations ``semi_meander_poly`` and
 
 from __future__ import annotations
 
-import concurrent.futures
 from fractions import Fraction
 from typing import Iterable
 
@@ -172,6 +171,8 @@ def _sum_chunks(n: int, meander: bool, jobs: int) -> BivarPoly:
     point 1), in a pool of ``jobs`` worker processes when jobs > 1."""
     chunks = [(2 * n, fp, meander) for fp in range(2, 2 * n + 1)]
     if jobs > 1 and len(chunks) > 1:
+        import concurrent.futures  # only a pool needs it, and it costs a CLI start-up
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_systems, chunks))
     else:

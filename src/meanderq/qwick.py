@@ -11,8 +11,9 @@ must agree exactly; non-Dyck flavor words give 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dyck import (
     DyckTuple,
@@ -36,6 +37,7 @@ from .fock import (
 from .partitions import (
     IndexTuple,
     PairPartition,
+    Permutation,
     SidePattern,
     act,
     block_count,
@@ -87,29 +89,43 @@ class WickProduct:
         return [OpSymbol(side, flavor, vec) for side, flavor, vec in ops][::-1]
 
 
-def wick_term(pi: PairPartition, wp: WickProduct, mode: Mode = FORMAL):
-    """Contribution of one pair-partition: q^cr times the product of inner
-    products over its pairs in height coordinates (opener first).  For formal
-    q the inner products multiply as plain scalars and q^cr is one shift."""
-    s = side_pattern_permutation(wp.chi)
+def _pair_inners(wp: WickProduct) -> Callable:
+    """The inner product of the vectors at positions k, h (opener first),
+    computed once per pair of positions."""
+    vectors = wp.vectors
+    return cache(lambda k, h: vector_inner(vectors[k - 1], vectors[h - 1]))
+
+
+def _term(pi: PairPartition, s: Permutation, inner: Callable, mode: Mode):
+    """``wick_term`` with the side-pattern permutation and the pair inner
+    products of its product given."""
     heights = act(s, pi)
     cr = crossings(pi)
     value = 1 if mode.is_formal else mode.q_power(cr)
     for k, h in heights.pairs:
-        value = value * vector_inner(wp.vectors[k - 1], wp.vectors[h - 1])
+        value = value * inner(k, h)
         if not value:
             break
     return QPoly.one().shifted(cr, value) if mode.is_formal else value
 
 
+def wick_term(pi: PairPartition, wp: WickProduct, mode: Mode = FORMAL):
+    """Contribution of one pair-partition: q^cr times the product of inner
+    products over its pairs in height coordinates (opener first).  For formal
+    q the inner products multiply as plain scalars and q^cr is one shift."""
+    return _term(pi, side_pattern_permutation(wp.chi), _pair_inners(wp), mode)
+
+
 def wick_scalar_combinatorial(wp: WickProduct, mode: Mode = FORMAL):
-    """Pairing-sum value of the vacuum amplitude; 0 for non-Dyck flavors."""
+    """Pairing-sum value of the vacuum amplitude; 0 for non-Dyck flavors.
+    The terms share one side-pattern permutation and one inner product per
+    pair of positions."""
     if not is_dyck(wp.eps):
         return mode.zero()
-    eps = DyckTuple(wp.eps)
+    s, inner = side_pattern_permutation(wp.chi), _pair_inners(wp)
     total = mode.zero()
-    for pi in enumerate_preimage(eps, wp.chi):
-        total = total + wick_term(pi, wp, mode)
+    for pi in enumerate_preimage(DyckTuple(wp.eps), wp.chi):
+        total = total + _term(pi, s, inner, mode)
     return total
 
 

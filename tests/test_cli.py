@@ -127,7 +127,7 @@ class TestMoments:
 
     def test_cap_exit2(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--operator", "T", "--d", "2",
-                               "--n", "15")
+                               "--n", "17")
         assert code == 2
 
 

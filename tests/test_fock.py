@@ -407,7 +407,7 @@ class TestSemiMeanderMoment:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            semi_meander_moment(2, 15)
+            semi_meander_moment(2, 17)
         assert semi_meander_moment(1, 8, cap=8) is not None
 
     @pytest.mark.parametrize("d,n", [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3), (4, 3)])
@@ -424,6 +424,46 @@ class TestSemiMeanderMoment:
         sweep(FockVector.vacuum(d, 2 * n, FORMAL), [step] * n, 2, prune=False)
         largest = max(c for x in states for p in x.terms.values() for c in p.coeffs)
         assert largest < 1 << _packed_width(d, n, doubled=False)
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["T", "X"])
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3)])
+    def test_packed_width_bounds_every_half_state(self, d, n, doubled, monkeypatch):
+        # run the formal orbit sweep with digits 3C wide, so that none can
+        # carry, keep every dict a step accumulates into, and each q-digit of
+        # a half-state (keyed with its pending letter as one more leg) must
+        # stay below 2^C
+        bits = _packed_width(d, n, doubled)
+        tables, accumulate = {}, fock._accumulate
+
+        def recording(out, key, value):
+            tables[id(out)] = out
+            accumulate(out, key, value)
+
+        monkeypatch.setattr(fock, "_accumulate", recording)
+        monkeypatch.setattr(fock, "_packed_width", lambda *args: 3 * bits)
+        swept = _orbit_sweep(d, n, FORMAL, doubled)
+        half = [c for out in tables.values() for key, c in out.items()
+                if len(key) == (3 if doubled else 2)]
+        wide = 3 * bits
+        digits = [c >> s & (1 << wide) - 1 for c in half for s in range(0, c.bit_length(), wide)]
+        assert half and max(digits) < 1 << bits
+        monkeypatch.undo()
+        assert swept == _orbit_sweep(d, n, FORMAL, doubled)
+
+    @pytest.mark.parametrize("d,n,one_pass", [(1, 40, 123_600), (2, 12, 41_319)])
+    def test_half_step_halves_the_products(self, d, n, one_pass, monkeypatch):
+        # expanding each letter's right factor against its left factor in
+        # one pass made ``one_pass`` products (``_accumulate`` calls); the
+        # half-states share the right factor's outputs
+        calls, accumulate = [], fock._accumulate
+
+        def counting(out, key, value):
+            calls.append(None)
+            accumulate(out, key, value)
+
+        monkeypatch.setattr(fock, "_accumulate", counting)
+        semi_meander_moment_sweep(d, n, Mode(0.5), cap=n)
+        assert len(calls) <= one_pass // 2
 
     @pytest.mark.parametrize("n,doubled", [(n, False) for n in range(1, 10)]
                              + [(n, True) for n in range(1, 6)])
@@ -508,7 +548,7 @@ class TestMeanderMoment:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            meander_moment(2, 8)
+            meander_moment(2, 9)
 
     @pytest.mark.parametrize("mode", SWEEP_MODES, ids=str)
     def test_orbit_sweep_matches_the_enumeration(self, mode):
@@ -561,7 +601,7 @@ class TestMomentSweep:
 
     def test_caps_apply_to_the_horizon(self):
         with pytest.raises(EnumerationCapError):
-            semi_meander_moment_sweep(2, 15)
+            semi_meander_moment_sweep(2, 17)
         with pytest.raises(EnumerationCapError):
             meander_moment_sweep(3, 7)
         assert len(semi_meander_moment_sweep(1, 8, cap=8)) == 9

@@ -1,6 +1,10 @@
-"""Every top-level import of a library module is used in that module."""
+"""Every top-level import of a library module is used in that module, and
+the CLI starts without what only a rare path needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,14 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_the_cli_imports_no_process_pool():
+    # only the enumeration's jobs > 1 path uses concurrent.futures, which
+    # pulls in logging and costs every CLI start-up
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, meanderq.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -144,9 +144,10 @@ def _estimate(d, n, mode, doubled):
 
 
 @pytest.mark.parametrize("doubled,d,n", [
-    (False, 1, 10), (False, 1, 30), (False, 2, 8), (False, 2, 12), (False, 3, 8),
-    (False, 5, 8), (False, 10, 4),
-    (True, 1, 8), (True, 1, 15), (True, 2, 6), (True, 3, 5), (True, 5, 4), (True, 10, 4),
+    (False, 1, 10), (False, 1, 30), (False, 1, 40), (False, 2, 8), (False, 2, 12),
+    (False, 3, 8), (False, 5, 8), (False, 10, 4),
+    (True, 1, 8), (True, 1, 15), (True, 1, 20), (True, 2, 6), (True, 3, 5), (True, 5, 4),
+    (True, 10, 4),
 ])
 def test_sweep_estimate_bounds_the_products(doubled, d, n, monkeypatch):
     """Every scalar product of a step is one ``_accumulate`` call; the
@@ -189,34 +190,35 @@ def test_loop_states_bound_every_layer(doubled, steps):
 
 def test_products_are_weighed_by_their_packed_width():
     """A formal product shifts ints of C (degree + 1) bits; a product at
-    q = a/b multiplies a numerator over b^S by a^e b^(M-e), S the sum and M
-    the largest of the steps' q-power tops 2 (longest leg) + 1; a float
-    product weighs 1."""
+    q = a/b multiplies a numerator over b^S by an entry of at most b^M, S
+    the sum and M the largest of the steps' denominator growths
+    2 (longest leg) + 1; a float product weighs 1; and each weighs n/100
+    more (2n/100 for X) for the length of its words."""
     assert fock._packed_width(1, 30, doubled=False) == 218
-    assert fock._product_weight(1, 30, FORMAL, False) == 1 + 218 * 436 / 50_000
-    assert fock._product_weight(2, 5, FORMAL, True) == 1 + 45 * 21 / 50_000
+    assert fock._product_weight(1, 30, FORMAL, False) == 1 + 218 * 436 / 50_000 + 30 / 100
+    assert fock._product_weight(2, 5, FORMAL, True) == 1 + 45 * 21 / 50_000 + 10 / 100
     tops = [2 * h + 1 for h in fock._horizons(60, doubled=False)]
     assert (sum(tops), max(tops)) == (3660, 121)
     for q in (Fraction(1, 2), Fraction(9, 10), Fraction(-7, 9)):
         weight = fock._product_weight(1, 60, Mode(q), False)
-        assert weight == 1 + 3660 * 121 * math.log2(q.denominator) ** 2 / 2_000_000
-    assert fock._product_weight(1, 60, Mode(Fraction(0)), False) == 1
-    assert fock._product_weight(1, 60, Mode(0.5), False) == 1
+        assert weight == 1 + 3660 * 121 * math.log2(q.denominator) ** 2 / 2_000_000 + 60 / 100
+    assert fock._product_weight(1, 60, Mode(Fraction(0)), False) == 1 + 60 / 100
+    assert fock._product_weight(1, 60, Mode(0.5), False) == 1 + 60 / 100
     # the running product counts, then their total times the weight
     for d, n, mode, doubled in [(1, 30, FORMAL, False), (2, 5, FORMAL, True),
                                 (1, 60, Mode(Fraction(9, 10)), False)]:
         counts = list(sweep_sizes(d, n, Mode(0.5), doubled))
         weight = fock._product_weight(d, n, mode, doubled)
-        assert counts[-1] == counts[-2]
+        assert counts[-1] == math.ceil(counts[-2] * fock._product_weight(d, n, Mode(0.5), doubled))
         assert list(sweep_sizes(d, n, mode, doubled)) == [
-            *counts[:-1], math.ceil(counts[-1] * weight)]
+            *counts[:-1], math.ceil(counts[-2] * weight)]
 
 
 def test_wide_denominators_are_refused(capsys):
-    # q = 9/10 at n = 60 weighs 3.4 float products a product; q = 1/2 fits
-    assert _estimate(1, 68, Mode(Fraction(1, 2)), False) <= SWEEP_BUDGET
-    assert _estimate(1, 60, Mode(Fraction(9, 10)), False) > SWEEP_BUDGET
-    assert main("spectrum --d 1 --q 9/10 --n 60".split()) == 2
+    # q = 9/10 at n = 90 weighs 10.1 float products a product; q = 1/2 fits
+    assert _estimate(1, 90, Mode(Fraction(1, 2)), False) <= SWEEP_BUDGET
+    assert _estimate(1, 90, Mode(Fraction(9, 10)), False) > SWEEP_BUDGET
+    assert main("spectrum --d 1 --q 9/10 --n 90".split()) == 2
     with pytest.raises(EnumerationCapError):
-        semi_meander_moment_sweep(1, 44, FORMAL)
-    assert _estimate(1, 44, Mode(0.5), False) <= SWEEP_BUDGET
+        semi_meander_moment_sweep(1, 65, FORMAL)
+    assert _estimate(1, 65, Mode(0.5), False) <= SWEEP_BUDGET
