@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import chain, permutations
 from math import ceil, inf, log2, prod
 from operator import lshift, mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dyck import ONE, STAR
 from .errors import SWEEP_BUDGET, GroundSetError, TruncationOverflowError, check_size
@@ -152,13 +152,6 @@ class FockVector:
 
     def with_max_len(self, max_len: int) -> "FockVector":
         return FockVector(self.d, max_len, self.mode, self.terms)
-
-    def pruned(self, reach: int) -> "FockVector":
-        """The words of length at most ``reach``."""
-        return FockVector(
-            self.d, self.max_len, self.mode,
-            {w: c for w, c in self.terms.items() if len(w) <= reach},
-        )
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude (floating modes only)."""
@@ -324,18 +317,11 @@ def apply_semi_meander_operator(x: FockVector) -> FockVector:
     return out
 
 
-def sweep(start, steps: Sequence[Callable], shrink: int, prune: bool = True) -> list:
-    """Vacuum amplitudes of ``start`` and of its image after each step.
-
-    Each step moves every word length (every leg of an orbit state) by at
-    most ``shrink``, so after step k of N a basis element whose word, or
-    longest leg, exceeds ``shrink * (N - k)`` cannot reach the vacuum again,
-    and ``prune`` drops it.  This is exact, so one pass yields every order."""
+def sweep(start, steps: Iterable[Callable]) -> list:
+    """Vacuum amplitudes of ``start`` and of its image after each step."""
     x, amplitudes = start, [start.vacuum_amplitude()]
-    for k, step in enumerate(steps, start=1):
+    for step in steps:
         x = step(x)
-        if prune:
-            x = x.pruned(shrink * (len(steps) - k))
         amplitudes.append(x.vacuum_amplitude())
     return amplitudes
 
@@ -355,6 +341,18 @@ def _horizons(n: int, doubled: bool, prune: bool = True) -> Iterator[int]:
     steps, shrink = (2 * n, 1) if doubled else (n, 2)
     return (shrink * (min(k - 1, steps - k + 1) if prune else k - 1)
             for k in range(1, steps + 1))
+
+
+def _running_totals(n: int, doubled: bool, products: Callable, weight: Callable) -> Iterator[int]:
+    """Running totals of ``products(m, h, r)`` over the steps of the sweep
+    for m_n (m steps done, h the horizon, r the step's reach), and last the
+    total times ``weight()``, read only once the count fits."""
+    steps, shrink = (2 * n, 1) if doubled else (n, 2)
+    total = 0
+    for k, h in enumerate(_horizons(n, doubled), start=1):
+        total += products(k - 1, h, shrink * (steps - k))
+        yield total
+    yield ceil(total * weight())
 
 
 # The packed width at which a product costs one float product more, fitted
@@ -418,7 +416,6 @@ def sweep_sizes(d: int, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
     if n < 0:
         raise ValueError("n must be >= 0")
     rows = [[1]]  # rows[j][b] = S(2j, b) for b <= min(d, j)
-    steps, shrink = (2 * n, 1) if doubled else (n, 2)
 
     def even(L: int, b: int) -> int:
         """S(L, b), the partitions of L points into b even blocks."""
@@ -451,14 +448,7 @@ def sweep_sizes(d: int, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
         return (sum(first(L, L, m) for L in range(0, h + 1, 2))
                 + sum(second(L, L, m) for L in range(1, min(h, reach) + 2, 2)))
 
-    def totals() -> Iterator[int]:
-        total = 0
-        for k, h in enumerate(_horizons(n, doubled), start=1):
-            total += products(k - 1, h, shrink * (steps - k))
-            yield total
-        yield ceil(total * _product_weight(d, n, mode, doubled))
-
-    return totals()
+    return _running_totals(n, doubled, products, lambda: _product_weight(d, n, mode, doubled))
 
 
 def _loop_states(m: int, a: int, b: int | None = None) -> int:
@@ -501,20 +491,14 @@ def loop_sweep_sizes(n: int, doubled: bool) -> Iterator[int]:
     if n < 0:
         raise ValueError("n must be >= 0")
 
-    def products(m: int, h: int) -> int:
+    def products(m: int, h: int, reach: int) -> int:
         if doubled:
             legs = range(m % 2, h + 1, 2)
             return sum(_loop_states(m, a, b) * (1 + a) * (1 + b) for a in legs for b in legs)
         return sum(_loop_states(m, L) * (L * L + L + 2) for L in range(0, h + 1, 2))
 
-    def totals() -> Iterator[int]:
-        total = 0
-        for k, h in enumerate(_horizons(n, doubled), start=1):
-            total += products(k - 1, h)
-            yield total
-        yield ceil(total * _formal_weight(_digit_bits(n, doubled) * (n + 1), n, doubled))
-
-    return totals()
+    return _running_totals(n, doubled, products, lambda: _formal_weight(
+        _digit_bits(n, doubled) * (n + 1), n, doubled))
 
 
 class _OrbitVector:
@@ -600,7 +584,7 @@ def _orbit_step(x: _OrbitVector, rule: Callable, reach: float, memo: dict) -> _O
 
     A half-state whose last leg is longer than ``reach`` + 1, or an output
     with a leg longer than ``reach``, cannot reach the vacuum again (see
-    ``sweep``) and is dropped before it is canonicalised.  ``memo``, shared
+    ``_run_sweep``) and is dropped before it is canonicalised.  ``memo``, shared
     by a sweep's steps, maps each other raw half-state to its key, and each
     other raw output (one leg fewer) to its key and the letters it uses.
     Half-states of value 0 (at exact q = 0, every removal past position 0)
@@ -749,17 +733,30 @@ def _packed_width(d: int, n: int, doubled: bool, prune: bool = True) -> int:
                 for h in _horizons(n, doubled, prune)).bit_length()
 
 
-def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, prune: bool = True) -> list:
-    """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i;
-    each step drops its own outputs past the pruning horizon of ``sweep``."""
+def _run_sweep(step: Callable, n: int, doubled: bool, d: int, mode: Mode, one, width: int,
+               prune: bool = True) -> list:
+    """Vacuum amplitudes over n T steps, or 2n X steps if ``doubled``, of
+    ``step`` from the vacuum with coefficient ``one``; the steps share one
+    memo of keys.
+
+    A step moves every leg by at most ``shrink`` ends (T two, X one), so
+    after step k of N a state with a leg longer than ``shrink * (N - k)``
+    cannot reach the vacuum again, and with ``prune`` step k drops it as it
+    makes it (its ``reach``).  This is exact, so one pass yields every
+    order."""
     vacuum = ((), ()) if doubled else ((),)
-    steps, shrink, rule = (2 * n, 1, _x_legs) if doubled else (n, 2, _t_legs)
-    width = _packed_width(d, n, doubled, prune) if mode.is_formal else 0
-    start = _OrbitVector(d, mode, vacuum, {vacuum: 1 if mode.is_exact else mode.one()}, width)
-    reaches = [shrink * (steps - k) if prune else inf for k in range(1, steps + 1)]
+    steps, shrink = (2 * n, 1) if doubled else (n, 2)
     memo: dict = {}
-    return sweep(start, [partial(_orbit_step, rule=rule, reach=r, memo=memo) for r in reaches],
-                 shrink, False)
+    reaches = (shrink * (steps - k) if prune else inf for k in range(1, steps + 1))
+    return sweep(_OrbitVector(d, mode, vacuum, {vacuum: one}, width),
+                 (partial(step, reach=r, memo=memo) for r in reaches))
+
+
+def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, prune: bool = True) -> list:
+    """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i."""
+    width = _packed_width(d, n, doubled, prune) if mode.is_formal else 0
+    step = partial(_orbit_step, rule=_x_legs if doubled else _t_legs)
+    return _run_sweep(step, n, doubled, d, mode, 1 if mode.is_exact else mode.one(), width, prune)
 
 
 def _digit_bits(n: int, doubled: bool) -> int:
@@ -786,13 +783,8 @@ def _loop_sweep(n: int, doubled: bool, digit_bits: int) -> list:
     """Vacuum amplitudes over n T steps, or 2n X steps, of the loop basis,
     each a QPoly whose q-coefficients pack their t-digits ``digit_bits``
     wide."""
-    vacuum = ((), ()) if doubled else ((),)
-    steps, shrink = (2 * n, 1) if doubled else (n, 2)
-    start = _OrbitVector(1, FORMAL, vacuum, {vacuum: 1}, digit_bits * (n + 1))
-    memo: dict = {}
-    return sweep(start, [partial(_loop_step, doubled=doubled, reach=shrink * (steps - k),
-                                 digit_bits=digit_bits, memo=memo)
-                         for k in range(1, steps + 1)], shrink, False)
+    step = partial(_loop_step, doubled=doubled, digit_bits=digit_bits)
+    return _run_sweep(step, n, doubled, 1, FORMAL, 1, digit_bits * (n + 1))
 
 
 def loop_sweep(n: int, doubled: bool, cap: int | None = None) -> list:
@@ -822,7 +814,7 @@ def semi_meander_moment_direct(d: int, n: int, mode: Mode = FORMAL):
     if n < 1:
         raise ValueError("n must be >= 1")
     start = FockVector.vacuum(d, 2 * n, mode)
-    return sweep(start, [apply_semi_meander_operator] * n, 2, prune=False)[-1]
+    return sweep(start, [apply_semi_meander_operator] * n)[-1]
 
 
 def _gaussian_moment_pairings(index: IndexTuple, mode: Mode):
@@ -844,7 +836,7 @@ def gaussian_joint_moment(index: IndexTuple, mode: Mode = FORMAL):
     tuple (leftmost factor carries the last index).  Odd lengths give 0."""
     start = FockVector.vacuum(index.d, max(len(index), 1), mode)
     steps = [partial(_position, LEFT, basis_vector(index.d, i)) for i in index.values]
-    return sweep(start, steps, 1)[-1]
+    return sweep(start, steps)[-1]
 
 
 def meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None) -> list:

@@ -3,68 +3,76 @@
 Each suite runs a family of exact checks and returns a machine-readable
 report {"suite", "instances", "failures", "seed", ...}; randomized suites
 echo their seed so a rerun with the same version of the package reproduces
-the instances byte for byte.
+the instances byte for byte.  A suite refuses, before its first instance, a
+size whose objects exceed the enumeration budget.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
+from functools import wraps
+from itertools import chain, product
+from typing import Callable, Iterable, Iterator
 
-from .dyck import (
-    ONE,
-    STAR,
-    ChoiceTuple,
-    DyckTuple,
-    alternating_pattern,
-    choice_number,
-    choices_to_partition,
-    crossings_from_choices,
-    enumerate_dyck,
-    partition_to_choices,
-)
-from .fock import (
-    FockVector,
-    _canonical_pattern,
-    commutator_defect,
-    gaussian_joint_moment,
-    meander_moment,
-    meander_moment_direct,
-    semi_meander_moment,
-)
-from .partitions import (
-    LEFT,
-    RIGHT,
-    IndexTuple,
-    crossings,
-    enumerate_pair_partitions,
-)
+from .dyck import (ONE, STAR, ChoiceTuple, DyckTuple, alternating_pattern, choice_number,
+                   choices_to_partition, crossings_from_choices, enumerate_dyck,
+                   partition_to_choices)
+from .errors import ENUMERATION_BUDGET, check_size
+from .fock import (FockVector, _canonical_pattern, commutator_defect, gaussian_joint_moment,
+                   meander_moment, meander_moment_direct, semi_meander_moment)
+from .partitions import (LEFT, RIGHT, IndexTuple, crossings, enumerate_pair_partitions,
+                         odd_double_factorial)
 from .polynomials import meander_poly, semi_meander_poly
-from .qwick import (
-    WickProduct,
-    basis_wick_product,
-    bnc_moment_q0,
-    compatible_crossing_sum,
-    doubled_compatible_count,
-    doubled_compatible_count_bruteforce,
-    wick_scalar_combinatorial,
-    wick_scalar_operator,
-)
+from .qwick import (WickProduct, basis_wick_product, bnc_moment_q0, compatible_crossing_sum,
+                    doubled_compatible_count, doubled_compatible_count_bruteforce,
+                    wick_scalar_combinatorial, wick_scalar_operator)
 from .scalars import FORMAL, Mode
-from itertools import product
+
+Outcome = Iterator["dict | None"]
+
+SUITES: dict[str, Callable[..., dict]] = {}
+# Compact aliases kept stable for scripted callers.
+SUITE_ALIASES: dict[str, str] = {}
 
 
-def _report(suite: str, instances: int, failures: list, seed: int | None = None) -> dict:
-    out = {
-        "schema_version": 1,
-        "suite": suite,
-        "instances": instances,
-        "failures": failures[:20],
-        "failure_count": len(failures),
-    }
-    if seed is not None:
-        out["seed"] = seed
-    return out
+def _suite(name: str, alias: str | None = None):
+    """Register a generator yielding one outcome per instance (None when the
+    check holds, else its failure record) as the suite ``name``, and make it
+    return the suite's report: the instance count, the first 20 failures in
+    instance order, the failure count, and the seed if the suite takes one."""
+    def register(checks: Callable[..., Outcome]) -> Callable[..., dict]:
+        params = inspect.signature(checks).parameters
+
+        @wraps(checks)
+        def suite(**kwargs) -> dict:
+            failures, instances = [], 0
+            for instances, failure in enumerate(checks(**kwargs), start=1):
+                if failure is not None:
+                    failures.append(failure)
+            report = {"schema_version": 1, "suite": name, "instances": instances,
+                      "failures": failures[:20], "failure_count": len(failures)}
+            if "seed" in params:
+                report["seed"] = kwargs.get("seed", params["seed"].default)
+            return report
+
+        SUITES[name] = suite
+        if alias:
+            SUITE_ALIASES[alias] = name
+        return suite
+    return register
+
+
+def _admit(n: int, counts: Iterable[int]) -> None:
+    """Refuse a suite of order ``n`` (largest d for commutator) whose running
+    ``counts`` of the objects it streams pass the enumeration budget."""
+    check_size(n, None, counts, ENUMERATION_BUDGET, "verify takes no cap; lower --n or --d")
+
+
+def _matchings(n: int) -> Iterator[int]:
+    """(2k-1)!!, the matchings of each order k <= n."""
+    return map(odd_double_factorial, range(1, n + 1))
 
 
 def _random_rational_vector(rng: random.Random, d: int) -> tuple:
@@ -97,13 +105,15 @@ def _random_dyck(rng: random.Random, two_n: int) -> DyckTuple:
     return _cycle_lemma_dyck(symbols)
 
 
+@_suite("wick")
 def suite_wick(n_max: int = 3, d: int = 2, chi_samples: int = 5,
-               extra_instances: int = 200, extra_n: int = 4, seed: int = 0) -> dict:
+               extra_instances: int = 200, extra_n: int = 4, seed: int = 0) -> Outcome:
     """Operator route == pairing-sum route, exhaustively over small flavor
-    words and on seeded random instances."""
+    words and on seeded random instances.  The fibres of the flavor words of
+    order n cover its (2n-1)!! matchings once per chi."""
+    _admit(n_max, chain(((1 + chi_samples) * m for m in _matchings(n_max)),
+                        [extra_instances * odd_double_factorial(extra_n)]))
     rng = random.Random(seed)
-    failures = []
-    instances = 0
     for n in range(1, n_max + 1):
         for eps in enumerate_dyck(2 * n):
             chis = [alternating_pattern(2 * n)]
@@ -111,35 +121,28 @@ def suite_wick(n_max: int = 3, d: int = 2, chi_samples: int = 5,
             for chi in chis:
                 vectors = tuple(_random_rational_vector(rng, d) for _ in range(2 * n))
                 wp = WickProduct(chi, eps.symbols, vectors)
-                instances += 1
                 a = wick_scalar_operator(wp)
                 b = wick_scalar_combinatorial(wp)
-                if a != b:
-                    failures.append({"eps": str(eps), "chi": "".join(chi)})
+                yield {"eps": str(eps), "chi": "".join(chi)} if a != b else None
     for _ in range(extra_instances):
         eps = _random_dyck(rng, 2 * extra_n)
         chi = _random_chi(rng, 2 * extra_n)
         vectors = tuple(_random_rational_vector(rng, d) for _ in range(2 * extra_n))
         wp = WickProduct(chi, eps.symbols, vectors)
-        instances += 1
-        if wick_scalar_operator(wp) != wick_scalar_combinatorial(wp):
-            failures.append({"eps": str(eps), "chi": "".join(chi)})
-    return _report("wick", instances, failures, seed)
+        failed = wick_scalar_operator(wp) != wick_scalar_combinatorial(wp)
+        yield {"eps": str(eps), "chi": "".join(chi)} if failed else None
 
 
-def suite_semi_moments(d_max: int = 3, n_max: int = 4) -> dict:
+@_suite("semi-moments", "theorem14")
+def suite_semi_moments(d_max: int = 3, n_max: int = 4) -> Outcome:
     """Operator moments == semi-meander polynomial values."""
-    failures = []
-    instances = 0
+    _admit(n_max, _matchings(n_max))
     for n in range(1, n_max + 1):
         poly = semi_meander_poly(n)
         for d in range(1, d_max + 1):
-            instances += 1
             op = semi_meander_moment(d, n)
             val = poly.eval_at_t(d)
-            if op != val:
-                failures.append({"d": d, "n": n, "operator": str(op), "poly": str(val)})
-    return _report("semi-moments", instances, failures)
+            yield {"d": d, "n": n, "operator": str(op), "poly": str(val)} if op != val else None
 
 
 def _pattern_meander_moment(d: int, n: int):
@@ -157,39 +160,34 @@ def _pattern_meander_moment(d: int, n: int):
     return total
 
 
-def suite_meander_moments(d_max: int = 2, n_max: int = 3) -> dict:
+@_suite("meander-moments", "prop18")
+def suite_meander_moments(d_max: int = 2, n_max: int = 3) -> Outcome:
     """Doubled-operator moments == meander polynomial values == the
     index-tuple sum of squared joint moments, with the unpruned doubled
     route cross-checked at n <= 2."""
-    failures = []
-    instances = 0
+    _admit(n_max, (max(m * m, d_max ** (2 * n)) for n, m in enumerate(_matchings(n_max), 1)))
     for n in range(1, n_max + 1):
         poly = meander_poly(n)
         for d in range(1, d_max + 1):
-            instances += 1
             op = meander_moment(d, n)
             val = poly.eval_at_t(d)
             ok = op == val == _pattern_meander_moment(d, n)
             if n <= 2:
                 ok = ok and meander_moment_direct(d, n) == val
-            if not ok:
-                failures.append({"d": d, "n": n, "operator": str(op), "poly": str(val)})
-    return _report("meander-moments", instances, failures)
+            yield {"d": d, "n": n, "operator": str(op), "poly": str(val)} if not ok else None
 
 
+@_suite("crossing-formula", "prop310")
 def suite_crossing_formula(n_max: int = 4, random_n: int = 6,
-                           random_count: int = 2000, seed: int = 0) -> dict:
+                           random_count: int = 2000, seed: int = 0) -> Outcome:
     """sum(gamma_h - 1) == crossing number: exhaustively for the alternating
     pattern, then on random (eps, gamma, chi) triples."""
+    _admit(n_max, _matchings(n_max))
     rng = random.Random(seed)
-    failures = []
-    instances = 0
     for n in range(1, n_max + 1):
         for pi in enumerate_pair_partitions(n):
-            instances += 1
             ct = partition_to_choices(pi)
-            if crossings_from_choices(ct) != crossings(pi):
-                failures.append({"pi": pi.to_lists()})
+            yield {"pi": pi.to_lists()} if crossings_from_choices(ct) != crossings(pi) else None
     for _ in range(random_count):
         eps = _random_dyck(rng, 2 * random_n)
         chi = _random_chi(rng, 2 * random_n)
@@ -198,50 +196,49 @@ def suite_crossing_formula(n_max: int = 4, random_n: int = 6,
             gammas[h - 1] = rng.randint(1, choice_number(eps, h))
         ct = ChoiceTuple(gammas, eps)
         pi = choices_to_partition(ct, chi)
-        instances += 1
-        if crossings_from_choices(ct) != crossings(pi):
-            failures.append({"eps": str(eps), "chi": "".join(chi), "gammas": gammas})
-    return _report("crossing-formula", instances, failures, seed)
+        failed = crossings_from_choices(ct) != crossings(pi)
+        yield {"eps": str(eps), "chi": "".join(chi), "gammas": gammas} if failed else None
 
 
-def suite_pair_counting(d: int = 2, n_max: int = 4) -> dict:
+def _tuples(d: int, n_max: int) -> Iterator[int]:
+    """(2n-1)!! d^(2n): the matchings of each order n <= n_max, each against
+    every index tuple."""
+    return (m * d ** (2 * n) for n, m in enumerate(_matchings(n_max), 1))
+
+
+@_suite("pair-counting", "lemma415")
+def suite_pair_counting(d: int = 2, n_max: int = 4) -> Outcome:
     """Closed-form tuple count == literal brute force, all matchings."""
-    failures = []
-    instances = 0
+    _admit(n_max, _tuples(d, n_max))
     for n in range(1, n_max + 1):
         for pi in enumerate_pair_partitions(n):
-            instances += 1
             expected = doubled_compatible_count(pi, d)
             actual = doubled_compatible_count_bruteforce(pi, d)
-            if expected != actual:
-                failures.append({"pi": pi.to_lists(), "formula": expected, "brute": actual})
-    return _report("pair-counting", instances, failures)
+            failed = expected != actual
+            yield {"pi": pi.to_lists(), "formula": expected, "brute": actual} if failed else None
 
 
-def suite_restricted_wick(n_max: int = 3, d: int = 2) -> dict:
+@_suite("restricted-wick", "cor412")
+def suite_restricted_wick(n_max: int = 3, d: int = 2) -> Outcome:
     """Compatible-crossing sums == basis-vector vacuum expectations, for all
     flavor words and all index tuples."""
-    failures = []
-    instances = 0
+    _admit(n_max, _tuples(d, n_max))
     for n in range(1, n_max + 1):
         for eps in enumerate_dyck(2 * n):
             for values in product(range(1, d + 1), repeat=2 * n):
                 index = IndexTuple(values, d)
-                instances += 1
                 comb = compatible_crossing_sum(index, eps)
                 op = wick_scalar_operator(basis_wick_product(index, eps.symbols))
-                if comb != op:
-                    failures.append({"eps": str(eps), "I": list(values)})
-    return _report("restricted-wick", instances, failures)
+                yield {"eps": str(eps), "I": list(values)} if comb != op else None
 
 
+@_suite("commutator")
 def suite_commutator(d_max: int = 2, len_max: int = 4,
-                     float_trials: int = 25, seed: int = 0) -> dict:
+                     float_trials: int = 25, seed: int = 0) -> Outcome:
     """Exact vanishing on basis words with rational vectors; vanishing within
     1e-12 with complex vectors in floating mode."""
+    _admit(d_max, ((len_max + 1) * d**len_max * 16 for d in range(1, d_max + 1)))
     rng = random.Random(seed)
-    failures = []
-    instances = 0
     rational_vectors = {
         1: [(Fraction(1),), (Fraction(-2, 3),)],
         2: [
@@ -261,10 +258,9 @@ def suite_commutator(d_max: int = 2, len_max: int = 4,
         for word in words:
             for v in vecs:
                 for w in vecs:
-                    instances += 1
                     x = FockVector(d, len(word), FORMAL, {word: FORMAL.one()})
-                    if not commutator_defect(v, w, x).is_zero():
-                        failures.append({"word": list(word), "v": str(v), "w": str(w)})
+                    failed = not commutator_defect(v, w, x).is_zero()
+                    yield {"word": list(word), "v": str(v), "w": str(w)} if failed else None
     mode = Mode(0.5)
     for _ in range(float_trials):
         d = rng.randint(2, max(2, d_max))
@@ -273,79 +269,41 @@ def suite_commutator(d_max: int = 2, len_max: int = 4,
         length = rng.randint(0, 4)
         word = tuple(rng.randint(1, d) for _ in range(length))
         x = FockVector(d, length, mode, {word: 1.0})
-        instances += 1
-        if commutator_defect(v, w, x).max_abs() > 1e-12:
-            failures.append({"word": list(word), "mode": "float"})
-    return _report("commutator", instances, failures, seed)
+        failed = commutator_defect(v, w, x).max_abs() > 1e-12
+        yield {"word": list(word), "mode": "float"} if failed else None
 
 
-def suite_bnc_q0(d_max: int = 3, n_max: int = 5) -> dict:
+@_suite("bnc-q0", "q0bnc")
+def suite_bnc_q0(d_max: int = 3, n_max: int = 5) -> Outcome:
     """Undeformed moments: operator route == u=0 polynomial == bi-non-crossing
     sum."""
-    failures = []
-    instances = 0
+    _admit(n_max, _matchings(n_max))
     q0 = Mode(Fraction(0))
     for n in range(1, n_max + 1):
         poly = semi_meander_poly(n)
         for d in range(1, d_max + 1):
-            instances += 1
             op = semi_meander_moment(d, n, q0)
             qn = poly.eval(d, 0)
             bnc = bnc_moment_q0(d, n)
-            if not (op == qn == bnc):
-                failures.append({"d": d, "n": n, "op": str(op), "poly": str(qn), "bnc": bnc})
-    return _report("bnc-q0", instances, failures)
-
-
-SUITES = {
-    "wick": suite_wick,
-    "semi-moments": suite_semi_moments,
-    "meander-moments": suite_meander_moments,
-    "crossing-formula": suite_crossing_formula,
-    "pair-counting": suite_pair_counting,
-    "restricted-wick": suite_restricted_wick,
-    "commutator": suite_commutator,
-    "bnc-q0": suite_bnc_q0,
-}
-
-# Compact aliases kept stable for scripted callers.
-SUITE_ALIASES = {
-    "theorem14": "semi-moments",
-    "prop18": "meander-moments",
-    "prop310": "crossing-formula",
-    "lemma415": "pair-counting",
-    "cor412": "restricted-wick",
-    "q0bnc": "bnc-q0",
-}
-
-
-# Which CLI knobs each suite accepts, and the parameter they map onto.
-_SUITE_KNOBS = {
-    "wick": {"n": "n_max", "d": "d", "seed": "seed"},
-    "semi-moments": {"n": "n_max", "d": "d_max"},
-    "meander-moments": {"n": "n_max", "d": "d_max"},
-    "crossing-formula": {"n": "n_max", "seed": "seed"},
-    "pair-counting": {"n": "n_max", "d": "d"},
-    "restricted-wick": {"n": "n_max", "d": "d"},
-    "commutator": {"d": "d_max", "seed": "seed"},
-    "bnc-q0": {"n": "n_max", "d": "d_max"},
-}
+            failed = not (op == qn == bnc)
+            yield {"d": d, "n": n, "op": str(op), "poly": str(qn), "bnc": bnc} if failed else None
 
 
 def run_suite(name: str, n: int | None = None, d: int | None = None,
               seed: int | None = None) -> dict:
-    """Dispatch a suite by name (or alias), overriding its main size knobs.
-    A knob left as None keeps the suite's default; a knob the suite does not
-    take raises ValueError rather than being ignored."""
+    """Dispatch a suite by name (or alias), overriding its main size knobs:
+    --n sets its n or n_max, --d its d or d_max and --seed its seed.  A knob
+    left as None keeps the suite's default; a knob the suite does not take
+    raises ValueError rather than being ignored."""
     canonical = SUITE_ALIASES.get(name, name)
     if canonical not in SUITES:
         raise KeyError(name)
+    params = inspect.signature(SUITES[canonical]).parameters
+    knobs = {k: p for k in ("n", "d", "seed") for p in (k, f"{k}_max") if p in params}
     provided = {"n": n, "d": d, "seed": seed}
-    knobs = _SUITE_KNOBS[canonical]
     unused = sorted(k for k, v in provided.items() if v is not None and k not in knobs)
     if unused:
         raise ValueError(f"suite {name!r} takes no {', '.join('--' + k for k in unused)}")
-    kwargs = {knobs[k]: v for k, v in provided.items() if v is not None}
-    report = SUITES[canonical](**kwargs)
+    report = SUITES[canonical](**{knobs[k]: v for k, v in provided.items() if v is not None})
     report["suite"] = name
     return report

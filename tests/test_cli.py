@@ -131,6 +131,20 @@ class TestMoments:
         assert code == 2
 
 
+# The CLI knobs each suite takes, read off its signature: n or n_max, d or
+# d_max, seed.
+SUITE_KNOBS = {
+    "wick": {"n", "d", "seed"},
+    "semi-moments": {"n", "d"},
+    "meander-moments": {"n", "d"},
+    "crossing-formula": {"n", "seed"},
+    "pair-counting": {"n", "d"},
+    "restricted-wick": {"n", "d"},
+    "commutator": {"d", "seed"},
+    "bnc-q0": {"n", "d"},
+}
+
+
 class TestVerify:
     def test_alias_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "theorem14",
@@ -167,6 +181,18 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "--n" in err
+
+    @pytest.mark.parametrize("knob", ["n", "d", "seed"])
+    @pytest.mark.parametrize("suite", sorted(SUITE_KNOBS))
+    def test_each_suite_takes_exactly_its_knobs(self, suite, knob, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, f"--{knob}", "1")
+        if knob in SUITE_KNOBS[suite]:
+            assert code == 0
+            assert json.loads(out)["failure_count"] == 0
+        else:
+            assert code == 2
+            assert out == ""
+            assert f"takes no --{knob}" in err
 
     @pytest.mark.parametrize("flag,value", [("--q", "1/2"), ("--jobs", "2"), ("--cap", "3"),
                                             ("--format", "csv")])

@@ -85,3 +85,15 @@ def test_readme_frontier_matches_the_budgets(monkeypatch):
         admit(n)
         with pytest.raises(EnumerationCapError):
             admit(n + 1)
+
+
+def test_readme_suite_table_lists_the_registered_suites():
+    """The README verification-suites table lists each registered suite once,
+    with its registered alias (blank for none)."""
+    from meanderq.verify import SUITE_ALIASES, SUITES
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = _table_rows(readme, "| suite | alias |")
+    aliases = {suite: alias for alias, suite in SUITE_ALIASES.items()}
+    assert len(rows) == len(SUITES)
+    assert {suite: alias for suite, alias, *_ in rows} == {s: aliases.get(s, "") for s in SUITES}

@@ -421,7 +421,7 @@ class TestSemiMeanderMoment:
             states.append(apply_semi_meander_operator(x))
             return states[-1]
 
-        sweep(FockVector.vacuum(d, 2 * n, FORMAL), [step] * n, 2, prune=False)
+        sweep(FockVector.vacuum(d, 2 * n, FORMAL), [step] * n)
         largest = max(c for x in states for p in x.terms.values() for c in p.coeffs)
         assert largest < 1 << _packed_width(d, n, doubled=False)
 
