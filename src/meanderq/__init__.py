@@ -37,10 +37,8 @@ from .dyck import (
 )
 from .polynomials import (
     BivarPoly,
-    coefficient_table,
     kronecker_poly,
     meander_poly,
-    poly_eval,
     semi_meander_poly,
 )
 from .scalars import FORMAL, Mode, QPoly, parse_q

@@ -19,7 +19,7 @@ from .dyck import enumerate_bnc2_alternating, enumerate_dyck
 from .errors import EnumerationCapError, GroundSetError, TruncationOverflowError
 from .partitions import (catalan, enumerate_noncrossing, enumerate_pair_partitions,
                          odd_double_factorial)
-from .polynomials import coefficient_table, kronecker_poly, poly_json_doc
+from .polynomials import CoefficientTable, kronecker_poly, poly_json_doc
 from .scalars import FORMAL, Mode, QPoly, parse_q
 from .spectra import MomentSequence, meander_moments, realize, semi_meander_moments
 from .verify import SUITE_ALIASES, SUITES, run_suite
@@ -40,7 +40,7 @@ def _scalar_json(value):
 def cmd_poly(cfg: argparse.Namespace) -> int:
     p = kronecker_poly(cfg.kind, cfg.n, cap=cfg.cap)
     if cfg.fmt == "csv":
-        sys.stdout.write(coefficient_table(p).to_csv())
+        sys.stdout.write(CoefficientTable(p).to_csv())
     elif cfg.fmt == "pretty":
         sys.stdout.write(f"{p}\n")
     else:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from itertools import chain, permutations
-from math import ceil, inf, log2, prod
+from itertools import chain, permutations, product
+from math import ceil, log2, prod
 from operator import lshift, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -326,21 +326,10 @@ def sweep(start, steps: Iterable[Callable]) -> list:
     return amplitudes
 
 
-def _state_products(d: int, a: int, b: int | None = None) -> int:
-    """Most pairs of a first and a second factor that one orbit step has on a
-    T word of length a (c^2 + c + 2 per letter occurring c times, the fresh
-    letter included), or on X legs of lengths a, b: the growth factor of
-    ``_packed_width``."""
-    if b is None:
-        return a * a + a + 2 * min(d, a // 2 + 1)
-    return (1 + a) * (1 + b) + min(d, (a + b) // 2 + 1) - 1
-
-
-def _horizons(n: int, doubled: bool, prune: bool = True) -> Iterator[int]:
+def _horizons(n: int, doubled: bool) -> Iterator[int]:
     """The longest leg a state can have entering each step of the sweep for m_n."""
     steps, shrink = (2 * n, 1) if doubled else (n, 2)
-    return (shrink * (min(k - 1, steps - k + 1) if prune else k - 1)
-            for k in range(1, steps + 1))
+    return (shrink * min(k - 1, steps - k + 1) for k in range(1, steps + 1))
 
 
 def _running_totals(n: int, doubled: bool, products: Callable, weight: Callable) -> Iterator[int]:
@@ -382,7 +371,7 @@ def _product_weight(d: int, n: int, mode: Mode, doubled: bool) -> float:
     ints and short words."""
     legs = (2 if doubled else 1) * n / _LEG_ENDS
     if mode.is_formal:
-        return _formal_weight(_packed_width(d, n, doubled), n, doubled) + legs
+        return _formal_weight(_history_bits(n, doubled, d), n, doubled) + legs
     tops = [2 * h + 1 for h in _horizons(n, doubled)]
     bits = log2(mode.q.denominator)
     return 1 + sum(tops) * max(tops, default=0) * bits**2 / _EXACT_BITS_SQUARED + legs
@@ -497,7 +486,7 @@ def loop_sweep_sizes(n: int, doubled: bool) -> Iterator[int]:
         return sum(_loop_states(m, L) * (L * L + L + 2) for L in range(0, h + 1, 2))
 
     return _running_totals(n, doubled, products, lambda: _formal_weight(
-        _digit_bits(n, doubled) * (n + 1), n, doubled))
+        _history_bits(n, doubled) * (n + 1), n, doubled))
 
 
 class _OrbitVector:
@@ -562,7 +551,7 @@ def _x_legs(legs: tuple[Word, Word], i: int) -> list:
     return [((w,), e, legs[1]) for w, e in _left_x(legs[0], i)]
 
 
-def _orbit_step(x: _OrbitVector, rule: Callable, reach: float, memo: dict) -> _OrbitVector:
+def _orbit_step(x: _OrbitVector, rule: Callable, reach: int, memo: dict) -> _OrbitVector:
     """One application of sum_i O_i, in two passes joined by half-states.
     The letters 1..u of a representative act as themselves and one fresh
     letter u+1 stands for the d-u unused ones.
@@ -590,20 +579,9 @@ def _orbit_step(x: _OrbitVector, rule: Callable, reach: float, memo: dict) -> _O
     A first-pass product is c q^e, e < M = longest leg, and a second-pass
     one c q^f times an int weight, f <= M.  c is a packed int:
 
-    * formal q: c is the polynomial's value at q = 2^C, C = ``x.width``, and
-      q^e is a shift by C e.  This is exact when 2^C exceeds every
-      q-coefficient of every state and half-state, which ``_packed_width``
-      ensures: the sweep starts at 1 and multiplies only by q^e and by
-      d - used >= 1, so every coefficient is non-negative and at most its
-      state's value at q = 1.  A step-k input state (its legs within the
-      step's horizon, see ``sweep_sizes``) has at most P_k pairs of a first
-      and a second factor, each weighing at most d, and each of its first
-      outputs starts at least one pair (the creation); pruning only drops
-      outputs.  So the values at q = 1 summed over the half-states are at
-      most P_k times, and those over the states at most P_k d times, the sum
-      over the step's input, and every coefficient is at most prod_k P_k d
-      < 2^C.  Digits below 2^C never carry into each other, so the base-2^C
-      digits of a vacuum amplitude are its q-coefficients.
+    * formal q: c is the polynomial's value at q = 2^C, C = ``x.width``,
+      and q^e is a shift by C e; ``_history_bits`` proves that no digit
+      carries.
     * q = a/b: c is the numerator over b^S, S = ``x.scale``; the first pass
       multiplies by a^e b^(M-e) and the second by a^f b^(M+1-f), onto the
       denominator b^(S+2M+1).  No gcd is taken until an amplitude is read."""
@@ -695,7 +673,7 @@ def _loop_step(x: _OrbitVector, doubled: bool, reach: int, digit_bits: int,
 
     A coefficient is one int, the polynomial in (t, q) at t = 2^W and
     q = 2^(W(n+1)), W = ``digit_bits`` and W(n+1) = ``x.width``: t is a
-    shift by W and q^k one by W(n+1)k (see ``_digit_bits``)."""
+    shift by W and q^k one by W(n+1)k (see ``_history_bits``)."""
     block, add, lookup, out = x.width, _accumulate, memo.get, {}
     for legs, c in x.terms.items():
         for first, k, path in _left_ends(legs[0] if doubled else legs[0][::-1]):
@@ -717,80 +695,77 @@ def _loop_step(x: _OrbitVector, doubled: bool, reach: int, digit_bits: int,
     return _OrbitVector(x.d, x.mode, x.vacuum, out, block)
 
 
-def _packed_width(d: int, n: int, doubled: bool, prune: bool = True) -> int:
-    """Bits C per q-degree of a formal orbit sweep: the bit length of
-    prod_k P_k d, P_k the most factor pairs a step-k input state has (see
-    ``_orbit_step``)."""
-    return prod(d * _state_products(d, h, h if doubled else None)
-                for h in _horizons(n, doubled, prune)).bit_length()
+def _history_bits(n: int, doubled: bool, d: int = 1) -> int:
+    """Bits of one digit of a packed sweep for m_n (for P_n or the X moment
+    if ``doubled``): the bit length of H = (2n-1)!! d^n, or (2n-1)!!^2 d^n.
+    The formal orbit sweep packs C = ``_history_bits(n, doubled, d)`` bits
+    per q-degree, the loop sweep W = ``_history_bits(n, doubled)`` per
+    t-degree (it counts t by its exponent, not weighted by d).
+
+    A history is a run of choices, one per factor (create, or remove one
+    end), and in the orbit sweep a letter per step.  No digit carries:
+
+    1. Every coefficient is non-negative: a sweep starts at 1 and
+       multiplies only by q^k, t and the positive ints d - used.
+    2. Take a state or half-state that can still reach the vacuum.  Its
+       digit of q^e (of t^a q^e in the loop sweep) counts the partial
+       histories that reach it (one member of its orbit) with those
+       exponents.  One way on from it to the vacuum extends distinct
+       partial histories to distinct complete histories, whose number is
+       the vacuum moment at q = 1 (and t = 1): Q_n(d, 1) <= (2n-1)!! d^n,
+       or P_n(d, 1) <= (2n-1)!!^2 d^n, as each of the at most n closed
+       loops takes a pair of each matching.  So the digit is at most
+       H < 2^bits.
+    3. A state that cannot reach the vacuum feeds only states that cannot
+       reach it either, so a carry inside it never reaches an amplitude.
+
+    So the base-2^bits digits of an amplitude are its coefficients.  A loop
+    takes at least one T step or two X steps, so the t-degree is at most n
+    and the loop sweep's q-degree block of W(n+1) bits holds every t-digit."""
+    return (odd_double_factorial(n) ** (2 if doubled else 1) * d**n).bit_length()
 
 
-def _run_sweep(step: Callable, n: int, doubled: bool, d: int, mode: Mode, width: int,
-               prune: bool = True) -> list:
+def _run_sweep(step: Callable, n: int, doubled: bool, d: int, mode: Mode, width: int) -> list:
     """Vacuum amplitudes over n T steps, or 2n X steps if ``doubled``, of
     ``step`` from the vacuum with coefficient 1; the steps share one memo of
     keys.
 
     A step moves every leg by at most ``shrink`` ends (T two, X one), so
     after step k of N a state with a leg longer than ``shrink * (N - k)``
-    cannot reach the vacuum again, and with ``prune`` step k drops it as it
-    makes it (its ``reach``).  This is exact, so one pass yields every
-    order."""
+    cannot reach the vacuum again, and step k drops it as it makes it (its
+    ``reach``).  This is exact, so one pass yields every order."""
     vacuum = ((), ()) if doubled else ((),)
     steps, shrink = (2 * n, 1) if doubled else (n, 2)
     memo: dict = {}
-    reaches = (shrink * (steps - k) if prune else inf for k in range(1, steps + 1))
     return sweep(_OrbitVector(d, mode, vacuum, {vacuum: 1}, width),
-                 (partial(step, reach=r, memo=memo) for r in reaches))
+                 (partial(step, reach=shrink * (steps - k), memo=memo)
+                  for k in range(1, steps + 1)))
 
 
-def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, prune: bool = True,
-                 cap: int | None = None) -> list:
+def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, cap: int | None = None) -> list:
     """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i, in
-    an exact mode; a pruned sweep is first priced by ``sweep_sizes``."""
+    an exact mode, first priced by ``sweep_sizes``."""
     if not mode.is_exact:
         raise ValueError(f"the moment sweeps are exact: pass q as Fraction('{mode.q!r}')")
-    if prune:
-        check_size(n, cap, sweep_sizes(d, n, mode, doubled), SWEEP_BUDGET)
-    width = _packed_width(d, n, doubled, prune) if mode.is_formal else 0
+    check_size(n, cap, sweep_sizes(d, n, mode, doubled), SWEEP_BUDGET)
+    width = _history_bits(n, doubled, d) if mode.is_formal else 0
     step = partial(_orbit_step, rule=_x_legs if doubled else _t_legs)
-    return _run_sweep(step, n, doubled, d, mode, width, prune)
+    return _run_sweep(step, n, doubled, d, mode, width)
 
 
-def _digit_bits(n: int, doubled: bool) -> int:
-    """Bits W of one t-digit of the loop sweep for Q_n (P_n if ``doubled``):
-    n bitlen(2n), doubled for P_n.
-
-    A history is a run of choices, one per factor; one that ends at the
-    vacuum is one term t^loops q^crossings of the vacuum amplitude Q_n(t, q),
-    so there are Q_n(1, 1) = (2n-1)!! of them ((2n-1)!!^2 for P_n).  The
-    digit of t^a q^b in a kept state counts the histories that reach the
-    state with those exponents, and each extends to a history that ends at
-    the vacuum: a T word of length L <= 2r, r steps left, can lose two ends
-    a step and then close a one-step loop a step, and each X leg, of length
-    at most r and of r's parity, moves by one end a step, up or down, on
-    its own.  Different histories have different extensions, so every
-    digit is at most (2n-1)!! < (2n)^n <= 2^W (squared for P_n), and digits
-    never carry.  A loop takes at least one T step or two X steps, so the
-    t-degree is at most n and a q-degree block of W(n+1) bits holds every
-    t-digit."""
-    return (2 if doubled else 1) * n * (2 * n).bit_length()
-
-
-def _loop_sweep(n: int, doubled: bool, digit_bits: int) -> list:
-    """Vacuum amplitudes over n T steps, or 2n X steps, of the loop basis,
-    each a QPoly whose q-coefficients pack their t-digits ``digit_bits``
-    wide."""
-    step = partial(_loop_step, doubled=doubled, digit_bits=digit_bits)
-    return _run_sweep(step, n, doubled, 1, FORMAL, digit_bits * (n + 1))
-
-
-def loop_sweep(n: int, doubled: bool, cap: int | None = None) -> list:
-    """Q_k(t, q) for k = 0..n (P_k(t, q) at the even steps if ``doubled``)
-    from one pass of the loop basis, each a QPoly in q whose coefficients
-    are polynomials in t at t = 2^W, W = ``_digit_bits(n, doubled)``."""
+def loop_sweep(n: int, doubled: bool, cap: int | None = None) -> dict[tuple[int, int], int]:
+    """Terms {(t, u): c} of Q_n(t, u) (P_n(t, u) if ``doubled``) from one
+    pass of the loop basis.  Its last amplitude is Q_n(t, q) at t = 2^W,
+    W = ``_history_bits(n, doubled)``, so the base-2^W digits of each
+    q-coefficient are the t-coefficients (Kronecker substitution)."""
     check_size(n, cap, loop_sweep_sizes(n, doubled), SWEEP_BUDGET)
-    return _loop_sweep(n, doubled, _digit_bits(n, doubled))
+    bits = _history_bits(n, doubled)
+    step = partial(_loop_step, doubled=doubled, digit_bits=bits)
+    amplitude = _run_sweep(step, n, doubled, 1, FORMAL, bits * (n + 1))[-1]
+    mask = (1 << bits) - 1
+    digits = ((t, u, c >> t * bits & mask) for u, c in enumerate(amplitude.coeffs)
+              for t in range(c.bit_length() // bits + 1))
+    return {(t, u): c for t, u, c in digits if c}
 
 
 def semi_meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None) -> list:
@@ -851,11 +826,21 @@ def meander_moment(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None):
 
 
 def meander_moment_direct(d: int, n: int, mode: Mode = FORMAL):
-    """Unpruned pass over the doubled space, the reference that pruning is
-    exact.  Exponential in n; intended for n <= 2."""
+    """The reference for the doubled-space sweep, which shares no step with
+    it: the sum over all d^(2n) index tuples of the squared joint moment,
+    memoised by the level-set pattern of the tuple, which is all a joint
+    moment depends on.  Exponential in n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _orbit_sweep(d, n, mode, doubled=True, prune=False)[-1]
+    memo: dict[tuple[int, ...], object] = {}
+    total = mode.zero()
+    for values in product(range(1, d + 1), repeat=2 * n):
+        (key,) = _canonical_pattern(values)
+        if key not in memo:
+            memo[key] = gaussian_joint_moment(IndexTuple(key, d), mode)
+        m = memo[key]
+        total = total + m * m
+    return total
 
 
 def commutator_defect(v: Sequence, w: Sequence, x: FockVector) -> FockVector:

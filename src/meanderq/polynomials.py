@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ENUMERATION_BUDGET, check_size
-from .fock import _digit_bits, loop_sweep
+from .fock import loop_sweep
 from .partitions import (
     _iter_matchings_raw,
     _raw_crossings,
@@ -109,10 +109,6 @@ class BivarPoly:
         return f"BivarPoly({self.terms!r})"
 
 
-def poly_eval(p: BivarPoly, t, u) -> Fraction:
-    return p.eval(t, u)
-
-
 def _partner_array(pairs: tuple[tuple[int, int], ...], m: int) -> list[int]:
     out = [0] * m
     for a, b in pairs:
@@ -203,20 +199,12 @@ def meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
 
 
 def kronecker_poly(kind: str, n: int, cap: int | None = None) -> BivarPoly:
-    """Q_n (kind "semi") or P_n ("meander") from one loop sweep.
-
-    The sweep's last amplitude is Q_n(t, q) (P_n(t, q)) at t = 2^W, so the
-    base-2^W digits of each q-coefficient are the t-coefficients (Kronecker
-    substitution); ``fock._digit_bits`` proves that no digit carries.  The
+    """Q_n (kind "semi") or P_n ("meander") from one loop sweep, which reads
+    the t- and u-digits off its packed amplitude (``fock.loop_sweep``).  The
     sweep checks its own size, so no (2n-1)!! is built."""
     if n < 1 or kind not in ("semi", "meander"):
         raise ValueError(f"need n >= 1 and kind 'semi' or 'meander', got {n}, {kind!r}")
-    meander = kind == "meander"
-    bits = _digit_bits(n, meander)
-    mask = (1 << bits) - 1
-    return BivarPoly(((t, u), c >> t * bits & mask)
-                     for u, c in enumerate(loop_sweep(n, meander, cap)[-1].coeffs)
-                     for t in range(c.bit_length() // bits + 1))
+    return BivarPoly(loop_sweep(n, kind == "meander", cap))
 
 
 class CoefficientTable:
@@ -251,10 +239,6 @@ class CoefficientTable:
             lines.append(f"{k}," + ",".join(map(str, row)) + f",{self.row_sums[i]}")
         lines.append("col_sum," + ",".join(map(str, self.col_sums)) + f",{self.total()}")
         return "\n".join(lines) + "\n"
-
-
-def coefficient_table(p: BivarPoly) -> CoefficientTable:
-    return CoefficientTable(p)
 
 
 def poly_json_doc(p: BivarPoly, kind: str, n: int) -> dict:

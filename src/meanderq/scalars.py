@@ -270,14 +270,6 @@ class Mode:
             return QPoly.q_power(k)
         return self.q**k
 
-    def coerce(self, c):
-        """Lift an exact number into this mode's scalar ring."""
-        if self.q is None:
-            return QPoly.const(c) if not isinstance(c, QPoly) else c
-        if isinstance(self.q, Fraction):
-            return Fraction(c)
-        return complex(c).real if not isinstance(c, complex) else c
-
 
 FORMAL = Mode()
 

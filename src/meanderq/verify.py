@@ -20,8 +20,8 @@ from .dyck import (ONE, STAR, ChoiceTuple, DyckTuple, alternating_pattern, choic
                    choices_to_partition, crossings_from_choices, enumerate_dyck,
                    partition_to_choices)
 from .errors import ENUMERATION_BUDGET, check_size
-from .fock import (FockVector, _canonical_pattern, commutator_defect, gaussian_joint_moment,
-                   meander_moment, meander_moment_direct, semi_meander_moment)
+from .fock import (FockVector, commutator_defect, meander_moment, meander_moment_direct,
+                   semi_meander_moment)
 from .partitions import (LEFT, RIGHT, IndexTuple, crossings, enumerate_pair_partitions,
                          odd_double_factorial)
 from .polynomials import meander_poly, semi_meander_poly
@@ -147,35 +147,17 @@ def suite_semi_moments(d_max: int = 3, n_max: int = 4) -> Outcome:
             yield {"d": d, "n": n, "operator": str(op), "poly": str(val)} if op != val else None
 
 
-def _pattern_meander_moment(d: int, n: int):
-    """Oracle for the doubled-space sweep, on the single space only: the sum
-    over all d^(2n) index tuples of the squared joint moment, memoised by the
-    level-set pattern of the tuple, which is all a joint moment depends on."""
-    memo: dict[tuple[int, ...], object] = {}
-    total = FORMAL.zero()
-    for values in product(range(1, d + 1), repeat=2 * n):
-        (key,) = _canonical_pattern(values)
-        if key not in memo:
-            memo[key] = gaussian_joint_moment(IndexTuple(key, d))
-        m = memo[key]
-        total = total + m * m
-    return total
-
-
 @_suite("meander-moments", "prop18")
 def suite_meander_moments(d_max: int = 2, n_max: int = 3) -> Outcome:
     """Doubled-operator moments == meander polynomial values == the
-    index-tuple sum of squared joint moments, with the unpruned doubled
-    route cross-checked at n <= 2."""
+    index-tuple sum of squared joint moments (``meander_moment_direct``)."""
     _admit(n_max, (max(m * m, d_max ** (2 * n)) for n, m in enumerate(_matchings(n_max), 1)))
     for n in range(1, n_max + 1):
         poly = meander_poly(n)
         for d in range(1, d_max + 1):
             op = meander_moment(d, n)
             val = poly.eval_at_t(d)
-            ok = op == val == _pattern_meander_moment(d, n)
-            if n <= 2:
-                ok = ok and meander_moment_direct(d, n) == val
+            ok = op == val == meander_moment_direct(d, n)
             yield {"d": d, "n": n, "operator": str(op), "poly": str(val)} if not ok else None
 
 

@@ -78,7 +78,7 @@ def test_criterion_03_meander_moment_identity():
                 assert meander_moment_direct(d, n, FORMAL) == poly.eval_at_t(d)
     _announce(3, time.time() - t0, 60,
               "doubled-operator moments equal the meander polynomial exactly "
-              "(d<=2, n<=3), direct tensor route agrees at n<=2")
+              "(d<=2, n<=3), index-tuple route agrees at n<=2")
 
 
 def test_criterion_04_two_route_wick():

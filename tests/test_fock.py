@@ -34,12 +34,11 @@ from meanderq.fock import (
     vacuum_expectation,
     vector_inner,
     word_vector,
-    _digit_bits,
     _gaussian_moment_pairings,
-    _loop_sweep,
+    _history_bits,
     _orbit_sweep,
-    _packed_width,
     _word_inner,
+    loop_sweep,
 )
 from meanderq.partitions import LEFT, RIGHT, odd_double_factorial
 from meanderq.polynomials import meander_poly, semi_meander_poly
@@ -53,7 +52,8 @@ Q = QPoly.q_power
 
 
 def fv(d, terms, max_len=None, mode=FORMAL):
-    terms = {w: mode.coerce(c) for w, c in terms.items()}
+    lift = QPoly.const if mode.is_formal else type(mode.q)
+    terms = {w: c if isinstance(c, QPoly) else lift(c) for w, c in terms.items()}
     if max_len is None:
         max_len = max((len(w) for w in terms), default=0)
     return FockVector(d, max_len, mode, terms)
@@ -381,12 +381,6 @@ class TestSemiMeanderMoment:
         # storage exact
         assert semi_meander_moment_direct(d, n) == semi_meander_moment(d, n)
 
-    @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 5)])
-    def test_prune_is_exact(self, d, n):
-        # the same orbit sweep with its horizon pruning switched off
-        unpruned = _orbit_sweep(d, n, FORMAL, doubled=False, prune=False)
-        assert unpruned == semi_meander_moment_sweep(d, n)
-
     @pytest.mark.parametrize("d", [5, 10])
     def test_more_letters_than_pairs(self, d):
         # words are stored one per relabelling orbit, so a letter count above
@@ -422,11 +416,12 @@ class TestSemiMeanderMoment:
             semi_meander_moment(2, 17)
         assert semi_meander_moment(1, 8, cap=8) is not None
 
-    @pytest.mark.parametrize("d,n", [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("d,n", [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3), (4, 3),
+                                     (1, 7), (2, 5)])
     def test_packed_width_bounds_every_coefficient(self, d, n):
-        # the formal orbit sweep packs a polynomial into its value at q = 2^C;
-        # the unpruned word-level pass holds every coefficient the sweep can
-        # build, and each must stay below 2^C
+        # the formal orbit sweep packs a polynomial into its value at q = 2^C,
+        # C = _history_bits; the unpruned word-level pass holds every
+        # coefficient the sweep can build, and each must stay below 2^C
         states = []
 
         def step(x):
@@ -435,16 +430,16 @@ class TestSemiMeanderMoment:
 
         sweep(FockVector.vacuum(d, 2 * n, FORMAL), [step] * n)
         largest = max(c for x in states for p in x.terms.values() for c in p.coeffs)
-        assert largest < 1 << _packed_width(d, n, doubled=False)
+        assert largest < 1 << _history_bits(n, False, d)
 
     @pytest.mark.parametrize("doubled", [False, True], ids=["T", "X"])
-    @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3), (1, 8), (2, 6), (3, 5)])
     def test_packed_width_bounds_every_half_state(self, d, n, doubled, monkeypatch):
-        # run the formal orbit sweep with digits 3C wide, so that none can
-        # carry, keep every dict a step accumulates into, and each q-digit of
-        # a half-state (keyed with its pending letter as one more leg) must
-        # stay below 2^C
-        bits = _packed_width(d, n, doubled)
+        # run the formal orbit sweep with digits 3C wide, C = _history_bits,
+        # so that none can carry, keep every dict a step accumulates into,
+        # and each q-digit of a state or a half-state (keyed with its
+        # pending letter as one more leg) must stay below 2^C
+        bits = _history_bits(n, doubled, d)
         tables, accumulate = {}, fock._accumulate
 
         def recording(out, key, value):
@@ -452,12 +447,13 @@ class TestSemiMeanderMoment:
             accumulate(out, key, value)
 
         monkeypatch.setattr(fock, "_accumulate", recording)
-        monkeypatch.setattr(fock, "_packed_width", lambda *args: 3 * bits)
+        monkeypatch.setattr(fock, "_history_bits", lambda *args: 3 * bits)
         swept = _orbit_sweep(d, n, FORMAL, doubled)
         half = [c for out in tables.values() for key, c in out.items()
                 if len(key) == (3 if doubled else 2)]
+        held = [c for out in tables.values() for c in out.values()]
         wide = 3 * bits
-        digits = [c >> s & (1 << wide) - 1 for c in half for s in range(0, c.bit_length(), wide)]
+        digits = [c >> s & (1 << wide) - 1 for c in held for s in range(0, c.bit_length(), wide)]
         assert half and max(digits) < 1 << bits
         monkeypatch.undo()
         assert swept == _orbit_sweep(d, n, FORMAL, doubled)
@@ -480,10 +476,11 @@ class TestSemiMeanderMoment:
     @pytest.mark.parametrize("n,doubled", [(n, False) for n in range(1, 10)]
                              + [(n, True) for n in range(1, 6)])
     def test_digit_bits_bound_every_loop_coefficient(self, n, doubled, monkeypatch):
-        # the loop sweep packs t-digits W = _digit_bits wide; run it with
+        # the loop sweep packs t-digits W = _history_bits wide; run it with
         # digits 3W wide, unpack every state it holds, and each digit must
         # stay below 2^W
-        bits, wide = _digit_bits(n, doubled), 3 * _digit_bits(n, doubled)
+        bits = _history_bits(n, doubled)
+        wide = 3 * bits
         states, step = [], fock._loop_step
 
         def recording(x, **kwargs):
@@ -491,7 +488,8 @@ class TestSemiMeanderMoment:
             return states[-1]
 
         monkeypatch.setattr(fock, "_loop_step", recording)
-        _loop_sweep(n, doubled, wide)
+        monkeypatch.setattr(fock, "_history_bits", lambda *args: wide)
+        terms = loop_sweep(n, doubled, cap=n)
 
         def digits(c):  # a q-degree block is n + 1 digits, so each chunk is a digit
             return [c >> shift & (1 << wide) - 1 for shift in range(0, c.bit_length(), wide)]
@@ -499,7 +497,22 @@ class TestSemiMeanderMoment:
         assert len(states) == (2 * n if doubled else n)
         assert max(t for x in states for c in x.terms.values() for t in digits(c)) < 1 << bits
         total = sum(digits(states[-1].terms[states[-1].vacuum]))
-        assert total == odd_double_factorial(n) ** (2 if doubled else 1)
+        assert total == sum(terms.values()) == odd_double_factorial(n) ** (2 if doubled else 1)
+        monkeypatch.undo()
+        assert loop_sweep(n, doubled, cap=n) == terms
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["T", "X"])
+    def test_histories_bound_the_moment_at_q_1(self, doubled):
+        # the premise of _history_bits: the moment at q = 1 counts the
+        # complete histories, (2n-1)!! d^n at most ((2n-1)!!^2 d^n for X),
+        # with equality at d = 1, where every history is one term
+        moment = meander_moment if doubled else semi_meander_moment
+        for d in range(1, 6):
+            for n in range(1, (4 if doubled else 6) + 1):
+                histories = sum(moment(d, n).coeffs)
+                bound = odd_double_factorial(n) ** (2 if doubled else 1) * d**n
+                assert histories == bound if d == 1 else histories <= bound
+                assert bound < 1 << _history_bits(n, doubled, d)
 
     def test_fused_operator_matches_composition(self):
         rng = random.Random(9)

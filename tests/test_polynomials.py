@@ -7,12 +7,11 @@ from meanderq.errors import EnumerationCapError
 from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep
 from meanderq.polynomials import (
     BivarPoly,
+    CoefficientTable,
     _join_block_count,
     _partner_array,
-    coefficient_table,
     kronecker_poly,
     meander_poly,
-    poly_eval,
     poly_json_doc,
     semi_meander_poly,
 )
@@ -47,12 +46,12 @@ class TestBivarPoly:
 
     def test_eval(self):
         p = BivarPoly({(1, 0): 1, (2, 0): 1})  # t + t^2
-        assert poly_eval(p, 2, 0) == 6
-        assert poly_eval(BivarPoly({}), 5, 7) == 0
+        assert p.eval(2, 0) == 6
+        assert BivarPoly({}).eval(5, 7) == 0
 
     def test_eval_rational(self):
         q2 = semi_meander_poly(2)
-        assert poly_eval(q2, 2, Fraction(1, 2)) == 7
+        assert q2.eval(2, Fraction(1, 2)) == 7
 
     def test_eval_at_t(self):
         q2 = semi_meander_poly(2)
@@ -215,7 +214,7 @@ class TestJoinFastPath:
 
 class TestCoefficientTable:
     def test_semi_two(self):
-        table = coefficient_table(semi_meander_poly(2))
+        table = CoefficientTable(semi_meander_poly(2))
         assert table.rows == ((1, 1), (1, 0))
         assert table.k_min == 1
         assert table.row_sums == (2, 1)
@@ -223,10 +222,10 @@ class TestCoefficientTable:
         assert table.total() == 3
 
     def test_meander_two_total(self):
-        assert coefficient_table(meander_poly(2)).total() == 9
+        assert CoefficientTable(meander_poly(2)).total() == 9
 
     def test_csv(self):
-        text = coefficient_table(semi_meander_poly(2)).to_csv()
+        text = CoefficientTable(semi_meander_poly(2)).to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "k\\l,0,1,row_sum"
         assert lines[1] == "1,1,1,2"

@@ -170,7 +170,7 @@ def test_loop_estimate_bounds_the_products(doubled, n, monkeypatch):
     made = next(ticks)
     *_, estimate, weighted = loop_sweep_sizes(n, doubled)
     assert made <= estimate <= 10 * made
-    width = fock._digit_bits(n, doubled) * (n + 1)
+    width = fock._history_bits(n, doubled) * (n + 1)
     assert weighted == math.ceil(estimate * fock._formal_weight(width, n, doubled))
 
 
@@ -194,9 +194,9 @@ def test_products_are_weighed_by_their_packed_width():
     the sum and M the largest of the steps' denominator growths
     2 (longest leg) + 1; and each weighs n/100 more (2n/100 for X) for the
     length of its words."""
-    assert fock._packed_width(1, 30, doubled=False) == 218
-    assert fock._product_weight(1, 30, FORMAL, False) == 1 + 218 * 436 / 50_000 + 30 / 100
-    assert fock._product_weight(2, 5, FORMAL, True) == 1 + 45 * 21 / 50_000 + 10 / 100
+    assert fock._history_bits(30, doubled=False, d=1) == 135
+    assert fock._product_weight(1, 30, FORMAL, False) == 1 + 135 * 436 / 50_000 + 30 / 100
+    assert fock._product_weight(2, 5, FORMAL, True) == 1 + 25 * 21 / 50_000 + 10 / 100
     tops = [2 * h + 1 for h in fock._horizons(60, doubled=False)]
     assert (sum(tops), max(tops)) == (3660, 121)
     for q in (Fraction(1, 2), Fraction(9, 10), Fraction(-7, 9)):
@@ -220,5 +220,5 @@ def test_wide_denominators_are_refused(capsys):
     assert _estimate(1, 90, Mode(Fraction(9, 10)), False) > SWEEP_BUDGET
     assert main("spectrum --d 1 --q 9/10 --n 90".split()) == 2
     with pytest.raises(EnumerationCapError):
-        semi_meander_moment_sweep(1, 65, FORMAL)
-    assert _estimate(1, 65, Mode(Fraction(1, 2)), False) <= SWEEP_BUDGET
+        semi_meander_moment_sweep(1, 70, FORMAL)
+    assert _estimate(1, 70, Mode(Fraction(1, 2)), False) <= SWEEP_BUDGET
