@@ -57,7 +57,7 @@ class TestPoly:
         assert exc.value.code == 2
 
     def test_cap_error_exit2(self, capsys):
-        code, _, err = run_cli(capsys, "poly", "--kind", "semi", "--n", "14")
+        code, _, err = run_cli(capsys, "poly", "--kind", "semi", "--n", "15")
         assert code == 2
         assert "cap" in err
 

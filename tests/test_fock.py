@@ -393,7 +393,8 @@ class TestSemiMeanderMoment:
     @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SWEEP_MODES))
     @settings(max_examples=40, deadline=None)
     def test_orbit_sweep_matches_both_references(self, d, n, mode):
-        # orbit sweep == word-level pass == enumerated polynomial at t = d
+        # public sweep (orbits, or loops at d >= 3) == word-level pass ==
+        # enumerated polynomial at t = d
         poly = semi_meander_poly(n)
         expected = poly.eval_at_t(d) if mode.is_formal else poly.eval(d, mode.q)
         swept = semi_meander_moment(d, n, mode)
@@ -629,7 +630,7 @@ class TestMomentSweep:
         with pytest.raises(EnumerationCapError):
             semi_meander_moment_sweep(2, 17)
         with pytest.raises(EnumerationCapError):
-            meander_moment_sweep(3, 7)
+            meander_moment_sweep(3, 9)
         assert len(semi_meander_moment_sweep(1, 8, cap=8)) == 9
 
     @pytest.mark.parametrize("run", [semi_meander_moment_sweep, meander_moment_sweep])
@@ -646,6 +647,63 @@ class TestMomentSweep:
             semi_meander_moment(2, 0)
         with pytest.raises(ValueError):
             meander_moment(2, 0)
+
+
+LOOP_ORACLE_MODES = [FORMAL] + [Mode(Fraction(q)) for q in ("0", "1/2", "-7/9", "9/10")]
+
+
+class TestLoopBasisMoments:
+    """At d >= 3 the public sweeps run the loop basis at t = d, and the
+    orbit sweep, which they no longer run there, is its oracle."""
+
+    @pytest.mark.parametrize("mode", LOOP_ORACLE_MODES, ids=str)
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_semi_meander_matches_the_orbit_sweep(self, d, mode):
+        assert semi_meander_moment_sweep(d, 9, mode) == _orbit_sweep(d, 9, mode, False)
+
+    @pytest.mark.parametrize("mode", LOOP_ORACLE_MODES, ids=str)
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_meander_matches_the_orbit_sweep(self, d, mode):
+        assert meander_moment_sweep(d, 5, mode) == _orbit_sweep(d, 5, mode, True)[::2]
+
+    @pytest.mark.parametrize("run", [semi_meander_moment_sweep, meander_moment_sweep])
+    def test_the_basis_depends_on_d_alone(self, run, monkeypatch):
+        # d <= 2 stays on the orbit sweep, and d >= 3 never reaches it
+        monkeypatch.setattr(fock, "_loop_step", None)
+        run(2, 3, Mode(Fraction(1, 2)))
+        monkeypatch.undo()
+        monkeypatch.setattr(fock, "_orbit_step", None)
+        run(3, 3, Mode(Fraction(1, 2)))
+        run(7, 3, FORMAL)
+
+    @pytest.mark.parametrize("doubled,n", [(False, 8), (True, 5)], ids=["T", "X"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_packed_width_bounds_every_loop_half_state(self, d, n, doubled, monkeypatch):
+        # the loop basis at t = d packs C = _history_bits bits per q-degree:
+        # run it at every d with digits 3C wide, so that none can carry,
+        # keep every dict a step accumulates into, and each q-digit of a
+        # state or a half-state (one leg more, path 1 first) must stay
+        # below 2^C
+        bits = _history_bits(n, doubled, d)
+        tables, accumulate = {}, fock._accumulate
+
+        def recording(out, key, value):
+            tables[id(out)] = out
+            accumulate(out, key, value)
+
+        run = meander_moment_sweep if doubled else semi_meander_moment_sweep
+        monkeypatch.setattr(fock, "_LOOP_BASIS_D", 1)
+        monkeypatch.setattr(fock, "_accumulate", recording)
+        monkeypatch.setattr(fock, "_history_bits", lambda *args: 3 * bits)
+        swept = run(d, n, FORMAL, cap=n)
+        half = [c for out in tables.values() for key, c in out.items()
+                if len(key) == (3 if doubled else 2)]
+        held = [c for out in tables.values() for c in out.values()]
+        wide = 3 * bits
+        digits = [c >> s & (1 << wide) - 1 for c in held for s in range(0, c.bit_length(), wide)]
+        assert half and max(digits) < 1 << bits
+        monkeypatch.undo()
+        assert swept == _orbit_sweep(d, n, FORMAL, doubled)[:: 2 if doubled else 1]
 
 
 class TestCommutatorDefect:

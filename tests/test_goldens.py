@@ -63,12 +63,12 @@ def test_meander_moments_are_its_square():
 
 
 # one-curve semi-meanders (OEIS A000682) and meanders (OEIS A005315), n = 1..
-A000682 = [1, 1, 2, 4, 10, 24, 66, 174, 504, 1406, 4210, 12198, 37378]
-A005315 = [1, 2, 8, 42, 262, 1828, 13820]
+A000682 = [1, 1, 2, 4, 10, 24, 66, 174, 504, 1406, 4210, 12198, 37378, 111278]
+A005315 = [1, 2, 8, 42, 262, 1828, 13820, 110954]
 
 
 def test_semi_meander_polynomials_at_the_sweep_frontier():
-    for n in range(1, 14):
+    for n in range(1, 15):
         terms = kronecker_poly("semi", n).terms
         one_curve = {t: c for (t, u), c in terms.items() if u == 0}
         assert one_curve[1] == A000682[n - 1], n
@@ -78,11 +78,24 @@ def test_semi_meander_polynomials_at_the_sweep_frontier():
 
 
 def test_meander_polynomials_at_the_sweep_frontier():
-    for n in range(1, 8):
+    for n in range(1, 9):
         terms = kronecker_poly("meander", n).terms
         assert terms.get((1, 0)) == A005315[n - 1], n
         assert sum(c for (t, u), c in terms.items() if u == 0) == catalan(n) ** 2
         assert sum(terms.values()) == odd_double_factorial(n) ** 2
+
+
+def test_polynomials_summed_over_t_are_touchard_riordan():
+    # summing out t counts the matchings by crossings, T_n(u), and pairs of
+    # them for meanders, T_n(u)^2: a closed form for every coefficient of
+    # poly at the orders the enumeration no longer reaches
+    for kind, last, power in (("semi", 13, 1), ("meander", 7, 2)):
+        for n in range(1, last + 1):
+            by_u = {}
+            for (t, u), c in kronecker_poly(kind, n).terms.items():
+                by_u[u] = by_u.get(u, 0) + c
+            summed = QPoly([by_u.get(u, 0) for u in range(max(by_u) + 1)])
+            assert summed == touchard_riordan(n) ** power, (kind, n)
 
 
 def _load_checks():

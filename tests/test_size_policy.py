@@ -64,6 +64,9 @@ def test_cap_is_the_largest_order(route, capsys):
     "moments --operator T --d 1 --q 1/2",
     "moments --operator X --d 1 --q 0.5",
     "spectrum --d 1 --q 0.5",
+    "moments --operator T --d 3",
+    "moments --operator X --d 4 --q 1/2",
+    "spectrum --d 5 --q 9/10",
 ])
 def test_refusal_does_no_work(route, capsys, monkeypatch):
     def no_work(*args, **kwargs):
@@ -151,27 +154,42 @@ def _estimate(d, n, mode, doubled):
 ])
 def test_sweep_estimate_bounds_the_products(doubled, d, n, monkeypatch):
     """Every scalar product of a step is one ``_accumulate`` call; the
-    estimate is at least their number and at most ten times it."""
+    estimate is at least their number and at most ten times it.  The orbit
+    sweep runs the moments at d < 3 and is the oracle at d >= 3."""
     ticks = _counting_products(monkeypatch)
-    sweep = meander_moment_sweep if doubled else semi_meander_moment_sweep
-    sweep(d, n, Mode(Fraction(1, 2)), cap=n)
+    fock._orbit_sweep(d, n, Mode(Fraction(1, 2)), doubled, cap=n)
     made = next(ticks)
     estimate = _estimate(d, n, Mode(Fraction(1, 2)), doubled)
     assert made <= estimate <= 10 * made
 
 
-@pytest.mark.parametrize("doubled,n", [(False, n) for n in range(1, 13)]
-                         + [(True, n) for n in range(1, 7)])
-def test_loop_estimate_bounds_the_products(doubled, n, monkeypatch):
+LOOP_MOMENTS = [(doubled, n, d, q) for doubled, n in [(False, 9), (False, 12), (True, 5)]
+                for d in (3, 4, 5) for q in (None, Fraction(1, 2), Fraction(-7, 9))]
+
+
+@pytest.mark.parametrize("doubled,n,d,q", [
+    *(pytest.param(doubled, n, None, None, id=f"{doubled}-{n}")
+      for doubled, n in [(False, n) for n in range(1, 13)] + [(True, n) for n in range(1, 7)]),
+    *(pytest.param(*case, id="{}-{}-d{}-{}".format(*case)) for case in LOOP_MOMENTS),
+])
+def test_loop_estimate_bounds_the_products(doubled, n, d, q, monkeypatch):
     """The loop sweep's count, before its width weight, is at least the
-    products the sweep makes and at most ten times them."""
+    products the sweep makes and at most ten times them: for the
+    polynomial at formal t (d None), and for the moment at t = d, formal
+    (q None) or at q."""
     ticks = _counting_products(monkeypatch)
-    loop_sweep(n, doubled, cap=n)
+    mode = FORMAL if q is None else Mode(q)
+    if d is None:
+        loop_sweep(n, doubled, cap=n)
+        weight = fock._formal_weight(fock._history_bits(n, doubled) * (n + 1), n, doubled)
+    else:
+        sweep = meander_moment_sweep if doubled else semi_meander_moment_sweep
+        sweep(d, n, mode, cap=n)
+        weight = fock._packed_weight(d, n, mode, doubled)
     made = next(ticks)
-    *_, estimate, weighted = loop_sweep_sizes(n, doubled)
+    *_, estimate, weighted = loop_sweep_sizes(n, doubled, d, mode)
     assert made <= estimate <= 10 * made
-    width = fock._history_bits(n, doubled) * (n + 1)
-    assert weighted == math.ceil(estimate * fock._formal_weight(width, n, doubled))
+    assert weighted == math.ceil(estimate * weight)
 
 
 @pytest.mark.parametrize("doubled,steps", [(False, 8), (True, 8)])
@@ -181,7 +199,7 @@ def test_loop_states_bound_every_layer(doubled, steps):
     vacuum = ((), ()) if doubled else ((),)
     x, memo = fock._OrbitVector(1, FORMAL, vacuum, {vacuum: 1}, 64), {}
     for m in range(1, steps + 1):
-        x = fock._loop_step(x, doubled=doubled, reach=4 * steps, digit_bits=8, memo=memo)
+        x = fock._loop_step(x, doubled=doubled, loop=1 << 8, reach=4 * steps, memo=memo)
         shapes = Counter(tuple(map(len, legs)) for legs in x.terms)
         assert shapes[(m, m) if doubled else (2 * m,)] == 1
         for shape, count in shapes.items():
