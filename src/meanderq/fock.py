@@ -23,10 +23,10 @@ polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from fractions import Fraction
 from itertools import chain, permutations, product
-from math import ceil, log2, prod
+from math import ceil, log2
 from operator import lshift, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -335,18 +335,6 @@ def _horizons(n: int, doubled: bool) -> Iterator[int]:
     return (shrink * min(k - 1, steps - k + 1) for k in range(1, steps + 1))
 
 
-def _running_totals(n: int, doubled: bool, products: Callable, weight: Callable) -> Iterator[int]:
-    """Running totals of ``products(m, h, r)`` over the steps of the sweep
-    for m_n (m steps done, h the horizon, r the step's reach), and last the
-    total times ``weight()``, read only once the count fits."""
-    steps, shrink = (2 * n, 1) if doubled else (n, 2)
-    total = 0
-    for k, h in enumerate(_horizons(n, doubled), start=1):
-        total += products(k - 1, h, shrink * (steps - k))
-        yield total
-    yield ceil(total * weight())
-
-
 # The packed width at which a product costs one more product of small ints
 # (q = 0's, as cheap as a float's), fitted to T and X sweeps at d = 1..4
 # (2-core VM, Python 3.11): a formal product shifts and adds ints of up to
@@ -385,115 +373,112 @@ def _product_weight(d: int, n: int, mode: Mode, doubled: bool) -> float:
     return _packed_weight(d, n, mode, doubled) + (2 if doubled else 1) * n / _LEG_ENDS
 
 
+def _layer_sizes(n: int, doubled: bool, weight: Callable, fresh: Callable,
+                 members: Callable, removable: Callable) -> Iterator[int]:
+    """Running totals, over the steps of a sweep for m_n in either basis,
+    of the products the steps can make, and last their total times
+    ``weight()``, read only once the count fits.
+
+    The count follows the sweep's layers from the vacuum: a layer maps each
+    shape (leg lengths) to the most states, then half-states, of that
+    shape.  Every half-state is an output of the first factor on a state,
+    and every state one of the second factor on a half-state, so a layer
+    holds at most the outputs the one before it makes, each kept while the
+    leg the factor acts on stays within the step's reach (see
+    ``_run_sweep``), and those outputs are the products.  On a leg of a
+    ends, of L ends in all, the first factor makes ``fresh(L)`` creations
+    and a removals, and the second factor one creation and a removals.  A
+    layer also holds at most ``members(L)`` states (L even) or half-states
+    (L odd) of each shape, and the second factor makes at most
+    ``members(L) + l removable(L)`` products from all half-states of one
+    shape, l its last leg: ``removable(L)`` of them can remove the end at
+    any one position of that leg."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    steps, shrink = (2 * n, 1) if doubled else (n, 2)
+    layer = {(0, 0) if doubled else (0,): 1}
+
+    def moved(layer: dict, leg: int, limit: int, creations: Callable,
+              cap: Callable | None = None) -> tuple[dict, int]:
+        out: dict = {}
+        made = 0
+        for shape, count in layer.items():
+            a, L = shape[leg], sum(shape)
+            outputs = 0
+            for b, ways in ((a + 1, creations(L)), (a - 1, a)):
+                if ways and b <= limit:
+                    key = shape[:leg] + (b,) + shape[leg + 1 :]
+                    out[key] = out.get(key, 0) + ways * count
+                    outputs += ways * count
+            made += outputs if cap is None else min(outputs, cap(L, a))
+        return {s: min(c, members(sum(s))) for s, c in out.items()}, made
+
+    total = 0
+    for k in range(1, steps + 1):
+        reach = shrink * (steps - k)
+        half, first = moved(layer, 0, reach if doubled else reach + 1, fresh)
+        layer, second = moved(half, 1 if doubled else 0, reach, lambda L: 1,
+                              lambda L, l: members(L) + l * removable(L))
+        total += first + second
+        yield total
+    yield ceil(total * weight())
+
+
+@cache
+def _even_blocks(d: int, L: int) -> tuple[int, ...]:
+    """S(L, b) for b = 0..min(d, L/2): the partitions of an even number L
+    of points into b blocks of even size, S(L, b) = b^2 S(L-2, b) +
+    (2b-1) S(L-2, b-1)."""
+    if L == 0:
+        return (1,)
+    prev = _even_blocks(d, L - 2) + (0,)
+    return (0, *(b * b * prev[b] + (2 * b - 1) * prev[b - 1]
+                 for b in range(1, min(d, L // 2) + 1)))
+
+
+@cache
+def _orbit_members(d: int, L: int) -> int:
+    """The most orbits of states of L letters (L even), sum_b S(L, b), or
+    of half-states (L odd), sum_b S(L+1, b)."""
+    return sum(_even_blocks(d, L + L % 2))
+
+
+@cache
+def _orbit_removable(d: int, L: int) -> int:
+    """The most orbits of half-states of L letters with the pending letter
+    at one given position, sum_b W(L, b), W(L, b) = S(L-1, b-1) +
+    b S(L-1, b)."""
+    row = _even_blocks(d, L - 1)
+    return sum(row[:d]) + sum(b * s for b, s in enumerate(row))
+
+
 def sweep_sizes(d: int, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
     """Running totals, over the steps of the pruned orbit sweep for m_n, of
     the scalar products the steps can make, and last their total weighted by
     the width of the packed ints (``_product_weight``), which is at least 1
-    and read only once the count fits.
+    and read only once the count fits: ``_layer_sizes`` on orbits.
 
-    Step m+1's input holds states within the pruning horizon h, each letter
-    occurring an even number of times, and its half-states (see
-    ``_orbit_step``) have a last leg within the step's reach r, plus one;
-    their pending letter is their one letter of odd count.  So legs of even
-    total length L with b letters are among the S(L, b) partitions of L
-    points into b even blocks, and of odd L among the S(L+1, b) with one odd
-    block (the point L+1 joins it).  A state makes a + min(b+1, d) first-pass
-    products, a the length of the leg its first factor acts on (one per
-    letter present or fresh, and one per occurrence); a half-state makes
-    1 + c second-pass products, c the odd letter's occurrences in its last
-    leg, of length l.  Summed over the partitions, c gives l W(L, b), W the
-    partitions with a given point in the odd block: that point alone, or in
-    one of the b blocks of the other L-1 points, so W(L, b) = S(L-1, b-1) +
-    b S(L-1, b).  States of the full length m per leg (T palindromes
-    i_m..i_1 i_1..i_m, X pairs of equal words) lie in at most
-    prod_{j<=m} min(j, d) orbits and use at most m letters, and the
-    half-states one longer, made from them by a creation, in at most
-    prod_{j<=m+1} min(j, d); there the count takes c <= l."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rows = [[1]]  # rows[j][b] = S(2j, b) for b <= min(d, j)
-
-    def even(L: int, b: int) -> int:
-        """S(L, b), the partitions of L points into b even blocks."""
-        while len(rows) <= L // 2:
-            prev = rows[-1] + [0]  # S(L, b) = b^2 S(L-2, b) + (2b-1) S(L-2, b-1)
-            rows.append([0] + [b * b * prev[b] + (2 * b - 1) * prev[b - 1]
-                               for b in range(1, min(d, len(rows)) + 1)])
-        row = rows[L // 2]
-        return row[b] if 0 <= b < len(row) else 0
-
-    def first(L: int, a: int, m: int) -> int:
-        """First-pass products from the states of total length L, leg a."""
-        if L == 2 * m:
-            return prod(min(j, d) for j in range(1, m + 1)) * (a + min(m + 1, d))
-        return sum(even(L, b) * (a + min(b + 1, d)) for b in range(min(d, L // 2) + 1))
-
-    def second(L: int, l: int, m: int) -> int:
-        """Second-pass products from the half-states of total length L, last leg l."""
-        if L == 2 * m + 1:
-            return prod(min(j, d) for j in range(1, m + 2)) * (1 + l)
-        return sum(even(L + 1, b) + l * (even(L - 1, b - 1) + b * even(L - 1, b))
-                   for b in range(1, min(d, (L + 1) // 2) + 1))
-
-    def products(m: int, h: int, reach: int) -> int:
-        if doubled:
-            legs = range(m % 2, h + 1, 2)
-            ends = range((m + 1) % 2, min(h + 1, reach) + 1, 2)
-            return (sum(first(a + b, a, m) for a in legs for b in legs)
-                    + sum(second(a + b, b, m) for a in ends for b in legs if b <= reach + 1))
-        return (sum(first(L, L, m) for L in range(0, h + 1, 2))
-                + sum(second(L, L, m) for L in range(1, min(h, reach) + 2, 2)))
-
-    return _running_totals(n, doubled, products, lambda: _product_weight(d, n, mode, doubled))
+    A state of L letters in all uses each of its b <= d letters an even
+    number of times, so its orbit is one of the S(L, b) partitions of L
+    points into b even blocks, and its first factor creates one of its
+    letters or one fresh, min(b + 1, d) <= min(L/2 + 1, d) creations.  A
+    half-state's pending letter is its one letter of odd count (see
+    ``_orbit_step``): with the point L+1 joining that letter's block, its
+    orbit is one of the S(L+1, b).  Its second factor removes only the
+    pending letter, and the half-states with it at a given position number
+    W(L, b): that point alone, or in one of the b blocks of the other L-1
+    points."""
+    return _layer_sizes(n, doubled, lambda: _product_weight(d, n, mode, doubled),
+                        lambda L: min(L // 2 + 1, d), partial(_orbit_members, d),
+                        partial(_orbit_removable, d))
 
 
-def _loop_states(m: int, a: int, b: int | None = None) -> int:
-    """Most states the loop sweep holds after m steps with a T word of length
-    a, or X legs of lengths a, b.  A state matches its L = a (+ b) ends in
-    pairs, so there are at most (L-1)!!, none past the full length, and the
-    two layers with no slack hold fewer:
-
-    * L = 2m (T), a = b = m (X): every factor created, each step a new path
-      with both ends, so there is one state.
-    * L = 2m-2: exactly one factor removed, at some step j, while the
-      earlier steps' j-1 nested paths were open.  For T, its right factor
-      moved one of their 2j-2 ends to the left end (removed it, and the left
-      factor re-created its path there), or its left factor moved one to
-      the right end (joined the fresh path to it), or closed the fresh path.
-      A loop leaves the nested paths, as does moving the leftmost end left
-      or the rightmost right, and the later steps nest around what step j
-      left; so there are at most 1 + sum_{j<=m} 2 max(2j-3, 0) =
-      1 + 2(m-1)^2 states.  For X, leg 1 (legs (m-2, m)) or leg 2 (legs
-      (m, m-2)) lost one of its j-1 ends, so each holds at most
-      sum_{j<=m} (j-1) = m(m-1)/2 states."""
-    if b is None:
-        if a > 2 * m:
-            return 0
-        if a == 2 * m - 2:
-            return min(odd_double_factorial(m - 1), 1 + 2 * (m - 1) ** 2)
-        return 1 if a == 2 * m else odd_double_factorial(a // 2)
-    if a > m or b > m:
-        return 0
-    if a + b == 2 * m - 2:
-        return m * (m - 1) // 2
-    return 1 if a == b == m else odd_double_factorial((a + b) // 2)
-
-
-def _moved(layer: dict, leg: int, limit: int) -> tuple[dict, int]:
-    """The shapes one factor on ``leg`` makes from ``layer``, a map from
-    shapes (leg lengths) to the most members of each, and the products it
-    makes: a creation, or one of a removals from a leg of a ends, each kept
-    while that leg stays within ``limit``."""
-    out: dict = {}
-    made = 0
-    for shape, count in layer.items():
-        a = shape[leg]
-        for b, ways in ((a + 1, 1), (a - 1, a)):
-            if ways and b <= limit:
-                key = shape[:leg] + (b,) + shape[leg + 1 :]
-                out[key] = out.get(key, 0) + ways * count
-                made += ways * count
-    return out, made
+@cache
+def _loop_members(L: int) -> int:
+    """The most loop-basis states of L ends (L even), a matching of them,
+    (L-1)!!, or half-states (L odd), one end single and the others
+    matched, L (L-2)!!."""
+    return odd_double_factorial(L // 2) * (L if L % 2 else 1)
 
 
 def loop_sweep_sizes(n: int, doubled: bool, d: int | None = None,
@@ -504,32 +489,16 @@ def loop_sweep_sizes(n: int, doubled: bool, d: int | None = None,
     ``_formal_weight`` of W(n+1) bits per q-degree, W = ``_history_bits``,
     and at t = ``d`` the ``_packed_weight`` of the moment m_n in ``mode``.
 
-    The count follows the sweep's layers, the most states (then
-    half-states) of each shape, from the vacuum.  Every half-state is an
-    output of the first factor on a state, and every state one of the
-    second factor on a half-state, so a layer holds at most the outputs the
-    previous one makes (``_moved``, with the pruning of ``_loop_step``),
-    and those outputs are the products.  A layer is also bounded by its
-    shape: a half-state has one single end and a matching of the others,
-    at most L (L-2)!! of L ends, and a state at most ``_loop_states``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    layer = {(0, 0) if doubled else (0,): 1}
-
-    def products(m: int, h: int, reach: int) -> int:
-        nonlocal layer
-        half, first = _moved(layer, 0, reach if doubled else reach + 1)
-        half = {s: min(c, sum(s) * odd_double_factorial(sum(s) // 2)) for s, c in half.items()}
-        states, second = _moved(half, 1 if doubled else 0, reach)
-        layer = {s: min(c, _loop_states(m + 1, *s)) for s, c in states.items()}
-        return first + second
+    This is ``_layer_sizes`` on loops, so the count does not depend on d:
+    each factor creates one fresh end (see ``_loop_step``), and a
+    half-state's second factor can remove every end of its last leg."""
 
     def weight() -> float:
         if d is None:
             return _formal_weight(_history_bits(n, doubled) * (n + 1), n, doubled)
         return _packed_weight(d, n, mode, doubled)
 
-    return _running_totals(n, doubled, products, weight)
+    return _layer_sizes(n, doubled, weight, lambda L: 1, _loop_members, _loop_members)
 
 
 class _OrbitVector:

@@ -131,6 +131,13 @@ class TestMoments:
         assert values == [float(Fraction(m["value"])) for m in exact["moments"]]
         assert values[3] == 30.5
 
+    @pytest.mark.parametrize("command", ["moments --d 1 --n 2", "spectrum --n 2"])
+    def test_negative_q_joined_to_its_flag(self, command, capsys):
+        # argparse takes a separate "-7/9" for an option, so it is joined by "="
+        code, out, _ = run_cli(capsys, *command.split(), "--q=-7/9")
+        assert code == 0
+        assert json.loads(out)["q"] == "-7/9"
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "1.0", "-1", "1/0", "0.5.5", "abc"])
     def test_bad_q_exits_2(self, bad, capsys):
         with pytest.raises(SystemExit) as exc:

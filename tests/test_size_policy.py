@@ -23,7 +23,11 @@ from meanderq.fock import (
     semi_meander_moment_sweep,
     sweep_sizes,
 )
-from meanderq.partitions import enumerate_noncrossing, enumerate_pair_partitions
+from meanderq.partitions import (
+    enumerate_noncrossing,
+    enumerate_pair_partitions,
+    odd_double_factorial,
+)
 from meanderq.polynomials import meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL, Mode
 from meanderq.spectra import semi_meander_moments
@@ -194,8 +198,9 @@ def test_loop_estimate_bounds_the_products(doubled, n, d, q, monkeypatch):
 
 @pytest.mark.parametrize("doubled,steps", [(False, 8), (True, 8)])
 def test_loop_states_bound_every_layer(doubled, steps):
-    """The unpruned loop sweep after m steps holds at most ``_loop_states``
-    states of each shape, and exactly one of the full length."""
+    """The unpruned loop sweep after m steps holds at most (L-1)!! states
+    of L ends of each shape, a matching of them, and exactly one of the
+    full length."""
     vacuum = ((), ()) if doubled else ((),)
     x, memo = fock._OrbitVector(1, FORMAL, vacuum, {vacuum: 1}, 64), {}
     for m in range(1, steps + 1):
@@ -203,7 +208,20 @@ def test_loop_states_bound_every_layer(doubled, steps):
         shapes = Counter(tuple(map(len, legs)) for legs in x.terms)
         assert shapes[(m, m) if doubled else (2 * m,)] == 1
         for shape, count in shapes.items():
-            assert count <= fock._loop_states(m, *shape), (m, shape)
+            assert count <= odd_double_factorial(sum(shape) // 2), (m, shape)
+
+
+@pytest.mark.parametrize("q", [None, Fraction(1, 2)])
+@pytest.mark.parametrize("doubled,n", [(False, 10), (False, 30), (True, 8), (True, 15)])
+def test_orbit_count_is_exact_at_one_letter(doubled, n, q, monkeypatch):
+    """At d = 1 a shape holds one state, the word of one letter, so the
+    orbit count before its weight is the products the sweep makes."""
+    ticks = _counting_products(monkeypatch)
+    mode = FORMAL if q is None else Mode(q)
+    fock._orbit_sweep(1, n, mode, doubled, cap=n)
+    made = next(ticks)
+    *_, estimate, _ = sweep_sizes(1, n, mode, doubled)
+    assert estimate == made
 
 
 def test_products_are_weighed_by_their_packed_width():
