@@ -23,6 +23,7 @@ from .dyck import (
     ChoiceTuple,
     DyckTuple,
     alternating_pattern,
+    choice_bounds,
     choice_number,
     choices_to_partition,
     crossings_from_choices,
@@ -34,6 +35,7 @@ from .dyck import (
     partition_to_choices,
     preimage_size,
     to_lattice_path,
+    walk_preimage,
 )
 from .polynomials import (
     BivarPoly,

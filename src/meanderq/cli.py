@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -126,8 +127,23 @@ def _q_arg(text: str) -> tuple[Mode, bool]:
         raise argparse.ArgumentTypeError(f"bad --q value: {exc}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads the word after ``--q`` as its value when
+    it starts like a negative number: argparse takes ``-1/2`` or ``-1e-1``,
+    unlike ``-0.5``, for an option."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] == "--q" and re.match(r"-[\d.]", arg):
+                joined[-1] = f"--q={arg}"
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meanderq",
         description="Meander/semi-meander polynomials, deformed Fock-space "
         "moments and moment-problem tooling, all in exact arithmetic.",

@@ -17,7 +17,8 @@ this ordering, so it is part of the contract.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate
+from math import prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -26,7 +27,6 @@ from .partitions import (
     LEFT,
     RIGHT,
     PairPartition,
-    Permutation,
     SidePattern,
     act,
     catalan,
@@ -148,6 +148,21 @@ def choice_number(eps: DyckTuple, h: int) -> int:
     return 2 * ones - (h - 1)
 
 
+def choice_bounds(eps: DyckTuple) -> tuple[int, ...]:
+    """The largest gamma_h at every position, from one pass of running
+    heights: 1 on a one, ``choice_number(eps, h)`` (the height before h) on
+    a star."""
+    bounds, height = [], 0
+    for s in eps.symbols:
+        if s == ONE:
+            bounds.append(1)
+            height += 1
+        else:
+            bounds.append(height)
+            height -= 1
+    return tuple(bounds)
+
+
 class ChoiceTuple:
     """Per-position choice parameters for a Dyck tuple: gamma_h == 1 on ones,
     1 <= gamma_h <= choice_number(eps, h) on stars."""
@@ -158,14 +173,13 @@ class ChoiceTuple:
         gammas = tuple(gammas)
         if len(gammas) != eps.size:
             raise ValueError("choice tuple and Dyck tuple lengths differ")
-        for h, (g, s) in enumerate(zip(gammas, eps.symbols), start=1):
+        checks = zip(gammas, eps.symbols, choice_bounds(eps))
+        for h, (g, s, bound) in enumerate(checks, start=1):
             if s == ONE:
                 if g != 1:
                     raise ValueError(f"gamma_{h} must be 1 on a one-position")
-            else:
-                bound = choice_number(eps, h)
-                if not 1 <= g <= bound:
-                    raise ValueError(f"gamma_{h}={g} outside 1..{bound}")
+            elif not 1 <= g <= bound:
+                raise ValueError(f"gamma_{h}={g} outside 1..{bound}")
         self.gammas = gammas
         self.eps = eps
 
@@ -207,33 +221,14 @@ def dyck_tuple_of(pi: PairPartition, chi: Sequence[str] | None = None) -> DyckTu
     return DyckTuple(symbols)
 
 
-def _candidate_order(
-    star_label: int,
-    star_height: int,
-    one_labels: list[int],
-    s: Permutation,
-    p: int,
-) -> list[int]:
-    """Unused one-decorated labels of smaller height, ranked by the frozen
-    boundary walk from the star towards the top edge."""
-    star_left = star_label <= p
-    same, other = [], []
-    for k in one_labels:
-        if s(k) >= star_height:
-            continue
-        (same if (k <= p) == star_left else other).append(k)
-    same.sort(key=s, reverse=True)
-    other.sort(key=s)
-    return same + other
-
-
-def _fibre_frame(eps: DyckTuple, chi: SidePattern):
-    """What both directions of the choice map walk with: the labels-to-heights
-    map, its inverse, the left-column size and the one-decorated labels."""
-    s = side_pattern_permutation(chi)
-    p = sum(1 for c in chi if c == LEFT)
-    ones = [k for k in range(1, eps.size + 1) if eps.symbols[s(k) - 1] == ONE]
-    return s, s.inverse(), p, ones
+def _ranked(free: Sequence[int], h: int, chi: SidePattern) -> list[int]:
+    """The open one-decorated heights ``free`` (ascending, all below the
+    star at height h) ranked by the frozen boundary walk from the star
+    towards the top edge: its own column by decreasing height, then the
+    other column by increasing height."""
+    side = chi[h - 1]
+    return ([j for j in reversed(free) if chi[j - 1] == side]
+            + [j for j in free if chi[j - 1] != side])
 
 
 def choices_to_partition(
@@ -242,22 +237,20 @@ def choices_to_partition(
     """Rebuild the pair-partition encoded by a choice tuple: visit the star
     heights in increasing order and close each with the gamma_h-th candidate."""
     eps = ct.eps
-    return _partition_in_frame(ct, _fibre_frame(eps, _resolve_chi(chi, eps.size)))
-
-
-def _partition_in_frame(ct: ChoiceTuple, frame) -> PairPartition:
-    """``choices_to_partition`` with the fibre's frame already built."""
-    s, sinv, p, ones = frame
-    free_ones, pairs = list(ones), []
-    for h in ct.eps.star_heights():
-        star_label = sinv(h)
-        order = _candidate_order(star_label, h, free_ones, s, p)
-        gamma = ct.gammas[h - 1]
+    chi = _resolve_chi(chi, eps.size)
+    label = side_pattern_permutation(chi).inverse().images
+    free: list[int] = []
+    pairs = []
+    for h, (s, gamma) in enumerate(zip(eps.symbols, ct.gammas), start=1):
+        if s == ONE:
+            free.append(h)
+            continue
+        order = _ranked(free, h, chi)
         if gamma > len(order):
             raise ValueError(f"gamma_{h}={gamma} exceeds the {len(order)} candidates")
-        partner = order[gamma - 1]
-        free_ones.remove(partner)
-        pairs.append((star_label, partner))
+        opener = order[gamma - 1]
+        free.remove(opener)
+        pairs.append((label[h - 1], label[opener - 1]))
     return PairPartition(pairs)
 
 
@@ -267,23 +260,60 @@ def partition_to_choices(
     """Inverse of ``choices_to_partition``; round-trips exactly."""
     chi = _resolve_chi(chi, pi.size)
     eps = dyck_tuple_of(pi, chi)
-    s, sinv, p, free_ones = _fibre_frame(eps, chi)
+    opener_of = {b: a for a, b in act(side_pattern_permutation(chi), pi).pairs}
+    free: list[int] = []
     gammas = [1] * pi.size
-    for h in eps.star_heights():
-        star_label = sinv(h)
-        order = _candidate_order(star_label, h, free_ones, s, p)
-        partner = pi.partner(star_label)
-        gammas[h - 1] = order.index(partner) + 1
-        free_ones.remove(partner)
+    for h, s in enumerate(eps.symbols, start=1):
+        if s == ONE:
+            free.append(h)
+            continue
+        opener = opener_of[h]
+        gammas[h - 1] = _ranked(free, h, chi).index(opener) + 1
+        free.remove(opener)
     return ChoiceTuple(gammas, eps)
 
 
 def preimage_size(eps: DyckTuple) -> int:
     """Product of the choice numbers over the star positions."""
-    out = 1
-    for h in eps.star_heights():
-        out *= choice_number(eps, h)
-    return out
+    return prod(choice_bounds(eps))
+
+
+def walk_preimage(
+    eps: DyckTuple, chi: Sequence[str] | None = None, cap: int | None = None
+) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """The fibre of ``eps`` walked depth first through the choice tree, star
+    parameters in height order, so members that share a prefix of choices
+    share its work.  Each member comes as its pairs in height coordinates
+    (opener, closer), sorted by opener, and its crossing number, counted on
+    its pairs in label coordinates as each pair is placed."""
+    chi = _resolve_chi(chi, eps.size)
+    choices = [c for c, s in zip(choice_bounds(eps), eps.symbols) if s == STAR]
+    check_size(eps.size // 2, cap, accumulate(choices, mul), ENUMERATION_BUDGET)
+    label = side_pattern_permutation(chi).inverse().images
+    symbols, size = eps.symbols, eps.size
+    ones = [h for h, s in enumerate(symbols, start=1) if s == ONE]
+    rank = {h: r for r, h in enumerate(ones)}
+    closers = [0] * len(ones)
+    placed: list[tuple[int, int]] = []
+
+    def walk(h: int, free: tuple[int, ...], cr: int):
+        while h <= size and symbols[h - 1] == ONE:
+            free += (h,)
+            h += 1
+        if h > size:
+            yield tuple(zip(ones, closers)), cr
+            return
+        b = label[h - 1]
+        for j in _ranked(free, h, chi):
+            a = label[j - 1]
+            lo, hi = (a, b) if a < b else (b, a)
+            more = sum(1 for c, e in placed if c < lo < e < hi or lo < c < hi < e)
+            closers[rank[j]] = h
+            placed.append((lo, hi))
+            yield from walk(h + 1, tuple(k for k in free if k != j), cr + more)
+            placed.pop()
+
+    return walk(1, (), 0)
 
 
 def enumerate_preimage(
@@ -292,15 +322,9 @@ def enumerate_preimage(
     """All pair-partitions whose decoration word is ``eps``, one per choice
     tuple, iterating the star parameters in height order."""
     chi = _resolve_chi(chi, eps.size)
-    stars = eps.star_heights()
-    choices = [choice_number(eps, h) for h in stars]
-    check_size(eps.size // 2, cap, accumulate(choices, mul), ENUMERATION_BUDGET)
-    frame = _fibre_frame(eps, chi)
-    for combo in product(*(range(1, c + 1) for c in choices)):
-        gammas = [1] * eps.size
-        for h, g in zip(stars, combo):
-            gammas[h - 1] = g
-        yield _partition_in_frame(ChoiceTuple(gammas, eps), frame)
+    label = side_pattern_permutation(chi).inverse().images
+    for pairs, _ in walk_preimage(eps, chi, cap):
+        yield PairPartition((label[k - 1], label[h - 1]) for k, h in pairs)
 
 
 def crossings_from_choices(ct: ChoiceTuple) -> int:

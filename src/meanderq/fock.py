@@ -186,7 +186,7 @@ def _accumulate(out: dict, word: Word, value) -> None:
 
 def apply(op: OpSymbol, x: FockVector) -> FockVector:
     """Linear extension of the four elementary actions to a sparse state."""
-    return _apply(op, x, slice(None))
+    return _apply(op.side, op.vector, x, op.flavor)
 
 
 def apply_piece(side: str, flavor: str, k: int, v: Sequence, x: FockVector) -> FockVector:
@@ -197,14 +197,15 @@ def apply_piece(side: str, flavor: str, k: int, v: Sequence, x: FockVector) -> F
         raise ValueError("creation pieces exist only for k == 1")
     if k < 1:
         raise ValueError("piece index k must be positive")
-    return _apply(op, x, slice(k - 1, k))
+    return _apply(side, op.vector, x, flavor, slice(k - 1, k))
 
 
-def _apply(op: OpSymbol, x: FockVector, pieces: slice) -> FockVector:
-    """``op`` on a sparse state, an annihilation keeping only the terms whose
-    removal position k (counted from the operator's side) lies in the slice
-    ``pieces`` of 1..n."""
-    v = op.vector
+def _apply(side: str, v: CoordVector, x: FockVector, flavors: str,
+           pieces: slice = slice(None)) -> FockVector:
+    """The factors at ``v`` on one side whose flavors are in ``flavors``
+    ('1', '*' or both), on a sparse state in one pass over its words; the
+    annihilation keeps only the terms whose removal position k (counted from
+    the operator's side) lies in the slice ``pieces`` of 1..n."""
     if len(v) != x.d:
         raise GroundSetError(f"operator vector has dimension {len(v)}, state {x.d}")
     # Integral Fractions as ints keep integer coefficients integer.
@@ -212,31 +213,32 @@ def _apply(op: OpSymbol, x: FockVector, pieces: slice) -> FockVector:
     mode = x.mode
     formal = mode.is_formal
     out: dict[Word, object] = {}
-    left = op.side == LEFT
-    if op.flavor == ONE:
-        for word, c in x.terms.items():
-            if len(word) + 1 > x.max_len:
+    left = side == LEFT
+    create, remove = ONE in flavors, STAR in flavors
+    for word, c in x.terms.items():
+        n = len(word)
+        if create:
+            if n + 1 > x.max_len:
                 raise TruncationOverflowError(
-                    f"creation on a length-{len(word)} word exceeds level {x.max_len}"
+                    f"creation on a length-{n} word exceeds level {x.max_len}"
                 )
             for i, vi in enumerate(v, start=1):
                 if not vi:
                     continue
                 nw = (i,) + word if left else word + (i,)
                 _accumulate(out, nw, c * vi)
-    else:
-        for word, c in x.terms.items():
-            n = len(word)
-            for k in range(1, n + 1)[pieces]:
-                pos = k - 1 if left else n - k
-                f = conjugate(v[word[pos] - 1])
-                if not f:
-                    continue
-                nw = word[:pos] + word[pos + 1 :]
-                if formal and type(c) is QPoly:
-                    _accumulate(out, nw, c.shifted(k - 1, f))
-                else:
-                    _accumulate(out, nw, c * (f * mode.q_power(k - 1)))
+        if not remove:
+            continue
+        for k in range(1, n + 1)[pieces]:
+            pos = k - 1 if left else n - k
+            f = conjugate(v[word[pos] - 1])
+            if not f:
+                continue
+            nw = word[:pos] + word[pos + 1 :]
+            if formal and type(c) is QPoly:
+                _accumulate(out, nw, c.shifted(k - 1, f))
+            else:
+                _accumulate(out, nw, c * (f * mode.q_power(k - 1)))
     return FockVector._trusted(x.d, x.max_len, mode, out)
 
 
@@ -306,8 +308,9 @@ def vacuum_expectation(ops: Sequence[OpSymbol], d: int, mode: Mode = FORMAL):
 
 
 def _position(side: str, v: CoordVector, x: FockVector) -> FockVector:
-    """The position operator (creation + annihilation) at v on one side."""
-    return apply(creator(side, v), x) + apply(annihilator(side, v), x)
+    """The position operator (creation + annihilation) at v on one side,
+    both built into one output map."""
+    return _apply(side, v, x, ONE + STAR)
 
 
 def apply_semi_meander_operator(x: FockVector) -> FockVector:

@@ -11,6 +11,7 @@ must agree exactly; non-Dyck flavor words give 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import product
 from typing import Callable, Sequence
@@ -21,8 +22,8 @@ from .dyck import (
     STAR,
     _resolve_chi,
     enumerate_bnc2_alternating,
-    enumerate_preimage,
     is_dyck,
+    walk_preimage,
 )
 from .errors import ENUMERATION_BUDGET, GroundSetError, check_size
 from .fock import (
@@ -37,7 +38,6 @@ from .fock import (
 from .partitions import (
     IndexTuple,
     PairPartition,
-    Permutation,
     SidePattern,
     act,
     block_count,
@@ -96,37 +96,50 @@ def _pair_inners(wp: WickProduct) -> Callable:
     return cache(lambda k, h: vector_inner(vectors[k - 1], vectors[h - 1]))
 
 
-def _term(pi: PairPartition, s: Permutation, inner: Callable, mode: Mode):
-    """``wick_term`` with the side-pattern permutation and the pair inner
-    products of its product given."""
-    heights = act(s, pi)
-    cr = crossings(pi)
-    value = 1 if mode.is_formal else mode.q_power(cr)
-    for k, h in heights.pairs:
-        value = value * inner(k, h)
-        if not value:
-            break
-    return QPoly.one().shifted(cr, value) if mode.is_formal else value
-
-
 def wick_term(pi: PairPartition, wp: WickProduct, mode: Mode = FORMAL):
     """Contribution of one pair-partition: q^cr times the product of inner
     products over its pairs in height coordinates (opener first).  For formal
     q the inner products multiply as plain scalars and q^cr is one shift."""
-    return _term(pi, side_pattern_permutation(wp.chi), _pair_inners(wp), mode)
+    heights = act(side_pattern_permutation(wp.chi), pi)
+    cr = crossings(pi)
+    start = 1 if mode.is_formal else mode.q_power(cr)
+    value = _inner_product(heights.pairs, _pair_inners(wp), start)
+    return QPoly.one().shifted(cr, value) if mode.is_formal else value
+
+
+def _inner_product(pairs, inner: Callable, value=1):
+    """``value`` times the inner products over the height pairs in their
+    order, stopping at the first zero."""
+    for k, h in pairs:
+        value = value * inner(k, h)
+        if not value:
+            break
+    return value
+
+
+def _degree_sum(sums: list, mode: Mode):
+    """sum_k sums[k] q^k as a scalar of the mode: in formal mode one
+    ``QPoly``, whose coefficients must be exact even where they are 0."""
+    if mode.is_formal:
+        for c in sums:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"exact scalar expected, got {type(c).__name__}")
+        return QPoly(sums)
+    return sum((c * mode.q_power(k) for k, c in enumerate(sums) if c), mode.zero())
 
 
 def wick_scalar_combinatorial(wp: WickProduct, mode: Mode = FORMAL):
     """Pairing-sum value of the vacuum amplitude; 0 for non-Dyck flavors.
-    The terms share one side-pattern permutation and one inner product per
-    pair of positions."""
+    One walk of the fibre gives each member's height pairs and crossing
+    number; the products of inner products, one per pair of positions,
+    are summed per crossing degree and weighed by q^cr once at the end."""
     if not is_dyck(wp.eps):
         return mode.zero()
-    s, inner = side_pattern_permutation(wp.chi), _pair_inners(wp)
-    total = mode.zero()
-    for pi in enumerate_preimage(DyckTuple(wp.eps), wp.chi):
-        total = total + _term(pi, s, inner, mode)
-    return total
+    eps, inner = DyckTuple(wp.eps), _pair_inners(wp)
+    sums = [0] * (eps.n * (eps.n - 1) // 2 + 1)
+    for pairs, cr in walk_preimage(eps, wp.chi):
+        sums[cr] += _inner_product(pairs, inner)
+    return _degree_sum(sums, mode)
 
 
 def wick_scalar_operator(wp: WickProduct, mode: Mode = FORMAL):
@@ -153,8 +166,12 @@ def height_compatible(
     read in height coordinates."""
     if len(index) != pi.size:
         raise GroundSetError(f"lengths differ: {len(index)} vs {pi.size}")
-    heights = act(side_pattern_permutation(_resolve_chi(chi, pi.size)), pi)
-    return all(index(a) == index(b) for a, b in heights.pairs)
+    return all(index(a) == index(b) for a, b in _height_pairs(pi, chi))
+
+
+def _height_pairs(pi: PairPartition, chi: Sequence[str] | None = None):
+    """The pairs of ``pi`` in height coordinates, sorted by opener."""
+    return act(side_pattern_permutation(_resolve_chi(chi, pi.size)), pi).pairs
 
 
 def compatible_crossing_sum(index: IndexTuple, eps: DyckTuple, mode: Mode = FORMAL):
@@ -164,11 +181,12 @@ def compatible_crossing_sum(index: IndexTuple, eps: DyckTuple, mode: Mode = FORM
     be empty, in which case it is 0."""
     if len(index) != eps.size:
         raise GroundSetError(f"lengths differ: {len(index)} vs {eps.size}")
-    total = mode.zero()
-    for pi in enumerate_preimage(eps):
-        if height_compatible(index, pi):
-            total = total + mode.q_power(crossings(pi))
-    return total
+    values = index.values
+    sums = [0] * (eps.n * (eps.n - 1) // 2 + 1)
+    for pairs, cr in walk_preimage(eps):
+        if all(values[a - 1] == values[b - 1] for a, b in pairs):
+            sums[cr] += 1
+    return _degree_sum(sums, mode)
 
 
 def basis_wick_product(index: IndexTuple, eps: Sequence[str], chi: Sequence[str] | None = None) -> WickProduct:
@@ -188,11 +206,12 @@ def doubled_compatible_count_bruteforce(pi: PairPartition, d: int) -> int:
     """Literal count over all d^(2n) index tuples (within the enumeration budget)."""
     two_n = pi.size
     check_size(two_n // 2, None, (d**j for j in range(1, two_n + 1)), ENUMERATION_BUDGET)
+    heights = _height_pairs(pi)
     count = 0
     for values in product(range(1, d + 1), repeat=two_n):
-        if any(values[2 * k] != values[2 * k + 1] for k in range(two_n // 2)):
+        if values[::2] != values[1::2]:
             continue
-        if height_compatible(IndexTuple(values, d), pi):
+        if all(values[a - 1] == values[b - 1] for a, b in heights):
             count += 1
     return count
 

@@ -16,7 +16,7 @@ from functools import wraps
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator
 
-from .dyck import (ONE, STAR, ChoiceTuple, DyckTuple, alternating_pattern, choice_number,
+from .dyck import (ONE, STAR, ChoiceTuple, DyckTuple, alternating_pattern, choice_bounds,
                    choices_to_partition, crossings_from_choices, enumerate_dyck,
                    partition_to_choices)
 from .errors import ENUMERATION_BUDGET, check_size
@@ -175,9 +175,8 @@ def suite_crossing_formula(n_max: int = 4, random_n: int = 6,
     for _ in range(random_count):
         eps = _random_dyck(rng, 2 * random_n)
         chi = _random_chi(rng, 2 * random_n)
-        gammas = [1] * eps.size
-        for h in eps.star_heights():
-            gammas[h - 1] = rng.randint(1, choice_number(eps, h))
+        gammas = [rng.randint(1, c) if s == STAR else 1
+                  for s, c in zip(eps.symbols, choice_bounds(eps))]
         ct = ChoiceTuple(gammas, eps)
         pi = choices_to_partition(ct, chi)
         failed = crossings_from_choices(ct) != crossings(pi)

@@ -138,7 +138,15 @@ class TestMoments:
         assert code == 0
         assert json.loads(out)["q"] == "-7/9"
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "1.0", "-1", "1/0", "0.5.5", "abc"])
+    @pytest.mark.parametrize("command,q", [("moments --d 1 --n 2", "-1/2"), ("spectrum", "-1e-1")])
+    def test_negative_q_as_its_own_argument(self, command, q, capsys):
+        # argparse alone reads a separate "-1/2" or "-1e-1" as an option
+        joined = run_cli(capsys, *command.split(), f"--q={q}")
+        separate = run_cli(capsys, *command.split(), "--q", q)
+        assert separate == joined
+        assert joined[0] == 0
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1.0", "-1", "-9/9", "1/0", "0.5.5", "abc"])
     def test_bad_q_exits_2(self, bad, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["moments", "--q", bad])

@@ -190,6 +190,23 @@ class TestPreimages:
             total += count
         assert total == odd_double_factorial(n)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_fibre_order_is_the_choice_tuple_order(self, n):
+        # the k-th member maps back to the k-th tuple of product() over the
+        # choice numbers, the last star's choice running fastest
+        rng = random.Random(n)
+        for eps in enumerate_dyck(2 * n):
+            stars = eps.star_heights()
+            want = []
+            for combo in product(*(range(1, choice_number(eps, h) + 1) for h in stars)):
+                gammas = [1] * (2 * n)
+                for h, g in zip(stars, combo):
+                    gammas[h - 1] = g
+                want.append(ChoiceTuple(gammas, eps))
+            for chi in [alternating_pattern(2 * n)] + [random_chi(rng, 2 * n) for _ in range(3)]:
+                got = [partition_to_choices(pi, chi) for pi in enumerate_preimage(eps, chi)]
+                assert got == want
+
     def test_fibres_partition_under_random_pattern(self):
         rng = random.Random(3)
         n = 4

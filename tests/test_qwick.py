@@ -8,7 +8,8 @@ from hypothesis import given, settings
 
 from conftest import rational_vectors
 
-from meanderq.dyck import ChoiceTuple, DyckTuple, alternating_pattern, enumerate_dyck
+from meanderq.dyck import (ChoiceTuple, DyckTuple, alternating_pattern, enumerate_dyck,
+                           enumerate_preimage)
 from meanderq.errors import GroundSetError
 from meanderq.fock import IndexTuple, OpSymbol, basis_vector, semi_meander_moment, vector_inner
 from meanderq.partitions import (
@@ -166,6 +167,35 @@ class TestWorkedSummand:
         wp = WickProduct(("l", "r"), ("1", "*"), ((bad, 1), (1, bad)))
         with pytest.raises(TypeError):
             wick_scalar_operator(wp)
+        with pytest.raises(TypeError):
+            wick_scalar_combinatorial(wp)
+
+    @pytest.mark.parametrize("mode", [Mode(), Mode(Fraction(-2, 5)), Mode(0.5)])
+    def test_combinatorial_route_is_the_sum_of_the_terms(self, mode):
+        # summed by crossing degree, the route equals the plain sum of
+        # wick_term over the fibre; float mode runs complex coordinates
+        rng = random.Random(46)
+        for n in range(1, 5):
+            for eps in enumerate_dyck(2 * n):
+                chi = tuple(rng.choice("lr") for _ in range(2 * n))
+                if mode.is_exact:
+                    us = tuple(rational_vec(rng) for _ in range(2 * n))
+                else:
+                    us = tuple((complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.uniform(-1, 1))
+                               for _ in range(2 * n))
+                wp = WickProduct(chi, eps.symbols, us)
+                terms = [wick_term(pi, wp, mode) for pi in enumerate_preimage(eps, chi)]
+                want = sum(terms, mode.zero())
+                got = wick_scalar_combinatorial(wp, mode)
+                assert got == (want if mode.is_exact else pytest.approx(want, abs=1e-12))
+
+    def test_formal_terms_reject_an_inexact_zero_inner_product(self):
+        # (1j, 1).(1, 1j) is 0j: the term, the sum and the route all refuse it
+        eps = DyckTuple.from_string("1*1*")
+        wp = WickProduct(tuple("lrlr"), eps.symbols, ((1j, 1), (1, 1j), (1, 2), (3, 1)))
+        for pi in enumerate_preimage(eps, wp.chi):
+            with pytest.raises(TypeError):
+                wick_term(pi, wp)
         with pytest.raises(TypeError):
             wick_scalar_combinatorial(wp)
 
