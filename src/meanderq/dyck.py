@@ -209,16 +209,30 @@ def _resolve_chi(chi: Sequence[str] | None, two_n: int) -> SidePattern:
     return chi
 
 
+def height_pairs(
+    pi: PairPartition, chi: Sequence[str] | None = None
+) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``pi`` in height coordinates (opener, closer), sorted
+    by opener.
+
+    >>> height_pairs(PairPartition([(1, 4), (2, 3)]))
+    ((1, 2), (3, 4))
+    """
+    return act(side_pattern_permutation(_resolve_chi(chi, pi.size)), pi).pairs
+
+
+def _decoration(pairs: Sequence[tuple[int, int]]) -> DyckTuple:
+    """Every height pair opens with "1" and closes with "*"."""
+    symbols = [STAR] * (2 * len(pairs))
+    for a, _ in pairs:
+        symbols[a - 1] = ONE
+    return DyckTuple(symbols)
+
+
 def dyck_tuple_of(pi: PairPartition, chi: Sequence[str] | None = None) -> DyckTuple:
     """Decoration word of a pair-partition: in height coordinates every pair
     opens with "1" at its smaller height and closes with "*" at its larger."""
-    chi = _resolve_chi(chi, pi.size)
-    heights = act(side_pattern_permutation(chi), pi)
-    symbols = [STAR] * pi.size
-    for a, b in heights.pairs:
-        symbols[a - 1] = ONE
-        symbols[b - 1] = STAR
-    return DyckTuple(symbols)
+    return _decoration(height_pairs(pi, chi))
 
 
 def _ranked(free: Sequence[int], h: int, chi: SidePattern) -> list[int]:
@@ -259,8 +273,8 @@ def partition_to_choices(
 ) -> ChoiceTuple:
     """Inverse of ``choices_to_partition``; round-trips exactly."""
     chi = _resolve_chi(chi, pi.size)
-    eps = dyck_tuple_of(pi, chi)
-    opener_of = {b: a for a, b in act(side_pattern_permutation(chi), pi).pairs}
+    pairs = height_pairs(pi, chi)
+    eps, opener_of = _decoration(pairs), {b: a for a, b in pairs}
     free: list[int] = []
     gammas = [1] * pi.size
     for h, s in enumerate(eps.symbols, start=1):
@@ -284,17 +298,15 @@ def walk_preimage(
     """The fibre of ``eps`` walked depth first through the choice tree, star
     parameters in height order, so members that share a prefix of choices
     share its work.  Each member comes as its pairs in height coordinates
-    (opener, closer), sorted by opener, and its crossing number, counted on
-    its pairs in label coordinates as each pair is placed."""
+    (opener, closer), sorted by opener, and its crossing number: the sum of
+    its choices' 0-based ranks gamma_h - 1, by the crossing formula."""
     chi = _resolve_chi(chi, eps.size)
     choices = [c for c, s in zip(choice_bounds(eps), eps.symbols) if s == STAR]
     check_size(eps.size // 2, cap, accumulate(choices, mul), ENUMERATION_BUDGET)
-    label = side_pattern_permutation(chi).inverse().images
     symbols, size = eps.symbols, eps.size
     ones = [h for h, s in enumerate(symbols, start=1) if s == ONE]
     rank = {h: r for r, h in enumerate(ones)}
     closers = [0] * len(ones)
-    placed: list[tuple[int, int]] = []
 
     def walk(h: int, free: tuple[int, ...], cr: int):
         while h <= size and symbols[h - 1] == ONE:
@@ -303,15 +315,9 @@ def walk_preimage(
         if h > size:
             yield tuple(zip(ones, closers)), cr
             return
-        b = label[h - 1]
-        for j in _ranked(free, h, chi):
-            a = label[j - 1]
-            lo, hi = (a, b) if a < b else (b, a)
-            more = sum(1 for c, e in placed if c < lo < e < hi or lo < c < hi < e)
+        for g, j in enumerate(_ranked(free, h, chi)):
             closers[rank[j]] = h
-            placed.append((lo, hi))
-            yield from walk(h + 1, tuple(k for k in free if k != j), cr + more)
-            placed.pop()
+            yield from walk(h + 1, tuple(k for k in free if k != j), cr + g)
 
     return walk(1, (), 0)
 

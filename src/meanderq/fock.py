@@ -556,16 +556,6 @@ def _left_x(word: Word, i: int) -> list[tuple[Word, int]]:
     return out
 
 
-def _t_legs(legs: tuple[Word], i: int) -> list:
-    """T_i = (l_i + l_i*)(r_i + r_i*) on one word: r_i + r_i* is left X_i reversed."""
-    return [((), e, w[::-1]) for w, e in _left_x(legs[0][::-1], i)]
-
-
-def _x_legs(legs: tuple[Word, Word], i: int) -> list:
-    """X_i (x) X_i on a word pair: left X_i on the first leg."""
-    return [((w,), e, legs[1]) for w, e in _left_x(legs[0], i)]
-
-
 def _step_tables(x: _OrbitVector) -> tuple[Callable, list, list, int]:
     """How one two-pass step multiplies the packed ints of ``x``: the
     product ``times``, the first pass's table of q^e, the second pass's of
@@ -588,42 +578,45 @@ def _step_tables(x: _OrbitVector) -> tuple[Callable, list, list, int]:
             [a**f * b ** (longest + 1 - f) for f in powers], x.scale + 2 * longest + 1)
 
 
-def _orbit_step(x: _OrbitVector, rule: Callable, reach: int, memo: dict) -> _OrbitVector:
-    """One application of sum_i O_i, in two passes joined by half-states.
+def _orbit_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _OrbitVector:
+    """One application of sum_i O_i, in two passes joined by half-states,
+    whose legs the factors act on and are laid out as in ``_loop_step``.
     The letters 1..u of a representative act as themselves and one fresh
     letter u+1 stands for the d-u unused ones.
 
-    * First pass: the factor ``rule(legs, i)``, listed as (other legs, power
-      of q, last leg).  Its output with the pending letter i as one more leg,
-      renamed jointly by first appearance, is a half-state.  The factor moves
-      the count of i alone, by one, so a half-state holds every letter of its
+    * First pass: left X_i on the first factor's leg.  Its output legs
+      after the pending letter (i,), renamed jointly by first appearance,
+      are a half-state whose letter 1 is pending.  The factor moves the
+      count of i alone, by one, so a half-state holds every letter of its
       input, and i is its one letter of odd count: its orbit has one member
       per (input member, i), and this pass needs no weight.
-    * Second pass: left X_i on the last leg of each half-state.  An output
-      without the letter i lies in a larger orbit and weighs d - used, used
+    * Second pass: left X_1 on the last leg of each half-state.  An output
+      without the letter 1 lies in a larger orbit and weighs d - used, used
       the letters it keeps: d-u+1 if i was an existing letter that left, d-u
       if the fresh letter was created and annihilated (T only: r_i, then
       l_i*).
 
-    A half-state whose last leg is longer than ``reach`` + 1, or an output
-    with a leg longer than ``reach``, cannot reach the vacuum again (see
-    ``_run_sweep``) and is dropped before it is canonicalised.  ``memo``, shared
-    by a sweep's steps, maps each other raw half-state to its key, and each
-    other raw output (one leg fewer) to its key and the letters it uses.
-    Half-states of value 0 (at exact q = 0, every removal past position 0)
-    are dropped between the passes.  The products are those of
-    ``_step_tables``, and the second pass's weight d - used is an int."""
+    A half-state with its last leg longer than ``reach`` + 1 or another leg
+    longer than ``reach``, or an output with a leg longer than ``reach``,
+    cannot reach the vacuum again (see ``_run_sweep``) and is dropped
+    before it is canonicalised.  ``memo``, shared by a sweep's steps, maps
+    each other raw half-state to its key, and each other raw output (one
+    leg fewer) to its key and the letters it uses.  Half-states of value 0
+    (at exact q = 0, every removal past position 0) are dropped between the
+    passes.  The products are those of ``_step_tables``, and the second
+    pass's weight d - used is an int."""
     d = x.d
     times, first, second, scale = _step_tables(x)
     add, lookup, half, out = _accumulate, memo.get, {}, {}
     for legs, c in x.terms.items():
         u = max(chain.from_iterable(legs), default=0)
+        word = legs[0] if doubled else legs[0][::-1]
         for i in range(1, min(u + 1, d) + 1):
-            pending = (i,)
-            for head, e, last in rule(legs, i):
-                if head and len(head[0]) > reach or len(last) > reach + 1:
+            for w, e in _left_x(word, i):
+                head, last = ((w,), legs[1]) if doubled else ((), w[::-1])
+                if doubled and len(w) > reach or len(last) > reach + 1:
                     continue
-                raw = (*head, last, pending)
+                raw = ((i,), *head, last)
                 key = lookup(raw)
                 if key is None:
                     key = memo[raw] = _canonical_pattern(*raw)
@@ -631,9 +624,9 @@ def _orbit_step(x: _OrbitVector, rule: Callable, reach: int, memo: dict) -> _Orb
     for state, c in half.items():
         if not c:
             continue
-        head, last, (i,) = state[:-2], state[-2], state[-1]
+        head, last = state[1:-1], state[-1]
         letters = max(chain.from_iterable(state))
-        for w, f in _left_x(last, i):
+        for w, f in _left_x(last, 1):
             if len(w) > reach:
                 continue
             raw = head + (w,)
@@ -780,8 +773,7 @@ def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, cap: int | None = No
     an exact mode on relabelling orbits, first priced by ``sweep_sizes``."""
     check_size(n, cap, sweep_sizes(d, n, mode, doubled), SWEEP_BUDGET)
     width = _history_bits(n, doubled, d) if mode.is_formal else 0
-    step = partial(_orbit_step, rule=_x_legs if doubled else _t_legs)
-    return _run_sweep(step, n, doubled, d, mode, width)
+    return _run_sweep(partial(_orbit_step, doubled=doubled), n, doubled, d, mode, width)
 
 
 # The least d whose moments the loop basis sweeps: its states do not grow

@@ -327,11 +327,7 @@ def labels_to_heights(n: int) -> Permutation:
     >>> labels_to_heights(5).images
     (1, 3, 5, 7, 9, 10, 8, 6, 4, 2)
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    images = [2 * k - 1 for k in range(1, n + 1)]
-    images += [2 * (2 * n - k + 1) for k in range(n + 1, 2 * n + 1)]
-    return Permutation(images)
+    return side_pattern_permutation((LEFT, RIGHT) * n)
 
 
 def check_side_pattern(chi: Sequence[str]) -> SidePattern:

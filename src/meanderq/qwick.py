@@ -11,7 +11,6 @@ must agree exactly; non-Dyck flavor words give 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from typing import Callable, Sequence
@@ -22,6 +21,7 @@ from .dyck import (
     STAR,
     _resolve_chi,
     enumerate_bnc2_alternating,
+    height_pairs,
     is_dyck,
     walk_preimage,
 )
@@ -39,14 +39,12 @@ from .partitions import (
     IndexTuple,
     PairPartition,
     SidePattern,
-    act,
     block_count,
     check_side_pattern,
     crossings,
     interval_pairs,
     join,
     rainbow,
-    side_pattern_permutation,
 )
 from .scalars import FORMAL, Mode, QPoly
 
@@ -100,10 +98,11 @@ def wick_term(pi: PairPartition, wp: WickProduct, mode: Mode = FORMAL):
     """Contribution of one pair-partition: q^cr times the product of inner
     products over its pairs in height coordinates (opener first).  For formal
     q the inner products multiply as plain scalars and q^cr is one shift."""
-    heights = act(side_pattern_permutation(wp.chi), pi)
+    if pi.size != wp.size:
+        raise GroundSetError(f"ground sets differ: {pi.size} vs {wp.size}")
     cr = crossings(pi)
     start = 1 if mode.is_formal else mode.q_power(cr)
-    value = _inner_product(heights.pairs, _pair_inners(wp), start)
+    value = _inner_product(height_pairs(pi, wp.chi), _pair_inners(wp), start)
     return QPoly.one().shifted(cr, value) if mode.is_formal else value
 
 
@@ -119,11 +118,8 @@ def _inner_product(pairs, inner: Callable, value=1):
 
 def _degree_sum(sums: list, mode: Mode):
     """sum_k sums[k] q^k as a scalar of the mode: in formal mode one
-    ``QPoly``, whose coefficients must be exact even where they are 0."""
+    ``QPoly``, which refuses an inexact coefficient even where it is 0."""
     if mode.is_formal:
-        for c in sums:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"exact scalar expected, got {type(c).__name__}")
         return QPoly(sums)
     return sum((c * mode.q_power(k) for k, c in enumerate(sums) if c), mode.zero())
 
@@ -166,12 +162,7 @@ def height_compatible(
     read in height coordinates."""
     if len(index) != pi.size:
         raise GroundSetError(f"lengths differ: {len(index)} vs {pi.size}")
-    return all(index(a) == index(b) for a, b in _height_pairs(pi, chi))
-
-
-def _height_pairs(pi: PairPartition, chi: Sequence[str] | None = None):
-    """The pairs of ``pi`` in height coordinates, sorted by opener."""
-    return act(side_pattern_permutation(_resolve_chi(chi, pi.size)), pi).pairs
+    return all(index(a) == index(b) for a, b in height_pairs(pi, chi))
 
 
 def compatible_crossing_sum(index: IndexTuple, eps: DyckTuple, mode: Mode = FORMAL):
@@ -206,7 +197,7 @@ def doubled_compatible_count_bruteforce(pi: PairPartition, d: int) -> int:
     """Literal count over all d^(2n) index tuples (within the enumeration budget)."""
     two_n = pi.size
     check_size(two_n // 2, None, (d**j for j in range(1, two_n + 1)), ENUMERATION_BUDGET)
-    heights = _height_pairs(pi)
+    heights = height_pairs(pi)
     count = 0
     for values in product(range(1, d + 1), repeat=two_n):
         if values[::2] != values[1::2]:

@@ -1,4 +1,5 @@
 import doctest
+import importlib
 import re
 from functools import partial
 from pathlib import Path
@@ -104,3 +105,16 @@ def test_readme_suite_table_lists_the_registered_suites():
     aliases = {suite: alias for alias, suite in SUITE_ALIASES.items()}
     assert len(rows) == len(SUITES)
     assert {suite: alias for suite, alias, *_ in rows} == {s: aliases.get(s, "") for s in SUITES}
+
+
+def test_readme_layout_names_exist():
+    """Every backticked name with an underscore in the README library
+    layout is an attribute of some ``meanderq`` module, so a change that
+    removes or renames a function cannot leave its name there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    layout = readme[readme.index("| module | contents |"):].split("\n\n")[0]
+    names = {name for name in re.findall(r"`(\w+)`", layout) if "_" in name}
+    package = Path(meanderq.dyck.__file__).parent
+    modules = [importlib.import_module(f"meanderq.{path.stem}") for path in package.glob("*.py")]
+    missing = sorted(name for name in names if not any(hasattr(m, name) for m in modules))
+    assert names and missing == []

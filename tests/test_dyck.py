@@ -14,10 +14,12 @@ from meanderq.dyck import (
     enumerate_bnc2_alternating,
     enumerate_dyck,
     enumerate_preimage,
+    height_pairs,
     is_dyck,
     partition_to_choices,
     preimage_size,
     to_lattice_path,
+    walk_preimage,
 )
 from meanderq.partitions import (
     PairPartition,
@@ -244,6 +246,19 @@ class TestCrossingFormula:
                     chi = random_chi(rng, 2 * n)
                     ct = partition_to_choices(pi, chi)
                     assert crossings_from_choices(ct) == crossings(pi)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_the_walk_reads_each_crossing_number_off_its_choices(self, n):
+        # walk_preimage sums its choices' ranks gamma_h - 1 rather than
+        # counting crossings: member by member, its height pairs and its
+        # number are those of the partition enumerate_preimage yields
+        rng = random.Random(10 + n)
+        for eps in enumerate_dyck(2 * n):
+            for chi in [alternating_pattern(2 * n)] + [random_chi(rng, 2 * n) for _ in range(3)]:
+                members = list(walk_preimage(eps, chi))
+                pis = list(enumerate_preimage(eps, chi))
+                assert [pairs for pairs, _ in members] == [height_pairs(pi, chi) for pi in pis]
+                assert [cr for _, cr in members] == [crossings(pi) for pi in pis]
 
 
 class TestBiNoncrossing:

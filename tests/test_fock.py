@@ -438,8 +438,8 @@ class TestSemiMeanderMoment:
     def test_packed_width_bounds_every_half_state(self, d, n, doubled, monkeypatch):
         # run the formal orbit sweep with digits 3C wide, C = _history_bits,
         # so that none can carry, keep every dict a step accumulates into,
-        # and each q-digit of a state or a half-state (keyed with its
-        # pending letter as one more leg) must stay below 2^C
+        # and each q-digit of a state or a half-state (one leg more, the
+        # pending letter first) must stay below 2^C
         bits = _history_bits(n, doubled, d)
         tables, accumulate = {}, fock._accumulate
 

@@ -162,6 +162,11 @@ class TestWorkedSummand:
             want = want * vector_inner(us[k - 1], us[h - 1])
         assert wick_term(REFERENCE_PI, wp, mode) == want
 
+    def test_wick_term_refuses_a_partition_of_another_size(self):
+        wp = WickProduct(alternating_pattern(10), EPS_EXAMPLE.symbols, ((1, 0),) * 10)
+        with pytest.raises(GroundSetError):
+            wick_term(PairPartition([(1, 3), (2, 4)]), wp)
+
     @pytest.mark.parametrize("bad", [0.5, 1j])
     def test_formal_wick_rejects_inexact_coordinates(self, bad):
         wp = WickProduct(("l", "r"), ("1", "*"), ((bad, 1), (1, bad)))

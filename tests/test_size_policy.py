@@ -7,6 +7,7 @@ import math
 import time
 from collections import Counter, deque
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -209,6 +210,25 @@ def test_loop_states_bound_every_layer(doubled, steps):
         assert shapes[(m, m) if doubled else (2 * m,)] == 1
         for shape, count in shapes.items():
             assert count <= odd_double_factorial(sum(shape) // 2), (m, shape)
+
+
+HALF = Mode(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("run,products", [
+    pytest.param(partial(semi_meander_moment_sweep, 2, 12, HALF, cap=12), 16_685, id="T-d2-n12"),
+    pytest.param(partial(meander_moment_sweep, 2, 6, HALF, cap=6), 12_058, id="X-d2-n6"),
+    pytest.param(partial(semi_meander_moment_sweep, 2, 14, FORMAL, cap=14), 68_987,
+                 id="T-d2-n14-formal"),
+    pytest.param(partial(semi_meander_moment_sweep, 3, 10, HALF, cap=10), 3_680, id="T-d3-n10"),
+    pytest.param(partial(loop_sweep, 13, False, cap=13), 51_518, id="Q13"),
+])
+def test_the_sweeps_make_these_products(run, products, monkeypatch):
+    """The work of both steps in both bases, pinned: a change to a step
+    that makes more or fewer products (``_accumulate`` calls) fails here."""
+    ticks = _counting_products(monkeypatch)
+    run()
+    assert next(ticks) == products
 
 
 @pytest.mark.parametrize("q", [None, Fraction(1, 2)])
