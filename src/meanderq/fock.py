@@ -12,12 +12,14 @@ rational coordinates; floating mode, for complex ones, is word-level only.
 
 Moments and the polynomials in (t, q) are swept by one engine in two bases,
 each step in two passes: the first factor into half-states, then the second
-factor from each.  The orbit basis keeps one word (word pair for X) per
-relabelling orbit of the letters, and runs the moments at d <= 2, where few
-letters keep its states small.  The loop basis keeps only which two open
-ends belong to one path, so its states do not grow with d: it counts each
-closed loop with t, the int d for the moments at d >= 3 and 2^W for the
-polynomials.
+factor from each.  One move rule (``_left_moves``) and one first pass
+(``_half_states``) serve both bases, which differ only in the labels a
+creation may use and in the second pass.  The orbit basis keeps one word
+(word pair for X) per relabelling orbit of the letters, and runs the
+moments at d <= 2, where few letters keep its states small.  The loop basis
+keeps only which two open ends belong to one path, so its states do not
+grow with d: it counts each closed loop with t, the int d for the moments
+at d >= 3 and 2^W for the polynomials.
 """
 
 from __future__ import annotations
@@ -344,7 +346,7 @@ def _horizons(n: int, doubled: bool) -> Iterator[int]:
 # C (degree + 1) bits, an exact one multiplies a numerator of up to
 # S log2(b) bits by a table entry of at most M log2(b) bits, S the sum and
 # M the largest of the steps' denominator growths 2 (longest leg) + 1 (see
-# _orbit_step).
+# _step_tables).
 # Every product of an orbit sweep also slices, hashes and looks up words of
 # up to n letters in all (2n for X); at _LEG_ENDS letters that doubles its
 # cost (fitted the same way at d = 1, n = 20..196).
@@ -547,15 +549,6 @@ def _canonical_pattern(*legs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _left_x(word: Word, i: int) -> list[tuple[Word, int]]:
-    """l_i + l_i* on a basis word, as (word, power of q) pairs."""
-    out = [((i,) + word, 0)]
-    for k, a in enumerate(word):
-        if a == i:
-            out.append((word[:k] + word[k + 1 :], k))
-    return out
-
-
 def _step_tables(x: _OrbitVector) -> tuple[Callable, list, list, int]:
     """How one two-pass step multiplies the packed ints of ``x``: the
     product ``times``, the first pass's table of q^e, the second pass's of
@@ -578,57 +571,79 @@ def _step_tables(x: _OrbitVector) -> tuple[Callable, list, list, int]:
             [a**f * b ** (longest + 1 - f) for f in powers], x.scale + 2 * longest + 1)
 
 
-def _orbit_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _OrbitVector:
-    """One application of sum_i O_i, in two passes joined by half-states,
-    whose legs the factors act on and are laid out as in ``_loop_step``.
-    The letters 1..u of a representative act as themselves and one fresh
-    letter u+1 stands for the d-u unused ones.
+def _left_moves(word: Word, fresh: Iterable[int]) -> list[tuple[Word, int, int]]:
+    """A left factor on a word, as (word, power of q, label moved): the
+    creation of each label in ``fresh`` (q^0), and the removal of the
+    letter with k letters before it (q^k)."""
+    out = []
+    for a in fresh:
+        out.append(((a,) + word, 0, a))
+    for k, a in enumerate(word):
+        out.append((word[:k] + word[k + 1 :], k, a))
+    return out
 
-    * First pass: left X_i on the first factor's leg.  Its output legs
-      after the pending letter (i,), renamed jointly by first appearance,
-      are a half-state whose letter 1 is pending.  The factor moves the
-      count of i alone, by one, so a half-state holds every letter of its
-      input, and i is its one letter of odd count: its orbit has one member
-      per (input member, i), and this pass needs no weight.
-    * Second pass: left X_1 on the last leg of each half-state.  An output
-      without the letter 1 lies in a larger orbit and weighs d - used, used
-      the letters it keeps: d-u+1 if i was an existing letter that left, d-u
-      if the fresh letter was created and annihilated (T only: r_i, then
-      l_i*).
+
+def _half_states(x: _OrbitVector, doubled: bool, reach: int, memo: dict,
+                 times: Callable, first: list, fresh: Callable) -> dict:
+    """The first pass of a two-pass step, the same in both bases: the first
+    factor (T: r_i, on the word read from the right; X: left, on leg 1)
+    moves a label of each state of ``x`` by ``_left_moves``, creating one
+    of ``fresh(legs)``.  The output's legs after the moved label (label,),
+    renamed jointly by first appearance, are a half-state, whose label 1 is
+    pending: the step's letter on orbits, its open path on loops.  The
+    second pass acts on its last leg (T: l_i; X: left, on leg 2).  A
+    product is ``times(c, first[e])`` (see ``_step_tables``).
 
     A half-state with its last leg longer than ``reach`` + 1 or another leg
-    longer than ``reach``, or an output with a leg longer than ``reach``,
-    cannot reach the vacuum again (see ``_run_sweep``) and is dropped
-    before it is canonicalised.  ``memo``, shared by a sweep's steps, maps
-    each other raw half-state to its key, and each other raw output (one
-    leg fewer) to its key and the letters it uses.  Half-states of value 0
-    (at exact q = 0, every removal past position 0) are dropped between the
-    passes.  The products are those of ``_step_tables``, and the second
-    pass's weight d - used is an int."""
+    longer than ``reach``, or an output of the second pass with a leg longer
+    than ``reach``, cannot reach the vacuum again (see ``_run_sweep``) and
+    is dropped before it is canonicalised.  ``memo``, shared by a sweep's
+    steps, maps each other raw half-state to its key, and the second pass
+    keeps its raw outputs (one leg fewer) there too.  Half-states of value 0
+    (at exact q = 0, every removal past position 0) are dropped."""
+    add, lookup, half = _accumulate, memo.get, {}
+    for legs, c in x.terms.items():
+        word = legs[0] if doubled else legs[0][::-1]
+        for w, e, label in _left_moves(word, fresh(legs)):
+            head, last = ((w,), legs[1]) if doubled else ((), w[::-1])
+            if doubled and len(w) > reach or len(last) > reach + 1:
+                continue
+            raw = ((label,), *head, last)
+            key = lookup(raw)
+            if key is None:
+                key = memo[raw] = _canonical_pattern(*raw)
+            add(half, key, times(c, first[e]))
+    for state in [state for state, c in half.items() if not c]:
+        del half[state]
+    return half
+
+
+def _orbit_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _OrbitVector:
+    """One application of sum_i O_i on relabelling orbits.  The letters
+    1..u of a representative act as themselves and one fresh letter u+1
+    stands for the d-u unused ones, so the first pass creates one of the
+    letters 1..min(u+1, d).  A factor moves the count of its letter alone,
+    by one, so a half-state holds every letter of its input and its pending
+    letter 1 is its one letter of odd count: its orbit has one member per
+    (input member, letter), and the first pass needs no weight.
+
+    The second pass is left X_1 on the last leg: it creates the letter 1,
+    or removes a 1 with j letters before it (q^j).  An output without the
+    letter 1 lies in a larger orbit and weighs the int d - used, used the
+    letters it keeps: d-u+1 if an existing letter left, d-u if the fresh
+    letter was created and annihilated (T only: r_i, then l_i*)."""
     d = x.d
     times, first, second, scale = _step_tables(x)
-    add, lookup, half, out = _accumulate, memo.get, {}, {}
-    for legs, c in x.terms.items():
-        u = max(chain.from_iterable(legs), default=0)
-        word = legs[0] if doubled else legs[0][::-1]
-        for i in range(1, min(u + 1, d) + 1):
-            for w, e in _left_x(word, i):
-                head, last = ((w,), legs[1]) if doubled else ((), w[::-1])
-                if doubled and len(w) > reach or len(last) > reach + 1:
-                    continue
-                raw = ((i,), *head, last)
-                key = lookup(raw)
-                if key is None:
-                    key = memo[raw] = _canonical_pattern(*raw)
-                add(half, key, times(c, first[e]))
+    add, lookup, out = _accumulate, memo.get, {}
+    half = _half_states(x, doubled, reach, memo, times, first, lambda legs: range(
+        1, min(max(chain.from_iterable(legs), default=0) + 1, d) + 1))
     for state, c in half.items():
-        if not c:
-            continue
         head, last = state[1:-1], state[-1]
         letters = max(chain.from_iterable(state))
-        for w, f in _left_x(last, 1):
-            if len(w) > reach:
-                continue
+        moves = [(last[:j] + last[j + 1 :], j) for j, a in enumerate(last) if a == 1]
+        if len(last) < reach:
+            moves.append(((1,) + last, 0))
+        for w, f in moves:
             raw = head + (w,)
             hit = lookup(raw)
             if hit is None:
@@ -640,15 +655,6 @@ def _orbit_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _Orbi
                 value = value * (d - used)
             add(out, key, value)
     return _OrbitVector(d, x.mode, x.vacuum, out, x.width, scale)
-
-
-def _left_ends(word: Word) -> list[tuple[Word, int, int]]:
-    """A factor on the left of a word of path ends, as (word, power of q,
-    the path the step extends): a fresh end, labelled 0, or each removal."""
-    out = [((0,) + word, 0, 0)]
-    for k, a in enumerate(word):
-        out.append((word[:k] + word[k + 1 :], k, a))
-    return out
 
 
 def _loop_key(memo: dict, raw: tuple) -> tuple:
@@ -665,45 +671,25 @@ def _loop_key(memo: dict, raw: tuple) -> tuple:
 
 def _loop_step(x: _OrbitVector, doubled: bool, loop: int, reach: int,
                memo: dict) -> _OrbitVector:
-    """One application of sum_i O_i in the loop basis, in two passes joined
-    by half-states.  A state keeps, of the open paths the steps have drawn,
-    only which two ends belong to one path: a tuple of legs (one word for T,
-    a word pair for X) of path ends, each label occurring exactly twice
-    over the legs, renamed jointly by first appearance.  A path's letter is
-    free, so summing the orbit sweep's letters gives d per closed loop; the
-    loop basis makes each pairing of the factors once, and a closed loop
-    multiplies by the int ``loop``: d for a moment, t = 2^W for a
-    polynomial in (t, q).
+    """One application of sum_i O_i in the loop basis.  A state keeps, of
+    the open paths the steps have drawn, only which two ends belong to one
+    path: a tuple of legs (one word for T, a word pair for X) of path ends,
+    each label occurring exactly twice over the legs, renamed jointly by
+    first appearance.  A path's letter is free, so summing the orbit
+    sweep's letters gives d per closed loop; the loop basis makes each
+    pairing of the factors once, and a closed loop multiplies by the int
+    ``loop``: d for a moment, t = 2^W for a polynomial in (t, q).  The first
+    pass creates a fresh end, labelled 0, or removes an end and so extends
+    that end's path; either way the step's path 1 has one end left.
 
-    * First pass: the first factor (T: r_i, on the word read from the
-      right; X: left, on leg 1) creates a fresh end, or removes the end
-      with k ends before it (weight q^k) and so extends that end's path.
-      Either way the step's path has one end left in the legs.  The legs
-      with that path renamed first, so ``_canonical_pattern((path,), *legs)``,
-      are a half-state: path 1 is the one label that occurs once.
-    * Second pass: the second factor (T: l_i; X: left, on leg 2) creates
-      the other end of path 1, or removes the end with j ends before it
-      (q^j): removing path 1's end closes a loop (times ``loop``), and
-      removing another end joins its path to path 1, the survivor of its
-      pair taking label 1.
-
-    Pruning, the memo and the dropped zero half-states are as in
-    ``_orbit_step``, and the products are those of ``_step_tables``."""
+    The second pass creates the other end of path 1, or removes the end with
+    j ends before it (q^j): removing path 1's end closes a loop (times
+    ``loop``), and removing another end joins its path to path 1, the
+    survivor of its pair taking label 1."""
     times, first, second, scale = _step_tables(x)
-    add, lookup, half, out = _accumulate, memo.get, {}, {}
-    for legs, c in x.terms.items():
-        for ends, e, path in _left_ends(legs[0] if doubled else legs[0][::-1]):
-            head, last = ((ends,), legs[1]) if doubled else ((), ends[::-1])
-            if doubled and len(ends) > reach or len(last) > reach + 1:
-                continue
-            raw = ((path,), *head, last)
-            key = lookup(raw)
-            if key is None:
-                key = memo[raw] = _canonical_pattern(*raw)
-            add(half, key, times(c, first[e]))
+    add, lookup, out = _accumulate, memo.get, {}
+    half = _half_states(x, doubled, reach, memo, times, first, lambda legs: (0,))
     for state, c in half.items():
-        if not c:
-            continue
         head, last = state[1:-1], state[-1]
         if len(last) < reach:
             raw = (head, (1,) + last, 1)

@@ -152,21 +152,16 @@ class Quadrature:
                 "reproduced_moments": reproduced}
 
 
-def _jacobi_matrix(rec: JacobiRecurrence, k: int) -> np.ndarray:
-    """The k x k symmetric tridiagonal recurrence matrix, in float64."""
+def quadrature_from_jacobi(rec: JacobiRecurrence, k: int) -> Quadrature:
+    """Eigen-decomposition of the k x k symmetric tridiagonal recurrence
+    matrix, in float64: nodes are the eigenvalues, weights the squared
+    first components.  Reproduces m_0..m_{2k-1}."""
+    if k < 1 or k > rec.depth:
+        raise ValueError(f"k must lie in 1..{rec.depth}")
     j = np.diag([float(a) for a in rec.alphas[:k]])
     for i in range(k - 1):
         j[i, i + 1] = j[i + 1, i] = math.sqrt(rec.betas[i + 1])
-    return j
-
-
-def quadrature_from_jacobi(rec: JacobiRecurrence, k: int) -> Quadrature:
-    """Eigen-decomposition of the k x k recurrence matrix: nodes are the
-    eigenvalues, weights the squared first components.  Reproduces
-    m_0..m_{2k-1}."""
-    if k < 1 or k > rec.depth:
-        raise ValueError(f"k must lie in 1..{rec.depth}")
-    eigvals, eigvecs = np.linalg.eigh(_jacobi_matrix(rec, k))
+    eigvals, eigvecs = np.linalg.eigh(j)
     weights = (eigvecs[0, :] ** 2) * float(rec.betas[0])
     order = np.argsort(eigvals)
     return Quadrature(
@@ -191,15 +186,6 @@ def realize(ms: MomentSequence, nodes: int | None = None) -> Realization:
     rec = jacobi_from_moments(ms)
     quad = quadrature_from_jacobi(rec, min(nodes or rec.depth, rec.depth))
     return Realization(_min_eigenvalue(ms, (len(ms) - 1) // 2 + 1), rec, quad)
-
-
-def moments_from_jacobi(rec: JacobiRecurrence, n_max: int) -> tuple[float, ...]:
-    """Re-expand moments from recurrence data (valid through m_{2*depth-1})."""
-    j, vec, out = _jacobi_matrix(rec, rec.depth), np.eye(rec.depth)[0], []
-    for _ in range(n_max + 1):
-        out.append(float(vec[0]))
-        vec = j @ vec
-    return tuple(out)
 
 
 def semi_meander_norm_bounds(d: int, n_max: int = 4) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 from .dyck import (ONE, STAR, ChoiceTuple, DyckTuple, alternating_pattern, choice_bounds,
                    choices_to_partition, crossings_from_choices, enumerate_dyck,
-                   partition_to_choices)
+                   partition_to_choices, to_lattice_path)
 from .errors import ENUMERATION_BUDGET, check_size
 from .fock import (FockVector, commutator_defect, meander_moment, meander_moment_direct,
                    semi_meander_moment)
@@ -91,11 +91,8 @@ def _cycle_lemma_dyck(symbols: list[str]) -> DyckTuple:
     rotate it to start just after the first minimum of its prefix height,
     which leaves a star last, and drop that star.  Each Dyck word comes from
     exactly 2n+1 arrangements, the rotations of the word with a star appended."""
-    height = low = cut = 0
-    for i, s in enumerate(symbols, start=1):
-        height += 1 if s == ONE else -1
-        if height < low:
-            low, cut = height, i
+    path = to_lattice_path(symbols)
+    cut = path.index(min(path)) + 1
     return DyckTuple(symbols[cut:] + symbols[: cut - 1])
 
 

@@ -1,3 +1,4 @@
+import ast
 import doctest
 import importlib
 import re
@@ -107,14 +108,25 @@ def test_readme_suite_table_lists_the_registered_suites():
     assert {suite: alias for suite, alias, *_ in rows} == {s: aliases.get(s, "") for s in SUITES}
 
 
+def _docstring_citations(package: Path) -> set[str]:
+    """The ``_private`` names that a module, class or function docstring of
+    the package cites between double backticks."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {name for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, kinds)
+            for name in re.findall(r"``(_\w+)[^`]*``", ast.get_docstring(node) or "")}
+
+
 def test_readme_layout_names_exist():
     """Every backticked name with an underscore in the README library
-    layout is an attribute of some ``meanderq`` module, so a change that
-    removes or renames a function cannot leave its name there."""
+    layout, and every ``_private`` name a docstring cites, is an attribute
+    of some ``meanderq`` module, so a change that removes or renames a
+    function cannot leave its name there."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     layout = readme[readme.index("| module | contents |"):].split("\n\n")[0]
     names = {name for name in re.findall(r"`(\w+)`", layout) if "_" in name}
     package = Path(meanderq.dyck.__file__).parent
+    cited = _docstring_citations(package)
     modules = [importlib.import_module(f"meanderq.{path.stem}") for path in package.glob("*.py")]
-    missing = sorted(name for name in names if not any(hasattr(m, name) for m in modules))
-    assert names and missing == []
+    missing = sorted(name for name in names | cited if not any(hasattr(m, name) for m in modules))
+    assert names and cited and missing == []

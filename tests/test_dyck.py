@@ -4,9 +4,11 @@ from itertools import product
 import pytest
 
 from meanderq.dyck import (
+    ONE,
     ChoiceTuple,
     DyckTuple,
     alternating_pattern,
+    choice_bounds,
     choice_number,
     choices_to_partition,
     crossings_from_choices,
@@ -96,6 +98,8 @@ class TestChoiceNumbers:
     @pytest.mark.parametrize("two_n", (2, 4, 6, 8, 10, 12))
     def test_always_positive(self, two_n):
         for eps in enumerate_dyck(two_n):
+            assert choice_bounds(eps) == tuple(1 if s == ONE else choice_number(eps, h)
+                                               for h, s in enumerate(eps.symbols, start=1))
             for h in eps.star_heights():
                 assert choice_number(eps, h) >= 1
 

@@ -13,7 +13,6 @@ from meanderq.spectra import (
     hankel_psd_check,
     jacobi_from_moments,
     meander_moments,
-    moments_from_jacobi,
     negativity_witness,
     quadrature_from_jacobi,
     realize,
@@ -147,12 +146,20 @@ class TestJacobi:
         assert rec.betas[1] == pytest.approx(1.0)
 
     def test_round_trip_semi_meander(self):
-        ms = semi_meander_moments(2, Fraction(0), 8)
-        rec = jacobi_from_moments(ms)
-        assert rec.breakdown is None
-        back = moments_from_jacobi(rec, 6)
-        for n in range(7):
-            assert back[n] == pytest.approx(float(ms.moments[n]), rel=1e-9, abs=1e-9)
+        # m_n is beta_0 times the sum over Motzkin paths of n steps from
+        # height 0 to 0, a level step at k weighing alpha_k and a down step
+        # from k beta_k; the recurrence fixes m_0..m_{2 depth - 1} exactly
+        for d, q, top in ((2, Fraction(0), 8), (3, Fraction(1, 2), 10), (1, Fraction(-7, 9), 12)):
+            ms = semi_meander_moments(d, q, top)
+            rec = jacobi_from_moments(ms)
+            assert rec.breakdown is None and rec.depth == top // 2
+            paths, back = [1] + [0] * (rec.depth - 1), []  # path weight by end height
+            for _ in range(2 * rec.depth):
+                back.append(rec.betas[0] * paths[0])
+                paths = [(paths[k - 1] if k else 0) + rec.alphas[k] * paths[k]
+                         + (rec.betas[k + 1] * paths[k + 1] if k + 1 < rec.depth else 0)
+                         for k in range(rec.depth)]
+            assert back == list(ms.moments[: 2 * rec.depth])
 
     def test_float_moments_recurse_exactly(self):
         # a float moment is a dyadic rational, converted without rounding;
