@@ -12,9 +12,10 @@ rational coordinates; floating mode, for complex ones, is word-level only.
 
 Moments and the polynomials in (t, q) are swept by one engine in two bases,
 each step in two passes: the first factor into half-states, then the second
-factor from each.  One move rule (``_left_moves``) and one first pass
-(``_half_states``) serve both bases, which differ only in the labels a
-creation may use and in the second pass.  The orbit basis keeps one word
+factor from each.  One move rule (``_left_moves``) and one two-pass step
+(``_two_pass_step``) serve both bases, which give it three rules: the labels
+a creation may use, the ends the second factor may remove, and how an
+output is keyed and weighed.  The orbit basis keeps one word
 (word pair for X) per relabelling orbit of the letters, and runs the
 moments at d <= 2, where few letters keep its states small.  The loop basis
 keeps only which two open ends belong to one path, so its states do not
@@ -583,25 +584,32 @@ def _left_moves(word: Word, fresh: Iterable[int]) -> list[tuple[Word, int, int]]
     return out
 
 
-def _half_states(x: _OrbitVector, doubled: bool, reach: int, memo: dict,
-                 times: Callable, first: list, fresh: Callable) -> dict:
-    """The first pass of a two-pass step, the same in both bases: the first
-    factor (T: r_i, on the word read from the right; X: left, on leg 1)
-    moves a label of each state of ``x`` by ``_left_moves``, creating one
-    of ``fresh(legs)``.  The output's legs after the moved label (label,),
-    renamed jointly by first appearance, are a half-state, whose label 1 is
-    pending: the step's letter on orbits, its open path on loops.  The
-    second pass acts on its last leg (T: l_i; X: left, on leg 2).  A
-    product is ``times(c, first[e])`` (see ``_step_tables``).
+def _two_pass_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict,
+                   fresh: Callable, ends: Callable, key: Callable) -> _OrbitVector:
+    """One two-pass step, the same in both bases, which give it three rules.
+
+    The first factor (T: r_i, on the word read from the right; X: left, on
+    leg 1) moves a label of each state of ``x`` by ``_left_moves``, creating
+    one of ``fresh(legs)``.  The output's legs after the moved label
+    (label,), renamed jointly by first appearance, are a half-state, whose
+    label 1 is pending: the step's letter on orbits, its open path on loops.
+    The second factor acts on its last leg (T: l_i; X: left, on leg 2): it
+    removes the end at each (j, label) of ``ends(last)`` (q^j), or creates
+    a 1 (q^0), marked by the label 0.  ``key`` maps each raw output (other
+    legs, last leg, label) to its state and an int weight.  A product is
+    ``times(c, first[e])`` or ``times(c, second[j])`` (see
+    ``_step_tables``), times the weight if it is not 1.
 
     A half-state with its last leg longer than ``reach`` + 1 or another leg
-    longer than ``reach``, or an output of the second pass with a leg longer
-    than ``reach``, cannot reach the vacuum again (see ``_run_sweep``) and
-    is dropped before it is canonicalised.  ``memo``, shared by a sweep's
-    steps, maps each other raw half-state to its key, and the second pass
-    keeps its raw outputs (one leg fewer) there too.  Half-states of value 0
-    (at exact q = 0, every removal past position 0) are dropped."""
-    add, lookup, half = _accumulate, memo.get, {}
+    longer than ``reach``, or an output of the second factor with a leg
+    longer than ``reach``, cannot reach the vacuum again (see ``_run_sweep``)
+    and is dropped before it is keyed.  ``memo``, shared by a sweep's steps,
+    maps each other raw half-state to its key and each raw output (the one
+    raw that ends in an int) to its state and weight; neither is empty, so
+    a hit is true.  Half-states of value 0 (at exact q = 0, every removal
+    past position 0) make no products."""
+    times, first, second, scale = _step_tables(x)
+    add, lookup, half, out = _accumulate, memo.get, {}, {}
     for legs, c in x.terms.items():
         word = legs[0] if doubled else legs[0][::-1]
         for w, e, label in _left_moves(word, fresh(legs)):
@@ -609,64 +617,48 @@ def _half_states(x: _OrbitVector, doubled: bool, reach: int, memo: dict,
             if doubled and len(w) > reach or len(last) > reach + 1:
                 continue
             raw = ((label,), *head, last)
-            key = lookup(raw)
-            if key is None:
-                key = memo[raw] = _canonical_pattern(*raw)
-            add(half, key, times(c, first[e]))
-    for state in [state for state, c in half.items() if not c]:
-        del half[state]
-    return half
+            state = lookup(raw) or memo.setdefault(raw, _canonical_pattern(*raw))
+            add(half, state, times(c, first[e]))
+    for legs, c in half.items():
+        if not c:
+            continue
+        head, last = legs[1:-1], legs[-1]
+        for j, label in chain(ends(last), ((0, 0),) if len(last) < reach else ()):
+            raw = (head, last[:j] + last[j + 1 :] if label else (1,) + last, label)
+            state, weight = lookup(raw) or memo.setdefault(raw, key(raw))
+            value = times(c, second[j])
+            add(out, state, value if weight == 1 else value * weight)
+    return _OrbitVector(x.d, x.mode, x.vacuum, out, x.width, scale)
 
 
 def _orbit_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _OrbitVector:
     """One application of sum_i O_i on relabelling orbits.  The letters
     1..u of a representative act as themselves and one fresh letter u+1
-    stands for the d-u unused ones, so the first pass creates one of the
+    stands for the d-u unused ones, so the first factor creates one of the
     letters 1..min(u+1, d).  A factor moves the count of its letter alone,
     by one, so a half-state holds every letter of its input and its pending
     letter 1 is its one letter of odd count: its orbit has one member per
-    (input member, letter), and the first pass needs no weight.
+    (input member, letter), and the first factor needs no weight.
 
-    The second pass is left X_1 on the last leg: it creates the letter 1,
-    or removes a 1 with j letters before it (q^j).  An output without the
-    letter 1 lies in a larger orbit and weighs the int d - used, used the
-    letters it keeps: d-u+1 if an existing letter left, d-u if the fresh
-    letter was created and annihilated (T only: r_i, then l_i*)."""
+    The second factor is left X_1 on the last leg, so it removes only a 1.
+    An output without the letter 1 lies in a larger orbit and weighs the
+    int d - used, used the letters it keeps: d-u+1 if an existing letter
+    left, d-u if the fresh letter was created and annihilated (T only: r_i,
+    then l_i*).  The weight is read off the raw output, as renaming puts a
+    1 in every output but the vacuum."""
     d = x.d
-    times, first, second, scale = _step_tables(x)
-    add, lookup, out = _accumulate, memo.get, {}
-    half = _half_states(x, doubled, reach, memo, times, first, lambda legs: range(
-        1, min(max(chain.from_iterable(legs), default=0) + 1, d) + 1))
-    for state, c in half.items():
-        head, last = state[1:-1], state[-1]
-        letters = max(chain.from_iterable(state))
-        moves = [(last[:j] + last[j + 1 :], j) for j, a in enumerate(last) if a == 1]
-        if len(last) < reach:
-            moves.append(((1,) + last, 0))
-        for w, f in moves:
-            raw = head + (w,)
-            hit = lookup(raw)
-            if hit is None:
-                key = _canonical_pattern(*raw)
-                hit = memo[raw] = (key, max(chain.from_iterable(key), default=0))
-            key, used = hit
-            value = times(c, second[f])
-            if used < letters:
-                value = value * (d - used)
-            add(out, key, value)
-    return _OrbitVector(d, x.mode, x.vacuum, out, x.width, scale)
 
+    def key(raw):
+        legs = (*raw[0], raw[1])
+        state = _canonical_pattern(*legs)
+        if any(1 in leg for leg in legs):
+            return state, 1
+        return state, d - max(chain.from_iterable(state), default=0)
 
-def _loop_key(memo: dict, raw: tuple) -> tuple:
-    """The state that a raw output (other legs, last leg, the removed end's
-    path) of a half-state stands for: the removed end's path renamed to the
-    step's, path 1, then every label by first appearance."""
-    head, last, end = raw
-    legs = (*head, last)
-    if end != 1:
-        legs = [tuple(1 if a == end else a for a in leg) for leg in legs]
-    key = memo[raw] = _canonical_pattern(*legs)
-    return key
+    return _two_pass_step(
+        x, doubled, reach, memo,
+        lambda legs: range(1, min(max(chain.from_iterable(legs), default=0) + 1, d) + 1),
+        lambda last: [(j, 1) for j, a in enumerate(last) if a == 1], key)
 
 
 def _loop_step(x: _OrbitVector, doubled: bool, loop: int, reach: int,
@@ -679,28 +671,22 @@ def _loop_step(x: _OrbitVector, doubled: bool, loop: int, reach: int,
     sweep's letters gives d per closed loop; the loop basis makes each
     pairing of the factors once, and a closed loop multiplies by the int
     ``loop``: d for a moment, t = 2^W for a polynomial in (t, q).  The first
-    pass creates a fresh end, labelled 0, or removes an end and so extends
+    factor creates a fresh end, labelled 0, or removes an end and so extends
     that end's path; either way the step's path 1 has one end left.
 
-    The second pass creates the other end of path 1, or removes the end with
-    j ends before it (q^j): removing path 1's end closes a loop (times
-    ``loop``), and removing another end joins its path to path 1, the
-    survivor of its pair taking label 1."""
-    times, first, second, scale = _step_tables(x)
-    add, lookup, out = _accumulate, memo.get, {}
-    half = _half_states(x, doubled, reach, memo, times, first, lambda legs: (0,))
-    for state, c in half.items():
-        head, last = state[1:-1], state[-1]
-        if len(last) < reach:
-            raw = (head, (1,) + last, 1)
-            add(out, lookup(raw) or _loop_key(memo, raw), times(c, second[0]))
-        for j, end in enumerate(last):
-            raw = (head, last[:j] + last[j + 1 :], end)
-            value = times(c, second[j])
-            if end == 1:
-                value = value * loop
-            add(out, lookup(raw) or _loop_key(memo, raw), value)
-    return _OrbitVector(x.d, x.mode, x.vacuum, out, x.width, scale)
+    The second factor creates the other end of path 1, or removes any end:
+    removing path 1's end closes a loop (times ``loop``), and removing
+    another end joins its path to path 1, the survivor of its pair taking
+    label 1."""
+
+    def key(raw):
+        head, last, end = raw
+        legs = (*head, last)
+        if end > 1:
+            legs = [tuple(1 if a == end else a for a in leg) for leg in legs]
+        return _canonical_pattern(*legs), loop if end == 1 else 1
+
+    return _two_pass_step(x, doubled, reach, memo, lambda legs: (0,), enumerate, key)
 
 
 def _history_bits(n: int, doubled: bool, d: int = 1) -> int:

@@ -74,11 +74,6 @@ class QPoly:
             raise ValueError("negative power")
         return cls._trusted((0,) * k + (1,))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
-
     def coefficient(self, k: int) -> ExactCoeff:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 

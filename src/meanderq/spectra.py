@@ -76,8 +76,8 @@ def hankel_psd_check(ms: MomentSequence, size: int):
     """Certificate for the size x size Hankel matrix H[i][j] = m_{i+j}: the
     exact recursion on m_0..m_{2size-2} (see jacobi_from_moments).  Returns
     (verdict, min_eigenvalue); the float64 eigenvalue is information only."""
-    if 2 * size - 2 >= len(ms):
-        raise ValueError(f"need moments up to m_{2 * size - 2}, have {len(ms) - 1}")
+    if not 1 <= size <= (len(ms) + 1) // 2:
+        raise ValueError(f"size must lie in 1..{(len(ms) + 1) // 2} for m_0..m_{len(ms) - 1}")
     rec = jacobi_from_moments(MomentSequence(ms.moments[: 2 * size - 1]))
     return rec.psd, _min_eigenvalue(ms, size)
 
@@ -183,8 +183,10 @@ class Realization:
 
 def realize(ms: MomentSequence, nodes: int | None = None) -> Realization:
     """The one route from moments to quadrature, on at most `nodes` nodes."""
+    if nodes is not None and nodes < 1:
+        raise ValueError(f"nodes must be positive, got {nodes}")
     rec = jacobi_from_moments(ms)
-    quad = quadrature_from_jacobi(rec, min(nodes or rec.depth, rec.depth))
+    quad = quadrature_from_jacobi(rec, rec.depth if nodes is None else min(nodes, rec.depth))
     return Realization(_min_eigenvalue(ms, (len(ms) - 1) // 2 + 1), rec, quad)
 
 

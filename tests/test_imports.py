@@ -1,6 +1,6 @@
 """Every top-level import of a library module is used in that module, only
-a pinned few private names cross between modules, and the CLI starts
-without what only a rare path needs."""
+a pinned few private names cross between modules, every definition is
+used somewhere, and the CLI starts without what only a rare path needs."""
 
 import ast
 import os
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "meanderq"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "meanderq"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -56,6 +57,67 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _definitions(source: str) -> list[tuple[str, bool]]:
+    """(name, is a method) of each function and class defined in ``source``,
+    at any depth, bar dunders and the suites ``verify._suite`` registers."""
+    out = []
+    for parent in ast.walk(ast.parse(source)):
+        for node in ast.iter_child_nodes(parent):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            suite = any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_suite"
+                        for d in node.decorator_list)
+            if not dunder and not suite:
+                out.append((node.name, isinstance(parent, ast.ClassDef)))
+    return out
+
+
+def _references(sources) -> tuple[set[str], set[str]]:
+    """The names, imported names and dotted identifier strings (monkeypatch
+    targets, say) of ``sources``, and apart their attribute names."""
+    names, attributes = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    names.update(parts)
+    return names, attributes
+
+
+def _dead_definitions(source: str, sources) -> list[str]:
+    """The definitions of ``source`` that nothing in ``sources`` names: a
+    method only by an attribute, a function or class by any reference."""
+    names, attributes = _references(sources)
+    return sorted(name for name, method in _definitions(source)
+                  if name not in attributes and (method or name not in names))
+
+
+def test_the_check_sees_a_dead_definition():
+    source = ("class A:\n    def used(self): ...\n    def dead(self): ...\n"
+              "    def __len__(self): ...\n"
+              "def helper(): ...\ndef orphan(): ...\ndef patched(): ...\n"
+              "@_suite('x')\ndef suite_x(): ...\n")
+    callers = ["A().used()\nhelper()\n", "setattr(m, 'patched', None)\ndead = 1\n"]
+    assert _dead_definitions(source, callers) == ["dead", "orphan"]
+
+
+def test_every_definition_is_used():
+    # a definition that no module, test, script or benchmark file names is
+    # dead code
+    sources = [p.read_text() for folder in ("src", "tests", "scripts", "perfbench")
+               for p in (ROOT / folder).rglob("*.py")]
+    dead = {p.name: _dead_definitions(p.read_text(), sources) for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, found in dead.items() if found} == {}
 
 
 def test_the_cli_imports_no_process_pool():

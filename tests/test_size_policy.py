@@ -213,6 +213,7 @@ def test_loop_states_bound_every_layer(doubled, steps):
 
 
 HALF = Mode(Fraction(1, 2))
+ZERO = Mode(Fraction(0))
 
 
 @pytest.mark.parametrize("run,products", [
@@ -222,13 +223,43 @@ HALF = Mode(Fraction(1, 2))
                  id="T-d2-n14-formal"),
     pytest.param(partial(semi_meander_moment_sweep, 3, 10, HALF, cap=10), 3_680, id="T-d3-n10"),
     pytest.param(partial(loop_sweep, 13, False, cap=13), 51_518, id="Q13"),
+    pytest.param(partial(meander_moment_sweep, 3, 5, HALF, cap=5), 2_202, id="X-d3-n5"),
+    pytest.param(partial(semi_meander_moment_sweep, 2, 12, ZERO, cap=12), 8_465,
+                 id="T-d2-n12-q0"),
+    pytest.param(partial(semi_meander_moment_sweep, 3, 10, ZERO, cap=10), 926,
+                 id="T-d3-n10-q0"),
+    pytest.param(partial(loop_sweep, 7, True, cap=7), 57_677, id="P7"),
 ])
 def test_the_sweeps_make_these_products(run, products, monkeypatch):
     """The work of both steps in both bases, pinned: a change to a step
-    that makes more or fewer products (``_accumulate`` calls) fails here."""
+    that makes more or fewer products (``_accumulate`` calls) fails here.
+    At q = 0 the half-states of value 0 make no products."""
     ticks = _counting_products(monkeypatch)
     run()
     assert next(ticks) == products
+
+
+@pytest.mark.parametrize("q", [None, Fraction(1, 2), Fraction(0)])
+@pytest.mark.parametrize("loops", [False, True], ids=["orbits", "loops"])
+@pytest.mark.parametrize("doubled,d,n", [
+    (False, 1, 14), (False, 2, 10), (False, 3, 8), (True, 1, 6), (True, 2, 5), (True, 3, 4),
+])
+def test_the_exact_price_reads_the_legs_the_sweep_uses(doubled, d, n, loops, q, monkeypatch):
+    """``_packed_weight`` prices a sweep at q = a/b from ``_horizons``, and
+    the denominator each step adds is read off the longest leg of the
+    states ``_step_tables`` is handed: in either basis the two agree at
+    every step."""
+    longest, tables = [], fock._step_tables
+
+    def recording(x):
+        longest.append(max((len(leg) for legs in x.terms for leg in legs), default=0))
+        return tables(x)
+
+    monkeypatch.setattr(fock, "_step_tables", recording)
+    monkeypatch.setattr(fock, "_LOOP_BASIS_D", 1 if loops else d + 1)
+    run = meander_moment_sweep if doubled else semi_meander_moment_sweep
+    run(d, n, FORMAL if q is None else Mode(q), cap=n)
+    assert longest == list(fock._horizons(n, doubled))
 
 
 @pytest.mark.parametrize("q", [None, Fraction(1, 2)])

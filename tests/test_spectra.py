@@ -129,6 +129,11 @@ class TestHankel:
         with pytest.raises(ValueError):
             hankel_psd_check(point_mass_moments(1, 3), size=3)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_is_refused(self, size):
+        with pytest.raises(ValueError, match="size must lie in 1..2"):
+            hankel_psd_check(point_mass_moments(1, 3), size=size)
+
 
 class TestJacobi:
     def test_point_mass_breaks_down_at_depth_one(self):
@@ -236,6 +241,14 @@ class TestQuadrature:
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             Quadrature((1.0,), (0.5,))
+
+    def test_realize_caps_the_nodes(self):
+        ms = semi_meander_moments(2, Fraction(0), 8)
+        assert len(realize(ms, nodes=2).quadrature.nodes) == 2
+        assert len(realize(ms, nodes=99).quadrature.nodes) == len(realize(ms).quadrature.nodes)
+        for nodes in (0, -1):
+            with pytest.raises(ValueError, match="nodes must be positive"):
+                realize(ms, nodes=nodes)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nodes_within_norm_bound_at_q0(self, d):
