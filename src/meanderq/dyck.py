@@ -138,6 +138,8 @@ def to_lattice_path(eps: DyckTuple | Sequence[str]) -> tuple[int, ...]:
 def choice_number(eps: DyckTuple, h: int) -> int:
     """#ones - #stars strictly before the star position h, the height
     before it; always >= 1."""
+    if not 1 <= h <= eps.size:
+        raise ValueError(f"position {h} outside 1..{eps.size} of {eps}")
     if eps.symbols[h - 1] != STAR:
         raise ValueError(f"position {h} of {eps} is not star-decorated")
     return to_lattice_path(eps)[h - 1] + 1

@@ -10,9 +10,11 @@ from the left for left operators and from the right for right operators.
 Inner products are linear in the first argument.  Exact modes restrict to
 rational coordinates; floating mode, for complex ones, is word-level only.
 
-Moments and the polynomials in (t, q) are swept by one engine in two bases,
-each step in two passes: the first factor into half-states, then the second
-factor from each.  One move rule (``_left_moves``) and one two-pass step
+Moments and the polynomials in (t, q) are swept by one engine,
+``_moment_sweep``, which picks the basis, prices the sweep and runs it: the
+polynomials are the loop-basis moment at formal t.  Each step runs in two
+passes: the first factor into half-states, then the second factor from
+each.  One move rule (``_left_moves``) and one two-pass step
 (``_two_pass_step``) serve both bases, which give it three rules: the labels
 a creation may use, the ends the second factor may remove, and how an
 output is keyed and weighed.  The orbit basis keeps one word
@@ -363,9 +365,9 @@ def _formal_weight(width: int, n: int, doubled: bool) -> float:
     return 1 + width * (degree + 1) / _FORMAL_BITS
 
 
-def _packed_weight(d: int, n: int, mode: Mode, doubled: bool) -> float:
-    """Cost of one product of the packed ints of a sweep for m_n at t = d,
-    in products of small ints."""
+def _packed_weight(d: int | None, n: int, mode: Mode, doubled: bool) -> float:
+    """Cost of one product of the packed ints of a sweep for m_n at t = d
+    (formal t if ``d`` is None), in products of small ints."""
     if mode.is_formal:
         return _formal_weight(_history_bits(n, doubled, d), n, doubled)
     tops = [2 * h + 1 for h in _horizons(n, doubled)]
@@ -391,7 +393,7 @@ def _layer_sizes(n: int, doubled: bool, weight: Callable, fresh: Callable,
     and every state one of the second factor on a half-state, so a layer
     holds at most the outputs the one before it makes, each kept while the
     leg the factor acts on stays within the step's reach (see
-    ``_run_sweep``), and those outputs are the products.  On a leg of a
+    ``_moment_sweep``), and those outputs are the products.  On a leg of a
     ends, of L ends in all, the first factor makes ``fresh(L)`` creations
     and a removals, and the second factor one creation and a removals.  A
     layer also holds at most ``members(L)`` states (L even) or half-states
@@ -487,32 +489,24 @@ def _loop_members(L: int) -> int:
     return odd_double_factorial(L // 2) * (L if L % 2 else 1)
 
 
-def loop_sweep_sizes(n: int, doubled: bool, d: int | None = None,
-                     mode: Mode = FORMAL) -> Iterator[int]:
-    """Running totals, over the steps of the loop sweep for Q_n (P_n if
-    ``doubled``), of the products the steps can make, and last their total
-    weighted by the width of the packed ints: at formal t (``d`` None)
-    ``_formal_weight`` of W(n+1) bits per q-degree, W = ``_history_bits``,
-    and at t = ``d`` the ``_packed_weight`` of the moment m_n in ``mode``.
+def loop_sweep_sizes(d: int | None, n: int, mode: Mode, doubled: bool) -> Iterator[int]:
+    """Running totals, over the steps of the loop sweep for m_n at t = d
+    (at formal t, Q_n or P_n, if ``d`` is None), of the products the steps
+    can make, and last their total weighted by ``_packed_weight``.
 
     This is ``_layer_sizes`` on loops, so the count does not depend on d:
     each factor creates one fresh end (see ``_loop_step``), and a
     half-state's second factor can remove every end of its last leg."""
-
-    def weight() -> float:
-        if d is None:
-            return _formal_weight(_history_bits(n, doubled) * (n + 1), n, doubled)
-        return _packed_weight(d, n, mode, doubled)
-
-    return _layer_sizes(n, doubled, weight, lambda L: 1, _loop_members, _loop_members)
+    return _layer_sizes(n, doubled, partial(_packed_weight, d, n, mode, doubled),
+                        lambda L: 1, _loop_members, _loop_members)
 
 
 class _OrbitVector:
     """Sweep state of either basis: a map from tuples of legs (one word for
     T, a word pair for X), renamed jointly by first appearance, to the
     coefficient of each of the orbit's d!/(d-u)! members, u the letters
-    used (orbit basis), or of the pairing of path ends (loop basis).  A
-    coefficient is one int (see ``_step_tables``): its value at
+    used (orbit basis), or of the pairing of path ends (loop basis, where
+    ``d`` is the int t that weighs a closed loop).  A coefficient is one int (see ``_step_tables``): its value at
     q = 2^width if q is formal, its numerator over b^scale if q = a/b."""
 
     __slots__ = ("d", "mode", "vacuum", "terms", "width", "scale")
@@ -602,7 +596,7 @@ def _two_pass_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict,
 
     A half-state with its last leg longer than ``reach`` + 1 or another leg
     longer than ``reach``, or an output of the second factor with a leg
-    longer than ``reach``, cannot reach the vacuum again (see ``_run_sweep``)
+    longer than ``reach``, cannot reach the vacuum again (see ``_moment_sweep``)
     and is dropped before it is keyed.  ``memo``, shared by a sweep's steps,
     maps each other raw half-state to its key and each raw output (the one
     raw that ends in an int) to its state and weight; neither is empty, so
@@ -661,8 +655,7 @@ def _orbit_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _Orbi
         lambda last: [(j, 1) for j, a in enumerate(last) if a == 1], key)
 
 
-def _loop_step(x: _OrbitVector, doubled: bool, loop: int, reach: int,
-               memo: dict) -> _OrbitVector:
+def _loop_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _OrbitVector:
     """One application of sum_i O_i in the loop basis.  A state keeps, of
     the open paths the steps have drawn, only which two ends belong to one
     path: a tuple of legs (one word for T, a word pair for X) of path ends,
@@ -670,14 +663,15 @@ def _loop_step(x: _OrbitVector, doubled: bool, loop: int, reach: int,
     first appearance.  A path's letter is free, so summing the orbit
     sweep's letters gives d per closed loop; the loop basis makes each
     pairing of the factors once, and a closed loop multiplies by the int
-    ``loop``: d for a moment, t = 2^W for a polynomial in (t, q).  The first
+    t = ``x.d``: d for a moment, 2^W for a polynomial in (t, q).  The first
     factor creates a fresh end, labelled 0, or removes an end and so extends
     that end's path; either way the step's path 1 has one end left.
 
     The second factor creates the other end of path 1, or removes any end:
-    removing path 1's end closes a loop (times ``loop``), and removing
+    removing path 1's end closes a loop (times t), and removing
     another end joins its path to path 1, the survivor of its pair taking
     label 1."""
+    loop = x.d
 
     def key(raw):
         head, last, end = raw
@@ -689,13 +683,15 @@ def _loop_step(x: _OrbitVector, doubled: bool, loop: int, reach: int,
     return _two_pass_step(x, doubled, reach, memo, lambda legs: (0,), enumerate, key)
 
 
-def _history_bits(n: int, doubled: bool, d: int = 1) -> int:
+def _history_bits(n: int, doubled: bool, d: int | None = 1) -> int:
     """Bits of one digit of a packed formal sweep for m_n (for P_n or the X
     moment if ``doubled``): the bit length of H = (2n-1)!! d^n, or
-    (2n-1)!!^2 d^n.  A moment sweep, in either basis, packs
-    C = ``_history_bits(n, doubled, d)`` bits per q-degree; the loop sweep
-    of the polynomials packs W = ``_history_bits(n, doubled)`` per t-degree
-    (t counted by its exponent, so d = 1).
+    (2n-1)!!^2 d^n.  A sweep, in either basis, packs
+    C = ``_history_bits(n, doubled, d)`` bits per q-degree.  The
+    polynomials are the loop-basis moment at t = 2^W,
+    W = ``_history_bits(n, doubled)`` (t counted by its exponent, so
+    d = 1), which packs C = W(n+1), the bit length of H 2^(Wn): ``d`` None
+    (formal t) gives it without building 2^(Wn).
 
     A history is a run of choices, one per factor (create, or remove one
     end), and in the orbit basis a letter per step.  No digit carries:
@@ -720,32 +716,10 @@ def _history_bits(n: int, doubled: bool, d: int = 1) -> int:
     So the base-2^bits digits of an amplitude are its coefficients.  A loop
     takes at least one T step or two X steps, so the t-degree is at most n
     and the loop sweep's q-degree block of W(n+1) bits holds every t-digit."""
-    return (odd_double_factorial(n) ** (2 if doubled else 1) * d**n).bit_length()
-
-
-def _run_sweep(step: Callable, n: int, doubled: bool, d: int, mode: Mode, width: int) -> list:
-    """Vacuum amplitudes over n T steps, or 2n X steps if ``doubled``, of
-    ``step`` from the vacuum with coefficient 1; the steps share one memo of
-    keys.
-
-    A step moves every leg by at most ``shrink`` ends (T two, X one), so
-    after step k of N a state with a leg longer than ``shrink * (N - k)``
-    cannot reach the vacuum again, and step k drops it as it makes it (its
-    ``reach``).  This is exact, so one pass yields every order."""
-    vacuum = ((), ()) if doubled else ((),)
-    steps, shrink = (2 * n, 1) if doubled else (n, 2)
-    memo: dict = {}
-    return sweep(_OrbitVector(d, mode, vacuum, {vacuum: 1}, width),
-                 (partial(step, reach=shrink * (steps - k), memo=memo)
-                  for k in range(1, steps + 1)))
-
-
-def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, cap: int | None = None) -> list:
-    """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i, in
-    an exact mode on relabelling orbits, first priced by ``sweep_sizes``."""
-    check_size(n, cap, sweep_sizes(d, n, mode, doubled), SWEEP_BUDGET)
-    width = _history_bits(n, doubled, d) if mode.is_formal else 0
-    return _run_sweep(partial(_orbit_step, doubled=doubled), n, doubled, d, mode, width)
+    histories = odd_double_factorial(n) ** (2 if doubled else 1)
+    if d is None:
+        return histories.bit_length() * (n + 1)
+    return (histories * d**n).bit_length()
 
 
 # The least d whose moments the loop basis sweeps: its states do not grow
@@ -755,17 +729,32 @@ def _orbit_sweep(d: int, n: int, mode: Mode, doubled: bool, cap: int | None = No
 _LOOP_BASIS_D = 3
 
 
-def _moment_sweep(d: int, n: int, mode: Mode, doubled: bool, cap: int | None) -> list:
-    """The amplitudes of ``_orbit_sweep`` at d < ``_LOOP_BASIS_D``, and else
-    of the loop basis at t = d, first priced by ``loop_sweep_sizes``; the
-    mode must be exact."""
+def _moment_sweep(d: int | None, n: int, mode: Mode, doubled: bool, cap: int | None) -> list:
+    """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i if
+    ``doubled``, from the vacuum with coefficient 1, in an exact mode: on
+    relabelling orbits at d < ``_LOOP_BASIS_D``, priced by ``sweep_sizes``,
+    and else in the loop basis at t = d, or at formal t (``d`` None, for
+    ``loop_sweep``) as t = 2^W, priced by ``loop_sweep_sizes``.  The steps
+    share one memo of keys.
+
+    A step moves every leg by at most ``shrink`` ends (T two, X one), so
+    after step k of N a state with a leg longer than ``shrink * (N - k)``
+    cannot reach the vacuum again, and step k drops it as it makes it (its
+    ``reach``).  This is exact, so one pass yields every order."""
     if not mode.is_exact:
         raise ValueError(f"the moment sweeps are exact: pass q as Fraction('{mode.q!r}')")
-    if d < _LOOP_BASIS_D:
-        return _orbit_sweep(d, n, mode, doubled, cap)
-    check_size(n, cap, loop_sweep_sizes(n, doubled, d, mode), SWEEP_BUDGET)
+    orbits = d is not None and d < _LOOP_BASIS_D
+    check_size(n, cap, (sweep_sizes if orbits else loop_sweep_sizes)(d, n, mode, doubled),
+               SWEEP_BUDGET)
+    step = partial(_orbit_step if orbits else _loop_step, doubled=doubled)
+    vacuum = ((), ()) if doubled else ((),)
+    steps, shrink = (2 * n, 1) if doubled else (n, 2)
     width = _history_bits(n, doubled, d) if mode.is_formal else 0
-    return _run_sweep(partial(_loop_step, doubled=doubled, loop=d), n, doubled, d, mode, width)
+    t = 1 << _history_bits(n, doubled) if d is None else d
+    memo: dict = {}
+    return sweep(_OrbitVector(t, mode, vacuum, {vacuum: 1}, width),
+                 (partial(step, reach=shrink * (steps - k), memo=memo)
+                  for k in range(1, steps + 1)))
 
 
 def loop_sweep(n: int, doubled: bool, cap: int | None = None) -> dict[tuple[int, int], int]:
@@ -773,19 +762,24 @@ def loop_sweep(n: int, doubled: bool, cap: int | None = None) -> dict[tuple[int,
     pass of the loop basis.  Its last amplitude is Q_n(t, q) at t = 2^W,
     W = ``_history_bits(n, doubled)``, so the base-2^W digits of each
     q-coefficient are the t-coefficients (Kronecker substitution)."""
-    check_size(n, cap, loop_sweep_sizes(n, doubled), SWEEP_BUDGET)
+    amplitude = _moment_sweep(None, n, FORMAL, doubled, cap)[-1]
     bits = _history_bits(n, doubled)
-    step = partial(_loop_step, doubled=doubled, loop=1 << bits)
-    amplitude = _run_sweep(step, n, doubled, 1, FORMAL, bits * (n + 1))[-1]
     mask = (1 << bits) - 1
     digits = ((t, u, c >> t * bits & mask) for u, c in enumerate(amplitude.coeffs)
               for t in range(c.bit_length() // bits + 1))
     return {(t, u): c for t, u, c in digits if c}
 
 
+def _alphabet_size(d: int) -> int:
+    """``d``, if it is a number of letters: formal t (None) is ``loop_sweep``'s."""
+    if d is None or d < 1:
+        raise ValueError(f"alphabet size d must be positive, got {d!r}")
+    return d
+
+
 def semi_meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None) -> list:
     """Vacuum moments m_0..m_n of the semi-meander operator, from one pass."""
-    return _moment_sweep(d, n, mode, doubled=False, cap=cap)
+    return _moment_sweep(_alphabet_size(d), n, mode, doubled=False, cap=cap)
 
 
 def semi_meander_moment(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None):
@@ -831,7 +825,7 @@ def meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = 
     """Moments m_0..m_n of the squared two-faced sum against the doubled
     vacuum, from one pass of 2n steps of sum_i X_i (x) X_i: m_k is the
     amplitude after step 2k (odd steps give 0)."""
-    return _moment_sweep(d, n, mode, doubled=True, cap=cap)[::2]
+    return _moment_sweep(_alphabet_size(d), n, mode, doubled=True, cap=cap)[::2]
 
 
 def meander_moment(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None):

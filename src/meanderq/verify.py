@@ -243,7 +243,7 @@ def suite_commutator(d_max: int = 2, len_max: int = 4,
                     yield {"word": list(word), "v": str(v), "w": str(w)} if failed else None
     mode = Mode(0.5)
     for _ in range(float_trials):
-        d = rng.randint(2, max(2, d_max))
+        d = rng.randint(min(2, d_max), d_max)
         v = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d))
         w = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d))
         length = rng.randint(0, 4)

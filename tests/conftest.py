@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 
+import meanderq.fock as fock
 from meanderq.partitions import PairPartition, Permutation, SetPartition
 
 
@@ -43,3 +45,11 @@ def rationals(max_num=3, max_den=3):
 
 def rational_vectors(d, **kw):
     return st.tuples(*([rationals(**kw)] * d))
+
+
+def orbit_sweep(d, n, mode, doubled, cap=None):
+    """The moment sweep forced onto relabelling orbits at any d: the oracle
+    of the loop basis, which the public sweeps run at d >= 3."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_LOOP_BASIS_D", d + 1)
+        return fock._moment_sweep(d, n, mode, doubled, cap)

@@ -95,6 +95,12 @@ class TestChoiceNumbers:
         with pytest.raises(ValueError):
             choice_number(EPS_EXAMPLE, 1)
 
+    @pytest.mark.parametrize("h", [0, -1, EPS_EXAMPLE.size + 1])
+    def test_position_outside_the_tuple_rejected(self, h):
+        # h = 0 and -1 would read the last stars from the end
+        with pytest.raises(ValueError, match="outside"):
+            choice_number(EPS_EXAMPLE, h)
+
     @pytest.mark.parametrize("two_n", (2, 4, 6, 8, 10, 12))
     def test_always_positive(self, two_n):
         for eps in enumerate_dyck(two_n):

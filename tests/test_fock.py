@@ -36,15 +36,15 @@ from meanderq.fock import (
     word_vector,
     _gaussian_moment_pairings,
     _history_bits,
-    _orbit_sweep,
     _word_inner,
     loop_sweep,
 )
 from meanderq.partitions import LEFT, RIGHT, odd_double_factorial
 from meanderq.polynomials import meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL, Mode, QPoly, parse_q
+from meanderq.spectra import meander_moments, semi_meander_moments
 
-from conftest import rational_vectors
+from conftest import orbit_sweep, rational_vectors
 
 E1 = basis_vector(2, 1)
 E2 = basis_vector(2, 2)
@@ -449,7 +449,7 @@ class TestSemiMeanderMoment:
 
         monkeypatch.setattr(fock, "_accumulate", recording)
         monkeypatch.setattr(fock, "_history_bits", lambda *args: 3 * bits)
-        swept = _orbit_sweep(d, n, FORMAL, doubled)
+        swept = orbit_sweep(d, n, FORMAL, doubled)
         half = [c for out in tables.values() for key, c in out.items()
                 if len(key) == (3 if doubled else 2)]
         held = [c for out in tables.values() for c in out.values()]
@@ -457,7 +457,7 @@ class TestSemiMeanderMoment:
         digits = [c >> s & (1 << wide) - 1 for c in held for s in range(0, c.bit_length(), wide)]
         assert half and max(digits) < 1 << bits
         monkeypatch.undo()
-        assert swept == _orbit_sweep(d, n, FORMAL, doubled)
+        assert swept == orbit_sweep(d, n, FORMAL, doubled)
 
     @pytest.mark.parametrize("d,n,one_pass", [(1, 40, 123_600), (2, 12, 41_319)])
     def test_half_step_halves_the_products(self, d, n, one_pass, monkeypatch):
@@ -489,7 +489,7 @@ class TestSemiMeanderMoment:
             return states[-1]
 
         monkeypatch.setattr(fock, "_loop_step", recording)
-        monkeypatch.setattr(fock, "_history_bits", lambda *args: wide)
+        monkeypatch.setattr(fock, "_history_bits", lambda *args: 3 * _history_bits(*args))
         terms = loop_sweep(n, doubled, cap=n)
 
         def digits(c):  # a q-degree block is n + 1 digits, so each chunk is a digit
@@ -641,6 +641,21 @@ class TestMomentSweep:
         with pytest.raises(ValueError, match=r"Fraction\('0\.1'\)"):
             run(2, 3, Mode(0.1))
 
+    @pytest.mark.parametrize("mode", [FORMAL, Mode(Fraction(1, 2))], ids=str)
+    @pytest.mark.parametrize("d", [0, -1, None])
+    @pytest.mark.parametrize("run", [
+        semi_meander_moment_sweep, meander_moment_sweep, semi_meander_moment, meander_moment,
+        lambda d, n, mode: semi_meander_moments(d, mode, n),
+        lambda d, n, mode: meander_moments(d, mode, n),
+    ], ids=["T-sweep", "X-sweep", "T", "X", "T-spectra", "X-spectra"])
+    def test_alphabet_sizes_below_one_are_refused(self, run, d, mode, monkeypatch):
+        # d = -1 once swept [1, 0, 0, 0] and d = 0 failed inside a step;
+        # d = None means formal t, which only loop_sweep asks for
+        monkeypatch.setattr(fock, "_orbit_step", None)
+        monkeypatch.setattr(fock, "_loop_step", None)
+        with pytest.raises(ValueError, match="alphabet size"):
+            run(d, 3, mode)
+
     def test_single_orders_start_at_one(self):
         # the sweeps accept n=0 (m_0 alone); a single order must be >= 1
         with pytest.raises(ValueError):
@@ -659,12 +674,12 @@ class TestLoopBasisMoments:
     @pytest.mark.parametrize("mode", LOOP_ORACLE_MODES, ids=str)
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_semi_meander_matches_the_orbit_sweep(self, d, mode):
-        assert semi_meander_moment_sweep(d, 9, mode) == _orbit_sweep(d, 9, mode, False)
+        assert semi_meander_moment_sweep(d, 9, mode) == orbit_sweep(d, 9, mode, False)
 
     @pytest.mark.parametrize("mode", LOOP_ORACLE_MODES, ids=str)
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_meander_matches_the_orbit_sweep(self, d, mode):
-        assert meander_moment_sweep(d, 5, mode) == _orbit_sweep(d, 5, mode, True)[::2]
+        assert meander_moment_sweep(d, 5, mode) == orbit_sweep(d, 5, mode, True)[::2]
 
     @pytest.mark.parametrize("run", [semi_meander_moment_sweep, meander_moment_sweep])
     def test_the_basis_depends_on_d_alone(self, run, monkeypatch):
@@ -703,7 +718,7 @@ class TestLoopBasisMoments:
         digits = [c >> s & (1 << wide) - 1 for c in held for s in range(0, c.bit_length(), wide)]
         assert half and max(digits) < 1 << bits
         monkeypatch.undo()
-        assert swept == _orbit_sweep(d, n, FORMAL, doubled)[:: 2 if doubled else 1]
+        assert swept == orbit_sweep(d, n, FORMAL, doubled)[:: 2 if doubled else 1]
 
 
 class TestCommutatorDefect:

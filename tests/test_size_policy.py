@@ -29,9 +29,11 @@ from meanderq.partitions import (
     enumerate_pair_partitions,
     odd_double_factorial,
 )
-from meanderq.polynomials import meander_poly, semi_meander_poly
+from meanderq.polynomials import kronecker_poly, meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL, Mode
 from meanderq.spectra import semi_meander_moments
+
+from conftest import orbit_sweep
 
 ROUTES = [
     "poly --kind semi",
@@ -162,7 +164,7 @@ def test_sweep_estimate_bounds_the_products(doubled, d, n, monkeypatch):
     estimate is at least their number and at most ten times it.  The orbit
     sweep runs the moments at d < 3 and is the oracle at d >= 3."""
     ticks = _counting_products(monkeypatch)
-    fock._orbit_sweep(d, n, Mode(Fraction(1, 2)), doubled, cap=n)
+    orbit_sweep(d, n, Mode(Fraction(1, 2)), doubled, cap=n)
     made = next(ticks)
     estimate = _estimate(d, n, Mode(Fraction(1, 2)), doubled)
     assert made <= estimate <= 10 * made
@@ -192,7 +194,7 @@ def test_loop_estimate_bounds_the_products(doubled, n, d, q, monkeypatch):
         sweep(d, n, mode, cap=n)
         weight = fock._packed_weight(d, n, mode, doubled)
     made = next(ticks)
-    *_, estimate, weighted = loop_sweep_sizes(n, doubled, d, mode)
+    *_, estimate, weighted = loop_sweep_sizes(d, n, mode, doubled)
     assert made <= estimate <= 10 * made
     assert weighted == math.ceil(estimate * weight)
 
@@ -203,9 +205,9 @@ def test_loop_states_bound_every_layer(doubled, steps):
     of L ends of each shape, a matching of them, and exactly one of the
     full length."""
     vacuum = ((), ()) if doubled else ((),)
-    x, memo = fock._OrbitVector(1, FORMAL, vacuum, {vacuum: 1}, 64), {}
+    x, memo = fock._OrbitVector(1 << 8, FORMAL, vacuum, {vacuum: 1}, 64), {}
     for m in range(1, steps + 1):
-        x = fock._loop_step(x, doubled=doubled, loop=1 << 8, reach=4 * steps, memo=memo)
+        x = fock._loop_step(x, doubled=doubled, reach=4 * steps, memo=memo)
         shapes = Counter(tuple(map(len, legs)) for legs in x.terms)
         assert shapes[(m, m) if doubled else (2 * m,)] == 1
         for shape, count in shapes.items():
@@ -269,10 +271,51 @@ def test_orbit_count_is_exact_at_one_letter(doubled, n, q, monkeypatch):
     orbit count before its weight is the products the sweep makes."""
     ticks = _counting_products(monkeypatch)
     mode = FORMAL if q is None else Mode(q)
-    fock._orbit_sweep(1, n, mode, doubled, cap=n)
+    orbit_sweep(1, n, mode, doubled, cap=n)
     made = next(ticks)
     *_, estimate, _ = sweep_sizes(1, n, mode, doubled)
     assert estimate == made
+
+
+PRICED_SWEEPS = [
+    pytest.param(partial(kronecker_poly, "semi", 6), 6, id="poly-semi"),
+    pytest.param(partial(kronecker_poly, "meander", 4), 8, id="poly-meander"),
+    *(pytest.param(partial(sweep, d, n, mode), 2 * n if doubled else n,
+                   id=f"{'X' if doubled else 'T'}-d{d}-{'formal' if mode.is_formal else mode.q}")
+      for doubled, sweep, n in [(False, semi_meander_moment_sweep, 5),
+                                (True, meander_moment_sweep, 3)]
+      for d in (1, 2, 3) for mode in (FORMAL, Mode(Fraction(1, 2)))),
+]
+
+
+@pytest.mark.parametrize("run,steps", PRICED_SWEEPS)
+def test_every_sweep_is_priced_once_before_its_first_step(run, steps, monkeypatch):
+    """``_moment_sweep`` is the one entry of every sweep, in either basis:
+    it prices the sweep once, and only then runs its steps."""
+    events, price, step = [], fock.check_size, fock._two_pass_step
+
+    def pricing(*args):
+        events.append("price")
+        return price(*args)
+
+    def stepping(*args):
+        events.append("step")
+        return step(*args)
+
+    monkeypatch.setattr(fock, "check_size", pricing)
+    monkeypatch.setattr(fock, "_two_pass_step", stepping)
+    run()
+    assert events == ["price"] + ["step"] * steps
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["Q", "P"])
+def test_formal_t_is_the_loop_moment_at_t_2_to_the_W(doubled):
+    """At formal t (``d`` None) a sweep packs the width of the loop-basis
+    moment at t = 2^W, W(n+1) bits per q-degree, without building 2^(Wn)."""
+    for n in range(1, 201):
+        bits = fock._history_bits(n, doubled)
+        wide = fock._history_bits(n, doubled, 1 << bits)
+        assert wide == fock._history_bits(n, doubled, None) == bits * (n + 1)
 
 
 def test_products_are_weighed_by_their_packed_width():

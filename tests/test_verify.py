@@ -101,6 +101,19 @@ def test_refusal_does_no_work(suite, capsys, monkeypatch):
         assert "--cap" not in err
 
 
+def test_commutator_trials_stay_within_the_alphabet(capsys, monkeypatch):
+    # at --d 1 the float trials, like the exact ones, act on one letter
+    seen, defect = Counter(), verify.commutator_defect
+
+    def recording(v, w, x):
+        seen[x.d] += 1
+        return defect(v, w, x)
+
+    monkeypatch.setattr(verify, "commutator_defect", recording)
+    assert main(["verify", "--suite", "commutator", "--d", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["instances"] == seen[1] == sum(seen.values())
+
+
 @pytest.mark.parametrize("suite,kwargs,counts", [
     ("semi-moments", {"n_max": 3}, [1 * 3, 3 * 3, 15 * 3]),
     ("bnc-q0", {"n_max": 3}, [1 * 3, 3 * 3, 15 * 3]),
