@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Print the small polynomial tables and the operator/polynomial moment
-cross-check, the package's headline identity, over a desk-scale grid."""
+cross-check, the package's headline identity, over a desk-scale grid.
+Exits 1 if any moment differs from its polynomial's value."""
 
 import argparse
+import sys
 import time
 
 from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep
@@ -10,7 +12,7 @@ from meanderq.polynomials import CoefficientTable, meander_poly, semi_meander_po
 from meanderq.scalars import FORMAL
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=5)
     ap.add_argument("--d-max", type=int, default=3)
@@ -27,6 +29,7 @@ def main() -> None:
 
     print("== operator moments vs polynomial values (formal deformation) ==")
     # one sweep per d gives m_1..m_n_max at once
+    mismatches = 0
     semi = {
         d: semi_meander_moment_sweep(d, args.n_max, FORMAL, cap=args.n_max)
         for d in range(1, args.d_max + 1)
@@ -34,8 +37,9 @@ def main() -> None:
     for n in range(1, args.n_max + 1):
         for d in range(1, args.d_max + 1):
             m = semi[d][n]
-            mark = "ok" if m == polys[n].eval_at_t(d) else "MISMATCH"
-            print(f"d={d} n={n}: moment = {m}  [{mark}]")
+            ok = m == polys[n].eval_at_t(d)
+            mismatches += not ok
+            print(f"d={d} n={n}: moment = {m}  [{'ok' if ok else 'MISMATCH'}]")
 
     print("== meander side ==")
     meander = {
@@ -47,8 +51,11 @@ def main() -> None:
         print(f"n={n}  {p}")
         for d in (1, 2):
             m = meander[d][n]
-            mark = "ok" if m == p.eval_at_t(d) else "MISMATCH"
-            print(f"  d={d}: moment = {m}  [{mark}]")
+            ok = m == p.eval_at_t(d)
+            mismatches += not ok
+            print(f"  d={d}: moment = {m}  [{'ok' if ok else 'MISMATCH'}]")
+    return 1 if mismatches else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,17 +12,19 @@ rational coordinates; floating mode, for complex ones, is word-level only.
 
 Moments and the polynomials in (t, q) are swept by one engine,
 ``_moment_sweep``, which picks the basis, prices the sweep and runs it: the
-polynomials are the loop-basis moment at formal t.  Each step runs in two
-passes: the first factor into half-states, then the second factor from
-each.  One move rule (``_left_moves``) and one two-pass step
-(``_two_pass_step``) serve both bases, which give it three rules: the labels
-a creation may use, the ends the second factor may remove, and how an
-output is keyed and weighed.  The orbit basis keeps one word
-(word pair for X) per relabelling orbit of the letters, and runs the
-moments at d <= 2, where few letters keep its states small.  The loop basis
-keeps only which two open ends belong to one path, so its states do not
-grow with d: it counts each closed loop with t, the int d for the moments
-at d >= 3 and 2^W for the polynomials.
+polynomials are the loop-basis moment at formal t.  Its state is a dict
+from legs to packed ints, stepped through the reach and the longest leg
+``_schedule`` gives each step, and it reads every vacuum amplitude off the
+packed digits (``_digits``).  Each step runs in two passes: the first
+factor into half-states, then the second factor from each.  One move rule
+(``_left_moves``) and one two-pass step (``_two_pass_step``) serve both
+bases, which give it three rules: the labels a creation may use, the ends
+the second factor may remove, and how an output is keyed and weighed.  The
+orbit basis keeps one word (word pair for X) per relabelling orbit of the
+letters, and runs the moments at d <= 2, where few letters keep its states
+small.  The loop basis keeps only which two open ends belong to one path,
+so its states do not grow with d: it counts each closed loop with t, the
+int d for the moments at d >= 3 and 2^W for the polynomials.
 """
 
 from __future__ import annotations
@@ -329,7 +331,8 @@ def apply_semi_meander_operator(x: FockVector) -> FockVector:
 
 
 def sweep(start, steps: Iterable[Callable]) -> list:
-    """Vacuum amplitudes of ``start`` and of its image after each step."""
+    """Vacuum amplitudes of the word state ``start`` and of its image
+    after each step: the word-level references' sweep."""
     x, amplitudes = start, [start.vacuum_amplitude()]
     for step in steps:
         x = step(x)
@@ -337,10 +340,19 @@ def sweep(start, steps: Iterable[Callable]) -> list:
     return amplitudes
 
 
-def _horizons(n: int, doubled: bool) -> Iterator[int]:
-    """The longest leg a state can have entering each step of the sweep for m_n."""
+def _schedule(n: int, doubled: bool) -> Iterator[tuple[int, int]]:
+    """The steps of the sweep for m_n (n T steps, or 2n steps of X), as
+    (reach, longest): the longest leg an output of the step may keep, and
+    the longest leg a state can have entering it.
+
+    A step moves every leg by at most ``shrink`` ends (T two, X one), so
+    after step k of N a state with a leg longer than ``shrink * (N - k)``
+    cannot reach the vacuum again, and step k drops it as it makes it (its
+    reach).  This is exact, so one pass yields every order.  The steps are
+    yielded one by one, so a price that refuses a huge n reads few."""
     steps, shrink = (2 * n, 1) if doubled else (n, 2)
-    return (shrink * min(k - 1, steps - k + 1) for k in range(1, steps + 1))
+    return ((shrink * (steps - k), shrink * min(k - 1, steps - k + 1))
+            for k in range(1, steps + 1))
 
 
 # The packed width at which a product costs one more product of small ints
@@ -358,19 +370,13 @@ _EXACT_BITS_SQUARED = 2_000_000
 _LEG_ENDS = 100
 
 
-def _formal_weight(width: int, n: int, doubled: bool) -> float:
-    """Cost of one product of a formal sweep for m_n packing C = ``width``
-    bits per q-degree, in products of small ints."""
-    degree = n * (n - 1) // (1 if doubled else 2)  # most crossings of n pairs
-    return 1 + width * (degree + 1) / _FORMAL_BITS
-
-
 def _packed_weight(d: int | None, n: int, mode: Mode, doubled: bool) -> float:
     """Cost of one product of the packed ints of a sweep for m_n at t = d
     (formal t if ``d`` is None), in products of small ints."""
     if mode.is_formal:
-        return _formal_weight(_history_bits(n, doubled, d), n, doubled)
-    tops = [2 * h + 1 for h in _horizons(n, doubled)]
+        degree = n * (n - 1) // (1 if doubled else 2)  # most crossings of n pairs
+        return 1 + _history_bits(n, doubled, d) * (degree + 1) / _FORMAL_BITS
+    tops = [2 * longest + 1 for _, longest in _schedule(n, doubled)]
     bits = log2(mode.q.denominator)
     return 1 + sum(tops) * max(tops, default=0) * bits**2 / _EXACT_BITS_SQUARED
 
@@ -393,7 +399,7 @@ def _layer_sizes(n: int, doubled: bool, weight: Callable, fresh: Callable,
     and every state one of the second factor on a half-state, so a layer
     holds at most the outputs the one before it makes, each kept while the
     leg the factor acts on stays within the step's reach (see
-    ``_moment_sweep``), and those outputs are the products.  On a leg of a
+    ``_schedule``), and those outputs are the products.  On a leg of a
     ends, of L ends in all, the first factor makes ``fresh(L)`` creations
     and a removals, and the second factor one creation and a removals.  A
     layer also holds at most ``members(L)`` states (L even) or half-states
@@ -403,7 +409,6 @@ def _layer_sizes(n: int, doubled: bool, weight: Callable, fresh: Callable,
     any one position of that leg."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    steps, shrink = (2 * n, 1) if doubled else (n, 2)
     layer = {(0, 0) if doubled else (0,): 1}
 
     def moved(layer: dict, leg: int, limit: int, creations: Callable,
@@ -422,8 +427,7 @@ def _layer_sizes(n: int, doubled: bool, weight: Callable, fresh: Callable,
         return {s: min(c, members(sum(s))) for s, c in out.items()}, made
 
     total = 0
-    for k in range(1, steps + 1):
-        reach = shrink * (steps - k)
+    for reach, _ in _schedule(n, doubled):
         half, first = moved(layer, 0, reach if doubled else reach + 1, fresh)
         layer, second = moved(half, 1 if doubled else 0, reach, lambda L: 1,
                               lambda L, l: members(L) + l * removable(L))
@@ -501,32 +505,6 @@ def loop_sweep_sizes(d: int | None, n: int, mode: Mode, doubled: bool) -> Iterat
                         lambda L: 1, _loop_members, _loop_members)
 
 
-class _OrbitVector:
-    """Sweep state of either basis: a map from tuples of legs (one word for
-    T, a word pair for X), renamed jointly by first appearance, to the
-    coefficient of each of the orbit's d!/(d-u)! members, u the letters
-    used (orbit basis), or of the pairing of path ends (loop basis, where
-    ``d`` is the int t that weighs a closed loop).  A coefficient is one int (see ``_step_tables``): its value at
-    q = 2^width if q is formal, its numerator over b^scale if q = a/b."""
-
-    __slots__ = ("d", "mode", "vacuum", "terms", "width", "scale")
-
-    def __init__(self, d: int, mode: Mode, vacuum: tuple[Word, ...], terms: dict,
-                 width: int = 0, scale: int = 0):
-        self.d, self.mode, self.vacuum = d, mode, vacuum
-        self.terms = {k: c for k, c in terms.items() if c}
-        self.width, self.scale = width, scale
-
-    def vacuum_amplitude(self):
-        c = self.terms.get(self.vacuum)
-        if c is None:
-            return self.mode.zero()
-        if self.mode.is_formal:
-            mask, width = (1 << self.width) - 1, self.width
-            return QPoly([c >> s & mask for s in range(0, c.bit_length(), width)])
-        return Fraction(c, self.mode.q.denominator ** self.scale)
-
-
 def _canonical_pattern(*legs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Relabel values 1, 2, ... in order of first appearance, jointly over the
     legs.  Both sweeps call this for every distinct raw output, so it runs
@@ -544,26 +522,26 @@ def _canonical_pattern(*legs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _step_tables(x: _OrbitVector) -> tuple[Callable, list, list, int]:
-    """How one two-pass step multiplies the packed ints of ``x``: the
-    product ``times``, the first pass's table of q^e, the second pass's of
-    q^f, and the output's scale.  A first-pass product is c q^e, e < M, M
-    the longest leg of ``x``, and a second-pass one c q^f, f <= M:
+def _step_tables(mode: Mode, width: int, longest: int) -> tuple[tuple[Callable, list, list], int]:
+    """How one two-pass step multiplies the packed ints of states whose
+    longest leg is M = ``longest``: its tables (the product ``times``, the
+    first pass's table of q^e and the second pass's of q^f), and how much
+    it grows the scale.  A first-pass product is c q^e, e < M, and a
+    second-pass one c q^f, f <= M:
 
-    * formal q: c is the polynomial's value at q = 2^C, C = ``x.width``,
-      and q^e is a shift by C e; ``_history_bits`` proves that no digit
-      carries.
-    * q = a/b: c is the numerator over b^S, S = ``x.scale``; the first pass
+    * formal q: c is the polynomial's value at q = 2^C, C = ``width``, and
+      q^e is a shift by C e; ``_history_bits`` proves that no digit
+      carries.  The scale stays 0.
+    * q = a/b: c is the numerator over b^S, S the scale; the first pass
       multiplies by a^e b^(M-e) and the second by a^f b^(M+1-f), onto the
       denominator b^(S+2M+1).  No gcd is taken until an amplitude is read."""
-    longest = max((len(leg) for legs in x.terms for leg in legs), default=0)
     powers = range(longest + 1)
-    if x.mode.is_formal:
-        shifts = [x.width * e for e in powers]
-        return lshift, shifts, shifts, x.scale
-    a, b = x.mode.q.numerator, x.mode.q.denominator
-    return (mul, [a**e * b ** (longest - e) for e in powers],
-            [a**f * b ** (longest + 1 - f) for f in powers], x.scale + 2 * longest + 1)
+    if mode.is_formal:
+        shifts = [width * e for e in powers]
+        return (lshift, shifts, shifts), 0
+    a, b = mode.q.numerator, mode.q.denominator
+    return ((mul, [a**e * b ** (longest - e) for e in powers],
+             [a**f * b ** (longest + 1 - f) for f in powers]), 2 * longest + 1)
 
 
 def _left_moves(word: Word, fresh: Iterable[int]) -> list[tuple[Word, int, int]]:
@@ -578,33 +556,35 @@ def _left_moves(word: Word, fresh: Iterable[int]) -> list[tuple[Word, int, int]]
     return out
 
 
-def _two_pass_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict,
-                   fresh: Callable, ends: Callable, key: Callable) -> _OrbitVector:
+def _two_pass_step(terms: dict, doubled: bool, reach: int, memo: dict, tables: tuple,
+                   fresh: Callable, ends: Callable, key: Callable) -> dict:
     """One two-pass step, the same in both bases, which give it three rules.
 
     The first factor (T: r_i, on the word read from the right; X: left, on
-    leg 1) moves a label of each state of ``x`` by ``_left_moves``, creating
-    one of ``fresh(legs)``.  The output's legs after the moved label
+    leg 1) moves a label of each state of ``terms`` by ``_left_moves``,
+    creating one of ``fresh(legs)``.  The output's legs after the moved label
     (label,), renamed jointly by first appearance, are a half-state, whose
     label 1 is pending: the step's letter on orbits, its open path on loops.
     The second factor acts on its last leg (T: l_i; X: left, on leg 2): it
     removes the end at each (j, label) of ``ends(last)`` (q^j), or creates
     a 1 (q^0), marked by the label 0.  ``key`` maps each raw output (other
     legs, last leg, label) to its state and an int weight.  A product is
-    ``times(c, first[e])`` or ``times(c, second[j])`` (see
+    ``times(c, first[e])`` or ``times(c, second[j])`` (``tables``, see
     ``_step_tables``), times the weight if it is not 1.
 
     A half-state with its last leg longer than ``reach`` + 1 or another leg
     longer than ``reach``, or an output of the second factor with a leg
-    longer than ``reach``, cannot reach the vacuum again (see ``_moment_sweep``)
-    and is dropped before it is keyed.  ``memo``, shared by a sweep's steps,
+    longer than ``reach``, cannot reach the vacuum again (see
+    ``_schedule``) and is dropped before it is keyed.  ``memo``, shared by a sweep's steps,
     maps each other raw half-state to its key and each raw output (the one
     raw that ends in an int) to its state and weight; neither is empty, so
-    a hit is true.  Half-states of value 0 (at exact q = 0, every removal
-    past position 0) make no products."""
-    times, first, second, scale = _step_tables(x)
+    a hit is true.  States and half-states of value 0 (at exact q = 0,
+    every removal past position 0) make no products."""
+    times, first, second = tables
     add, lookup, half, out = _accumulate, memo.get, {}, {}
-    for legs, c in x.terms.items():
+    for legs, c in terms.items():
+        if not c:
+            continue
         word = legs[0] if doubled else legs[0][::-1]
         for w, e, label in _left_moves(word, fresh(legs)):
             head, last = ((w,), legs[1]) if doubled else ((), w[::-1])
@@ -622,10 +602,11 @@ def _two_pass_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict,
             state, weight = lookup(raw) or memo.setdefault(raw, key(raw))
             value = times(c, second[j])
             add(out, state, value if weight == 1 else value * weight)
-    return _OrbitVector(x.d, x.mode, x.vacuum, out, x.width, scale)
+    return out
 
 
-def _orbit_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _OrbitVector:
+def _orbit_step(terms: dict, d: int, doubled: bool, reach: int, memo: dict,
+                tables: tuple) -> dict:
     """One application of sum_i O_i on relabelling orbits.  The letters
     1..u of a representative act as themselves and one fresh letter u+1
     stands for the d-u unused ones, so the first factor creates one of the
@@ -640,7 +621,6 @@ def _orbit_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _Orbi
     left, d-u if the fresh letter was created and annihilated (T only: r_i,
     then l_i*).  The weight is read off the raw output, as renaming puts a
     1 in every output but the vacuum."""
-    d = x.d
 
     def key(raw):
         legs = (*raw[0], raw[1])
@@ -650,12 +630,13 @@ def _orbit_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _Orbi
         return state, d - max(chain.from_iterable(state), default=0)
 
     return _two_pass_step(
-        x, doubled, reach, memo,
+        terms, doubled, reach, memo, tables,
         lambda legs: range(1, min(max(chain.from_iterable(legs), default=0) + 1, d) + 1),
         lambda last: [(j, 1) for j, a in enumerate(last) if a == 1], key)
 
 
-def _loop_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _OrbitVector:
+def _loop_step(terms: dict, t: int, doubled: bool, reach: int, memo: dict,
+               tables: tuple) -> dict:
     """One application of sum_i O_i in the loop basis.  A state keeps, of
     the open paths the steps have drawn, only which two ends belong to one
     path: a tuple of legs (one word for T, a word pair for X) of path ends,
@@ -663,7 +644,7 @@ def _loop_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _Orbit
     first appearance.  A path's letter is free, so summing the orbit
     sweep's letters gives d per closed loop; the loop basis makes each
     pairing of the factors once, and a closed loop multiplies by the int
-    t = ``x.d``: d for a moment, 2^W for a polynomial in (t, q).  The first
+    ``t``: d for a moment, 2^W for a polynomial in (t, q).  The first
     factor creates a fresh end, labelled 0, or removes an end and so extends
     that end's path; either way the step's path 1 has one end left.
 
@@ -671,16 +652,15 @@ def _loop_step(x: _OrbitVector, doubled: bool, reach: int, memo: dict) -> _Orbit
     removing path 1's end closes a loop (times t), and removing
     another end joins its path to path 1, the survivor of its pair taking
     label 1."""
-    loop = x.d
 
     def key(raw):
         head, last, end = raw
         legs = (*head, last)
         if end > 1:
             legs = [tuple(1 if a == end else a for a in leg) for leg in legs]
-        return _canonical_pattern(*legs), loop if end == 1 else 1
+        return _canonical_pattern(*legs), t if end == 1 else 1
 
-    return _two_pass_step(x, doubled, reach, memo, lambda legs: (0,), enumerate, key)
+    return _two_pass_step(terms, doubled, reach, memo, tables, lambda legs: (0,), enumerate, key)
 
 
 def _history_bits(n: int, doubled: bool, d: int | None = 1) -> int:
@@ -722,6 +702,12 @@ def _history_bits(n: int, doubled: bool, d: int | None = 1) -> int:
     return (histories * d**n).bit_length()
 
 
+def _digits(c: int, bits: int) -> list[int]:
+    """The base-2^bits digits of c >= 0, lowest first."""
+    mask = (1 << bits) - 1
+    return [c >> s & mask for s in range(0, c.bit_length(), bits)]
+
+
 # The least d whose moments the loop basis sweeps: its states do not grow
 # with d, but at d = 2 the orbits are still fewer (T n=12 at q = 1/2: 31 ms
 # on orbits against 43 ms on loops, and 194 against 43 ms at d = 3; 2-core
@@ -734,27 +720,34 @@ def _moment_sweep(d: int | None, n: int, mode: Mode, doubled: bool, cap: int | N
     ``doubled``, from the vacuum with coefficient 1, in an exact mode: on
     relabelling orbits at d < ``_LOOP_BASIS_D``, priced by ``sweep_sizes``,
     and else in the loop basis at t = d, or at formal t (``d`` None, for
-    ``loop_sweep``) as t = 2^W, priced by ``loop_sweep_sizes``.  The steps
-    share one memo of keys.
+    ``loop_sweep``) as t = 2^W, priced by ``loop_sweep_sizes``.  Each step
+    runs at the reach ``_schedule`` gives it, and the steps share one memo
+    of keys.
 
-    A step moves every leg by at most ``shrink`` ends (T two, X one), so
-    after step k of N a state with a leg longer than ``shrink * (N - k)``
-    cannot reach the vacuum again, and step k drops it as it makes it (its
-    ``reach``).  This is exact, so one pass yields every order."""
+    A state maps tuples of legs (one word for T, a word pair for X),
+    renamed jointly by first appearance, to the coefficient of each of the
+    orbit's d!/(d-u)! members, u the letters used (orbit basis), or of the
+    pairing of path ends (loop basis).  A coefficient is one int (see
+    ``_step_tables``): its value at q = 2^width if q is formal, its
+    numerator over b^scale if q = a/b."""
     if not mode.is_exact:
         raise ValueError(f"the moment sweeps are exact: pass q as Fraction('{mode.q!r}')")
     orbits = d is not None and d < _LOOP_BASIS_D
     check_size(n, cap, (sweep_sizes if orbits else loop_sweep_sizes)(d, n, mode, doubled),
                SWEEP_BUDGET)
-    step = partial(_orbit_step if orbits else _loop_step, doubled=doubled)
-    vacuum = ((), ()) if doubled else ((),)
-    steps, shrink = (2 * n, 1) if doubled else (n, 2)
-    width = _history_bits(n, doubled, d) if mode.is_formal else 0
+    step = _orbit_step if orbits else _loop_step
     t = 1 << _history_bits(n, doubled) if d is None else d
-    memo: dict = {}
-    return sweep(_OrbitVector(t, mode, vacuum, {vacuum: 1}, width),
-                 (partial(step, reach=shrink * (steps - k), memo=memo)
-                  for k in range(1, steps + 1)))
+    width = _history_bits(n, doubled, d) if mode.is_formal else 0
+    vacuum = ((), ()) if doubled else ((),)
+    terms, scale, memo, amplitudes = {vacuum: 1}, 0, {}, [mode.one()]
+    for reach, longest in _schedule(n, doubled):
+        tables, growth = _step_tables(mode, width, longest)
+        terms = step(terms, t, doubled, reach, memo, tables)
+        scale += growth
+        c = terms.get(vacuum, 0)
+        amplitudes.append(QPoly(_digits(c, width)) if mode.is_formal
+                          else Fraction(c, mode.q.denominator**scale))
+    return amplitudes
 
 
 def loop_sweep(n: int, doubled: bool, cap: int | None = None) -> dict[tuple[int, int], int]:
@@ -764,10 +757,8 @@ def loop_sweep(n: int, doubled: bool, cap: int | None = None) -> dict[tuple[int,
     q-coefficient are the t-coefficients (Kronecker substitution)."""
     amplitude = _moment_sweep(None, n, FORMAL, doubled, cap)[-1]
     bits = _history_bits(n, doubled)
-    mask = (1 << bits) - 1
-    digits = ((t, u, c >> t * bits & mask) for u, c in enumerate(amplitude.coeffs)
-              for t in range(c.bit_length() // bits + 1))
-    return {(t, u): c for t, u, c in digits if c}
+    return {(t, u): c for u, coeff in enumerate(amplitude.coeffs)
+            for t, c in enumerate(_digits(coeff, bits)) if c}
 
 
 def _alphabet_size(d: int) -> int:

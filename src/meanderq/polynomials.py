@@ -100,7 +100,7 @@ class BivarPoly:
             elif body == "1":
                 chunks.append(t)
             elif len(inner) == 1 and by_k[k][0][0] == 0:
-                chunks.append(f"{body}*{t}" if body != "1" else t)
+                chunks.append(f"{body}*{t}")
             else:
                 chunks.append(f"{t}*({body})")
         return " + ".join(chunks)

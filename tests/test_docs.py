@@ -61,9 +61,9 @@ def test_readme_frontier_matches_the_budgets(monkeypatch):
     from meanderq.partitions import enumerate_noncrossing, enumerate_pair_partitions
     from meanderq.scalars import parse_q
 
-    # a route decides admission before any work, so a sweep is stubbed out
-    # to the vacuum amplitude it starts from
-    monkeypatch.setattr(fock, "sweep", lambda start, *args: [start.vacuum_amplitude()])
+    # a route decides admission before any work, so a sweep's steps are
+    # stubbed out to keep the state they are handed
+    monkeypatch.setattr(fock, "_two_pass_step", lambda terms, *args: terms)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     routes = {
         "poly --kind semi": partial(polynomials.kronecker_poly, "semi"),

@@ -188,11 +188,10 @@ def test_loop_estimate_bounds_the_products(doubled, n, d, q, monkeypatch):
     mode = FORMAL if q is None else Mode(q)
     if d is None:
         loop_sweep(n, doubled, cap=n)
-        weight = fock._formal_weight(fock._history_bits(n, doubled) * (n + 1), n, doubled)
     else:
         sweep = meander_moment_sweep if doubled else semi_meander_moment_sweep
         sweep(d, n, mode, cap=n)
-        weight = fock._packed_weight(d, n, mode, doubled)
+    weight = fock._packed_weight(d, n, mode, doubled)
     made = next(ticks)
     *_, estimate, weighted = loop_sweep_sizes(d, n, mode, doubled)
     assert made <= estimate <= 10 * made
@@ -205,10 +204,11 @@ def test_loop_states_bound_every_layer(doubled, steps):
     of L ends of each shape, a matching of them, and exactly one of the
     full length."""
     vacuum = ((), ()) if doubled else ((),)
-    x, memo = fock._OrbitVector(1 << 8, FORMAL, vacuum, {vacuum: 1}, 64), {}
+    x, memo = {vacuum: 1}, {}
+    tables, _ = fock._step_tables(FORMAL, 64, 2 * steps)
     for m in range(1, steps + 1):
-        x = fock._loop_step(x, doubled=doubled, reach=4 * steps, memo=memo)
-        shapes = Counter(tuple(map(len, legs)) for legs in x.terms)
+        x = fock._loop_step(x, 1 << 8, doubled, 4 * steps, memo, tables)
+        shapes = Counter(tuple(map(len, legs)) for legs in x)
         assert shapes[(m, m) if doubled else (2 * m,)] == 1
         for shape, count in shapes.items():
             assert count <= odd_double_factorial(sum(shape) // 2), (m, shape)
@@ -247,21 +247,21 @@ def test_the_sweeps_make_these_products(run, products, monkeypatch):
     (False, 1, 14), (False, 2, 10), (False, 3, 8), (True, 1, 6), (True, 2, 5), (True, 3, 4),
 ])
 def test_the_exact_price_reads_the_legs_the_sweep_uses(doubled, d, n, loops, q, monkeypatch):
-    """``_packed_weight`` prices a sweep at q = a/b from ``_horizons``, and
-    the denominator each step adds is read off the longest leg of the
-    states ``_step_tables`` is handed: in either basis the two agree at
-    every step."""
-    longest, tables = [], fock._step_tables
+    """``_packed_weight`` prices a sweep at q = a/b, and each step sizes its
+    tables and the denominator it adds, from the longest leg ``_schedule``
+    gives the step: in either basis it is the longest leg of the states
+    the step is handed."""
+    longest, step = [], fock._two_pass_step
 
-    def recording(x):
-        longest.append(max((len(leg) for legs in x.terms for leg in legs), default=0))
-        return tables(x)
+    def recording(terms, *args):
+        longest.append(max((len(leg) for legs in terms for leg in legs), default=0))
+        return step(terms, *args)
 
-    monkeypatch.setattr(fock, "_step_tables", recording)
+    monkeypatch.setattr(fock, "_two_pass_step", recording)
     monkeypatch.setattr(fock, "_LOOP_BASIS_D", 1 if loops else d + 1)
     run = meander_moment_sweep if doubled else semi_meander_moment_sweep
     run(d, n, FORMAL if q is None else Mode(q), cap=n)
-    assert longest == list(fock._horizons(n, doubled))
+    assert longest == [top for _, top in fock._schedule(n, doubled)]
 
 
 @pytest.mark.parametrize("q", [None, Fraction(1, 2)])
@@ -327,7 +327,7 @@ def test_products_are_weighed_by_their_packed_width():
     assert fock._history_bits(30, doubled=False, d=1) == 135
     assert fock._product_weight(1, 30, FORMAL, False) == 1 + 135 * 436 / 50_000 + 30 / 100
     assert fock._product_weight(2, 5, FORMAL, True) == 1 + 25 * 21 / 50_000 + 10 / 100
-    tops = [2 * h + 1 for h in fock._horizons(60, doubled=False)]
+    tops = [2 * top + 1 for _, top in fock._schedule(60, doubled=False)]
     assert (sum(tops), max(tops)) == (3660, 121)
     for q in (Fraction(1, 2), Fraction(9, 10), Fraction(-7, 9)):
         weight = fock._product_weight(1, 60, Mode(q), False)
