@@ -38,7 +38,8 @@ from operator import lshift, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dyck import ONE, STAR
-from .errors import SWEEP_BUDGET, GroundSetError, TruncationOverflowError, check_size
+from .errors import (ENUMERATION_BUDGET, SWEEP_BUDGET, GroundSetError, TruncationOverflowError,
+                     check_size)
 from .partitions import (
     LEFT,
     RIGHT,
@@ -217,8 +218,7 @@ def _apply(side: str, v: CoordVector, x: FockVector, flavors: str,
         raise GroundSetError(f"operator vector has dimension {len(v)}, state {x.d}")
     # Integral Fractions as ints keep integer coefficients integer.
     v = [int(a) if type(a) is Fraction and a.denominator == 1 else a for a in v]
-    mode = x.mode
-    formal = mode.is_formal
+    shifted = x.mode.shifted
     out: dict[Word, object] = {}
     left = side == LEFT
     create, remove = ONE in flavors, STAR in flavors
@@ -241,21 +241,14 @@ def _apply(side: str, v: CoordVector, x: FockVector, flavors: str,
             f = conjugate(v[word[pos] - 1])
             if not f:
                 continue
-            nw = word[:pos] + word[pos + 1 :]
-            if formal and type(c) is QPoly:
-                _accumulate(out, nw, c.shifted(k - 1, f))
-            else:
-                _accumulate(out, nw, c * (f * mode.q_power(k - 1)))
-    return FockVector._trusted(x.d, x.max_len, mode, out)
+            _accumulate(out, word[:pos] + word[pos + 1 :], shifted(c, k - 1, f))
+    return FockVector._trusted(x.d, x.max_len, x.mode, out)
 
 
 def apply_q_scaling(x: FockVector) -> FockVector:
     """Multiply every length-n word by q^n; the vacuum is fixed."""
-    mode = x.mode
-    return FockVector._trusted(x.d, x.max_len, mode, {
-        w: c.shifted(len(w)) if mode.is_formal and type(c) is QPoly else c * mode.q_power(len(w))
-        for w, c in x.terms.items()
-    })
+    return FockVector._trusted(x.d, x.max_len, x.mode,
+                               {w: x.mode.shifted(c, len(w)) for w, c in x.terms.items()})
 
 
 def word_vector(
@@ -279,15 +272,13 @@ def _word_inner(w: Word, v: Word, mode: Mode):
     """Permutation sum for two basis words: sum over bijections matching the
     letters, weighted by q^(inversion count)."""
     n = len(w)
-    total = mode.zero()
     if sorted(w) != sorted(v):
-        return total
+        return mode.zero()
+    counts = [0] * (n * (n - 1) // 2 + 1)
     for tau in permutations(range(n)):
-        if any(w[i] != v[tau[i]] for i in range(n)):
-            continue
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if tau[i] > tau[j])
-        total = total + mode.q_power(inv)
-    return total
+        if all(w[i] == v[tau[i]] for i in range(n)):
+            counts[sum(1 for i in range(n) for j in range(i + 1, n) if tau[i] > tau[j])] += 1
+    return mode.series(counts)
 
 
 def q_inner_product(x: FockVector, y: FockVector):
@@ -796,12 +787,12 @@ def _gaussian_moment_pairings(index: IndexTuple, mode: Mode):
     two_n = len(index)
     if two_n % 2:
         return mode.zero()
-    total = mode.zero()
-    values = index.values
-    for pi in enumerate_pair_partitions(two_n // 2):
+    n, values = two_n // 2, index.values
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    for pi in enumerate_pair_partitions(n):
         if all(values[a - 1] == values[b - 1] for a, b in pi.pairs):
-            total = total + mode.q_power(crossings(pi))
-    return total
+            counts[crossings(pi)] += 1
+    return mode.series(counts)
 
 
 def gaussian_joint_moment(index: IndexTuple, mode: Mode = FORMAL):
@@ -830,9 +821,11 @@ def meander_moment_direct(d: int, n: int, mode: Mode = FORMAL):
     """The reference for the doubled-space sweep, which shares no step with
     it: the sum over all d^(2n) index tuples of the squared joint moment,
     memoised by the level-set pattern of the tuple, which is all a joint
-    moment depends on.  Exponential in n."""
+    moment depends on.  Exponential in n: sized as the meander-moments suite."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_size(n, None, (max(odd_double_factorial(k) ** 2, d ** (2 * k)) for k in range(1, n + 1)),
+               ENUMERATION_BUDGET, "meander_moment_direct takes no cap; lower n or d")
     memo: dict[tuple[int, ...], object] = {}
     total = mode.zero()
     for values in product(range(1, d + 1), repeat=2 * n):

@@ -66,7 +66,7 @@ class BivarPoly:
         coeffs = [0] * (self.u_degree + 1)
         for (k, l), c in self.terms.items():
             coeffs[l] += c * Fraction(t) ** k
-        return QPoly([x if x.denominator != 1 else int(x) for x in map(Fraction, coeffs)])
+        return QPoly(coeffs)
 
     def u0_slice(self) -> dict[int, int]:
         """Coefficients of the u=0 restriction, keyed by t-degree."""

@@ -46,7 +46,7 @@ from .partitions import (
     join,
     rainbow,
 )
-from .scalars import FORMAL, Mode, QPoly
+from .scalars import FORMAL, Mode
 
 
 @dataclass(frozen=True)
@@ -96,32 +96,22 @@ def _pair_inners(wp: WickProduct) -> Callable:
 
 def wick_term(pi: PairPartition, wp: WickProduct, mode: Mode = FORMAL):
     """Contribution of one pair-partition: q^cr times the product of inner
-    products over its pairs in height coordinates (opener first).  For formal
-    q the inner products multiply as plain scalars and q^cr is one shift."""
+    products over its pairs in height coordinates (opener first), which
+    multiply as plain scalars before q^cr weighs them once."""
     if pi.size != wp.size:
         raise GroundSetError(f"ground sets differ: {pi.size} vs {wp.size}")
-    cr = crossings(pi)
-    start = 1 if mode.is_formal else mode.q_power(cr)
-    value = _inner_product(height_pairs(pi, wp.chi), _pair_inners(wp), start)
-    return QPoly.one().shifted(cr, value) if mode.is_formal else value
+    return mode.q_power(crossings(pi)) * _inner_product(height_pairs(pi, wp.chi), _pair_inners(wp))
 
 
-def _inner_product(pairs, inner: Callable, value=1):
-    """``value`` times the inner products over the height pairs in their
+def _inner_product(pairs, inner: Callable):
+    """The product of the inner products over the height pairs in their
     order, stopping at the first zero."""
+    value = 1
     for k, h in pairs:
         value = value * inner(k, h)
         if not value:
             break
     return value
-
-
-def _degree_sum(sums: list, mode: Mode):
-    """sum_k sums[k] q^k as a scalar of the mode: in formal mode one
-    ``QPoly``, which refuses an inexact coefficient even where it is 0."""
-    if mode.is_formal:
-        return QPoly(sums)
-    return sum((c * mode.q_power(k) for k, c in enumerate(sums) if c), mode.zero())
 
 
 def wick_scalar_combinatorial(wp: WickProduct, mode: Mode = FORMAL):
@@ -135,7 +125,7 @@ def wick_scalar_combinatorial(wp: WickProduct, mode: Mode = FORMAL):
     sums = [0] * (eps.n * (eps.n - 1) // 2 + 1)
     for pairs, cr in walk_preimage(eps, wp.chi):
         sums[cr] += _inner_product(pairs, inner)
-    return _degree_sum(sums, mode)
+    return mode.series(sums)
 
 
 def wick_scalar_operator(wp: WickProduct, mode: Mode = FORMAL):
@@ -177,7 +167,7 @@ def compatible_crossing_sum(index: IndexTuple, eps: DyckTuple, mode: Mode = FORM
     for pairs, cr in walk_preimage(eps):
         if all(values[a - 1] == values[b - 1] for a, b in pairs):
             sums[cr] += 1
-    return _degree_sum(sums, mode)
+    return mode.series(sums)
 
 
 def basis_wick_product(index: IndexTuple, eps: Sequence[str], chi: Sequence[str] | None = None) -> WickProduct:
@@ -196,7 +186,8 @@ def doubled_compatible_count(pi: PairPartition, d: int) -> int:
 def doubled_compatible_count_bruteforce(pi: PairPartition, d: int) -> int:
     """Literal count over all d^(2n) index tuples (within the enumeration budget)."""
     two_n = pi.size
-    check_size(two_n // 2, None, (d**j for j in range(1, two_n + 1)), ENUMERATION_BUDGET)
+    check_size(two_n // 2, None, (d**j for j in range(1, two_n + 1)), ENUMERATION_BUDGET,
+               "doubled_compatible_count_bruteforce takes no cap; lower the order or d")
     heights = height_pairs(pi)
     count = 0
     for values in product(range(1, d + 1), repeat=two_n):

@@ -10,10 +10,10 @@ Three regimes are used throughout the package, selected by :class:`Mode`:
 * floating mode -- ``q`` is a float in (-1, 1) and scalars are floats or
   complex, for word-level states with complex coordinates only.
 
-The moment sweeps of :mod:`meanderq.fock` run in the two exact modes and
-carry packed ints internally, a formal coefficient as its value at
-``q = 2^C`` and an exact one as its numerator over a shared power of ``q``'s
-denominator, and return these scalars only for the vacuum amplitudes.
+``Mode.series`` and ``Mode.shifted`` build every ``q``-series and ``q``-power
+product.  Only the exact moment sweeps of :mod:`meanderq.fock` branch on a
+formal ``q``: they carry packed ints, a formal coefficient's value at
+``q = 2^C`` or an exact one's numerator over a power of ``q``'s denominator.
 """
 
 from __future__ import annotations
@@ -264,6 +264,21 @@ class Mode:
         if self.q is None:
             return QPoly.q_power(k)
         return self.q**k
+
+    def series(self, coeffs):
+        """sum_k coeffs[k] q^k: one checked ``QPoly`` at formal q, else Horner's rule."""
+        if self.q is None:
+            return QPoly(coeffs)
+        value = self.zero()
+        for c in reversed(coeffs):
+            value = value * self.q + c
+        return value
+
+    def shifted(self, c, k: int, f=1):
+        """``c * f * q^k``: one ``QPoly.shifted`` if ``c`` is a formal ``QPoly``."""
+        if self.q is None and type(c) is QPoly:
+            return c.shifted(k, f)
+        return c * (f * self.q_power(k))
 
 
 FORMAL = Mode()

@@ -576,6 +576,18 @@ class TestMeanderMoment:
         with pytest.raises(EnumerationCapError):
             meander_moment(2, 9)
 
+    def test_direct_route_is_refused_before_any_joint_moment(self, monkeypatch):
+        # (2, 6) streams only 2^12 index tuples, but its 10395^2 pairs of
+        # matchings pass the budget; (2, 5), the largest admitted, still runs
+        assert meander_moment_direct(2, 5) == meander_moment(2, 5)
+
+        def no_work(*args):
+            raise AssertionError("a refused route computed a joint moment")
+
+        monkeypatch.setattr(fock, "gaussian_joint_moment", no_work)
+        with pytest.raises(EnumerationCapError, match="takes no cap; lower n or d"):
+            meander_moment_direct(2, 6)
+
     @pytest.mark.parametrize("mode", DECIMAL_MODES, ids=str)
     def test_orbit_sweep_matches_the_enumeration(self, mode):
         mode = _swept_mode(mode, meander_moment)

@@ -49,6 +49,44 @@ def test_private_names_stay_in_their_module():
                      "dyck._resolve_chi"}
 
 
+def _formal_branches(source: str, module: str) -> set[tuple[str, str]]:
+    """(what, where) for each place in ``source`` that asks whether q is
+    formal: what is "is_formal" for a read of that attribute and "is QPoly"
+    for an identity test against ``QPoly`` (``type(c) is QPoly``), where is
+    ``module.name`` of the top-level definition holding it, or ``module``."""
+    found = set()
+    for top in ast.parse(source).body:
+        where = f"{module}.{top.name}" if hasattr(top, "name") else module
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "is_formal":
+                found.add(("is_formal", where))
+            elif (isinstance(node, ast.Compare)
+                  and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                  and any(getattr(x, "id", None) == "QPoly" for x in [node.left, *node.comparators])):
+                found.add(("is QPoly", where))
+    return found
+
+
+def test_the_check_sees_a_formal_branch():
+    source = ("def f(mode, c):\n    return mode.is_formal and type(c) is QPoly\n"
+              "x = type(y) is not QPoly or QPoly is type(z)\nclass A:\n    y = m.is_formal\n")
+    assert _formal_branches(source, "m") == {("is_formal", "m.f"), ("is QPoly", "m.f"),
+                                              ("is QPoly", "m"), ("is_formal", "m.A")}
+
+
+def test_only_the_sweep_and_the_cli_ask_whether_q_is_formal():
+    # scalars.Mode builds every q-series and q-power product, so no other
+    # route branches on a formal q; the sweep still does, as its packed ints
+    # carry a formal coefficient as its value at q = 2^C, and so does the
+    # CLI, which prints q and refuses a formal q for spectrum
+    found = set().union(*(_formal_branches(p.read_text(), p.stem)
+                          for p in MODULES if p.name != "scalars.py"))
+    assert {(what, where) for what, where in found
+            if not (what == "is_formal" and where.startswith("cli."))} == {
+        ("is_formal", "fock._packed_weight"), ("is_formal", "fock._step_tables"),
+        ("is_formal", "fock._moment_sweep")}
+
+
 def test_the_check_sees_an_unused_import():
     assert _unused_imports("from math import perm, prod\nx = prod([1])\n") == ["perm"]
     assert _unused_imports("import numpy as np\nimport os.path\nos.path.join\n") == ["np"]

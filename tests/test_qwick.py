@@ -10,7 +10,7 @@ from conftest import rational_vectors
 
 from meanderq.dyck import (ChoiceTuple, DyckTuple, alternating_pattern, enumerate_dyck,
                            enumerate_preimage)
-from meanderq.errors import GroundSetError
+from meanderq.errors import EnumerationCapError, GroundSetError
 from meanderq.fock import IndexTuple, OpSymbol, basis_vector, semi_meander_moment, vector_inner
 from meanderq.partitions import (
     PairPartition,
@@ -18,6 +18,7 @@ from meanderq.partitions import (
     crossings,
     enumerate_pair_partitions,
     labels_to_heights,
+    rainbow,
     side_pattern_permutation,
 )
 from meanderq.polynomials import semi_meander_poly
@@ -310,6 +311,11 @@ class TestDoubledCounts:
     def test_bruteforce_cap(self):
         with pytest.raises(ValueError):
             doubled_compatible_count_bruteforce(REFERENCE_PI, 10)
+
+    def test_bruteforce_refusal_names_what_to_lower(self):
+        # the brute force takes no cap, so its refusal must not offer one
+        with pytest.raises(EnumerationCapError, match="takes no cap; lower the order or d"):
+            doubled_compatible_count_bruteforce(rainbow(24), 2)
 
 
 class TestBncMoments:

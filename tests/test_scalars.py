@@ -108,6 +108,29 @@ def test_mode_q_power():
     assert Mode(Fraction(0)).q_power(4) == 0
 
 
+MODES = st.one_of(st.just(FORMAL),
+                  st.integers(min_value=-8, max_value=8).map(lambda a: Mode(Fraction(a, 9))),
+                  st.floats(min_value=-0.99, max_value=0.99).map(Mode))
+
+
+@given(MODES, st.lists(EXACT, max_size=5))
+@settings(max_examples=300)
+def test_series_is_the_polynomial_at_q(mode, coeffs):
+    got = mode.series(coeffs)
+    assert got == (QPoly(coeffs) if mode.is_formal else QPoly(coeffs).at(mode.q))
+    assert type(mode.series([0] * len(coeffs))) is type(mode.zero())
+
+
+@given(MODES, st.one_of(EXACT, QPOLYS), EXACT, st.integers(min_value=0, max_value=4))
+@settings(max_examples=300)
+def test_shifted_is_c_times_f_times_q_to_the_k(mode, c, f, k):
+    if isinstance(c, QPoly) and not mode.is_exact:
+        c = c.at(mode.q)  # a float mode's scalars are numbers
+    want = c * f * mode.q_power(k)
+    got = mode.shifted(c, k, f)
+    assert got == (want if mode.is_exact else pytest.approx(want))
+
+
 def test_mode_equality_distinguishes_rings():
     assert Mode(Fraction(1, 2)) != Mode(0.5)
     assert Mode(Fraction(0)) != Mode(0.0)
