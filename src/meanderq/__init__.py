@@ -1,7 +1,7 @@
 """Exact meander/semi-meander polynomials, deformed Fock-space moments and
 moment-problem tooling, cross-verified through a two-sided Wick formula."""
 
-from .errors import EnumerationCapError, GroundSetError, TruncationOverflowError
+from .errors import EnumerationCapError, GroundSetError
 from .partitions import (
     IndexTuple,
     PairPartition,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one size-limit policy."""
+"""The two exception types shared across the package, and the one size-limit policy."""
 
 from typing import Iterable
 
@@ -30,11 +30,3 @@ def check_size(n: int, cap: int | None, size: Iterable[int], budget: int,
 
 class GroundSetError(ValueError):
     """Two combinatorial objects live on different ground sets."""
-
-
-class TruncationOverflowError(RuntimeError):
-    """A creation operator would push a word past the truncation level.
-
-    Raised instead of silently projecting: vacuum expectations are exact
-    only while every intermediate word fits under the level bound.
-    """

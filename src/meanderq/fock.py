@@ -1,11 +1,12 @@
-"""Truncated deformed Fock space over C^d with exact coefficients.
+"""The deformed (full) Fock space over C^d with exact coefficients.
 
 States are finitely supported maps from basis words over {1..d} to scalars
-(the empty word is the vacuum); operators act on these sparse maps and are
-never materialised as matrices.  The inner product of two length-n words is
-the permutation sum weighted by q^(inversions); creation prepends/appends a
-vector, annihilation is the q-weighted sum over removal positions, counted
-from the left for left operators and from the right for right operators.
+(the empty word is the vacuum), exact at every word length: nothing is
+truncated.  Operators act on these sparse maps and are never materialised
+as matrices.  The inner product of two length-n words is the permutation
+sum weighted by q^(inversions); creation prepends/appends a vector,
+annihilation is the q-weighted sum over removal positions, counted from
+the left for left operators and from the right for right operators.
 
 Inner products are linear in the first argument.  Exact modes restrict to
 rational coordinates; floating mode, for complex ones, is word-level only.
@@ -29,17 +30,17 @@ int d for the moments at d >= 3 and 2^W for the polynomials.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
-from itertools import chain, permutations, product
-from math import ceil, log2
+from itertools import accumulate, chain, permutations, product
+from math import ceil, factorial, log2
 from operator import lshift, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dyck import ONE, STAR
-from .errors import (ENUMERATION_BUDGET, SWEEP_BUDGET, GroundSetError, TruncationOverflowError,
-                     check_size)
+from .errors import ENUMERATION_BUDGET, SWEEP_BUDGET, GroundSetError, check_size
 from .partitions import (
     LEFT,
     RIGHT,
@@ -92,44 +93,38 @@ def annihilator(side: str, vector: Sequence) -> OpSymbol:
 
 
 class FockVector:
-    """Finitely supported word -> coefficient map under a truncation level."""
+    """Finitely supported word -> coefficient map, of words of any length."""
 
-    __slots__ = ("d", "max_len", "mode", "terms")
+    __slots__ = ("d", "mode", "terms")
 
-    def __init__(self, d: int, max_len: int, mode: Mode, terms: dict[Word, object]):
+    def __init__(self, d: int, mode: Mode, terms: dict[Word, object]):
         if d < 1:
             raise ValueError("alphabet size d must be positive")
-        if max_len < 0:
-            raise ValueError("truncation level must be non-negative")
         self.d = d
-        self.max_len = max_len
         self.mode = mode
         self.terms = {w: c for w, c in terms.items() if c}
         for w in self.terms:
-            if len(w) > max_len:
-                raise TruncationOverflowError(
-                    f"word of length {len(w)} above the truncation level {max_len}"
-                )
             if not all(1 <= a <= d for a in w):
                 raise ValueError(f"letters of {w} outside 1..{d}")
 
     @classmethod
-    def _trusted(cls, d: int, max_len: int, mode: Mode, terms: dict[Word, object]) -> "FockVector":
+    def _trusted(cls, d: int, mode: Mode, terms: dict[Word, object]) -> "FockVector":
         """A state built from checked ones: every word of ``terms`` already
-        lies within the truncation level and the alphabet, so only zero
-        coefficients are dropped."""
+        lies within the alphabet, so only zero coefficients are dropped."""
         x = object.__new__(cls)
-        x.d, x.max_len, x.mode = d, max_len, mode
+        x.d, x.mode = d, mode
         x.terms = {w: c for w, c in terms.items() if c}
         return x
 
     @classmethod
-    def vacuum(cls, d: int, max_len: int, mode: Mode = FORMAL) -> "FockVector":
-        return cls(d, max_len, mode, {(): mode.one()})
+    def vacuum(cls, d: int, max_len: int | None = None, mode: Mode = FORMAL) -> "FockVector":
+        """The vacuum.  ``max_len`` is ignored (states are exact at every
+        length); it is kept for callers that pass it positionally."""
+        return cls(d, mode, {(): mode.one()})
 
     @classmethod
-    def zero(cls, d: int, max_len: int, mode: Mode = FORMAL) -> "FockVector":
-        return cls(d, max_len, mode, {})
+    def zero(cls, d: int, mode: Mode = FORMAL) -> "FockVector":
+        return cls(d, mode, {})
 
     def coefficient(self, word: Word):
         return self.terms.get(tuple(word), self.mode.zero())
@@ -151,18 +146,13 @@ class FockVector:
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out[w] + c if w in out else c
-        return FockVector._trusted(self.d, max(self.max_len, other.max_len), self.mode, out)
+        return FockVector._trusted(self.d, self.mode, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "FockVector":
-        return FockVector._trusted(
-            self.d, self.max_len, self.mode, {w: x * c for w, x in self.terms.items()}
-        )
-
-    def with_max_len(self, max_len: int) -> "FockVector":
-        return FockVector(self.d, max_len, self.mode, self.terms)
+        return FockVector._trusted(self.d, self.mode, {w: x * c for w, x in self.terms.items()})
 
     def max_abs(self) -> float:
         """Largest coefficient magnitude (floating modes only)."""
@@ -225,10 +215,6 @@ def _apply(side: str, v: CoordVector, x: FockVector, flavors: str,
     for word, c in x.terms.items():
         n = len(word)
         if create:
-            if n + 1 > x.max_len:
-                raise TruncationOverflowError(
-                    f"creation on a length-{n} word exceeds level {x.max_len}"
-                )
             for i, vi in enumerate(v, start=1):
                 if not vi:
                     continue
@@ -242,27 +228,22 @@ def _apply(side: str, v: CoordVector, x: FockVector, flavors: str,
             if not f:
                 continue
             _accumulate(out, word[:pos] + word[pos + 1 :], shifted(c, k - 1, f))
-    return FockVector._trusted(x.d, x.max_len, x.mode, out)
+    return FockVector._trusted(x.d, x.mode, out)
 
 
 def apply_q_scaling(x: FockVector) -> FockVector:
     """Multiply every length-n word by q^n; the vacuum is fixed."""
-    return FockVector._trusted(x.d, x.max_len, x.mode,
-                               {w: x.mode.shifted(c, len(w)) for w, c in x.terms.items()})
+    shifted = x.mode.shifted
+    return FockVector._trusted(x.d, x.mode, {w: shifted(c, len(w)) for w, c in x.terms.items()})
 
 
-def word_vector(
-    vectors: Sequence[CoordVector],
-    d: int,
-    mode: Mode = FORMAL,
-    max_len: int | None = None,
-) -> FockVector:
+def word_vector(vectors: Sequence[CoordVector], d: int, mode: Mode = FORMAL) -> FockVector:
     """Expansion of an elementary tensor of coordinate vectors over basis
     words: left creations at the vectors, the last one first, on the vacuum."""
     for v in vectors:
         if len(v) != d:
             raise GroundSetError(f"vector dimension {len(v)} != {d}")
-    x = FockVector.vacuum(d, len(vectors) if max_len is None else max_len, mode)
+    x = FockVector.vacuum(d, mode=mode)
     for v in reversed(vectors):
         x = apply(creator(LEFT, v), x)
     return x
@@ -282,8 +263,14 @@ def _word_inner(w: Word, v: Word, mode: Mode):
 
 
 def q_inner_product(x: FockVector, y: FockVector):
-    """Deformed inner product; words of different lengths are orthogonal."""
+    """Deformed inner product; words of different lengths are orthogonal.
+    Sized by the L! permutations each pair of length-L words may walk."""
     x._check_compatible(y)
+    xs, ys = Counter(map(len, x.terms)), Counter(map(len, y.terms))
+    common = sorted(xs.keys() & ys.keys())
+    check_size(max(common, default=0), None,
+               accumulate(xs[L] * ys[L] * factorial(L) for L in common), ENUMERATION_BUDGET,
+               "q_inner_product takes no cap; use shorter words")
     mode = x.mode
     total = mode.zero()
     for w1, c1 in x.terms.items():
@@ -299,7 +286,7 @@ def q_inner_product(x: FockVector, y: FockVector):
 def vacuum_expectation(ops: Sequence[OpSymbol], d: int, mode: Mode = FORMAL):
     """Apply a product of factors (written left to right) to the vacuum and
     return the empty-word amplitude."""
-    x = FockVector.vacuum(d, max(len(ops), 1), mode)
+    x = FockVector.vacuum(d, mode=mode)
     for op in reversed(list(ops)):
         x = apply(op, x)
     return x.vacuum_amplitude()
@@ -314,21 +301,11 @@ def _position(side: str, v: CoordVector, x: FockVector) -> FockVector:
 def apply_semi_meander_operator(x: FockVector) -> FockVector:
     """One application of sum_i (left create + annihilate)(right create +
     annihilate) at the i-th basis vector, composed from the elementary actions."""
-    out = FockVector.zero(x.d, x.max_len, x.mode)
+    out = FockVector.zero(x.d, x.mode)
     for i in range(1, x.d + 1):
         e = basis_vector(x.d, i)
         out = out + _position(LEFT, e, _position(RIGHT, e, x))
     return out
-
-
-def sweep(start, steps: Iterable[Callable]) -> list:
-    """Vacuum amplitudes of the word state ``start`` and of its image
-    after each step: the word-level references' sweep."""
-    x, amplitudes = start, [start.vacuum_amplitude()]
-    for step in steps:
-        x = step(x)
-        amplitudes.append(x.vacuum_amplitude())
-    return amplitudes
 
 
 def _schedule(n: int, doubled: bool) -> Iterator[tuple[int, int]]:
@@ -773,12 +750,16 @@ def semi_meander_moment(d: int, n: int, mode: Mode = FORMAL, cap: int | None = N
 
 def semi_meander_moment_direct(d: int, n: int, mode: Mode = FORMAL):
     """Unpruned pass over basis words, the reference for the moment sweep in
-    either basis; level 2n is exact, as a step moves word length by at most
-    two."""
+    either basis.  Exponential in n: sized like ``meander_moment_direct``,
+    by the matchings and the index tuples of each order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    start = FockVector.vacuum(d, 2 * n, mode)
-    return sweep(start, [apply_semi_meander_operator] * n)[-1]
+    check_size(n, None, (max(odd_double_factorial(k), d ** (2 * k)) for k in range(1, n + 1)),
+               ENUMERATION_BUDGET, "semi_meander_moment_direct takes no cap; lower n or d")
+    x = FockVector.vacuum(d, mode=mode)
+    for _ in range(n):
+        x = apply_semi_meander_operator(x)
+    return x.vacuum_amplitude()
 
 
 def _gaussian_moment_pairings(index: IndexTuple, mode: Mode):
@@ -798,9 +779,10 @@ def _gaussian_moment_pairings(index: IndexTuple, mode: Mode):
 def gaussian_joint_moment(index: IndexTuple, mode: Mode = FORMAL):
     """Vacuum moment of the product of position operators picked by the index
     tuple (leftmost factor carries the last index).  Odd lengths give 0."""
-    start = FockVector.vacuum(index.d, max(len(index), 1), mode)
-    steps = [partial(_position, LEFT, basis_vector(index.d, i)) for i in index.values]
-    return sweep(start, steps)[-1]
+    x = FockVector.vacuum(index.d, mode=mode)
+    for i in index.values:
+        x = _position(LEFT, basis_vector(index.d, i), x)
+    return x.vacuum_amplitude()
 
 
 def meander_moment_sweep(d: int, n: int, mode: Mode = FORMAL, cap: int | None = None) -> list:
@@ -842,7 +824,6 @@ def commutator_defect(v: Sequence, w: Sequence, x: FockVector) -> FockVector:
     operator at w, minus its known scalar multiple of the q-scaling operator.
     Identically zero; exercised as an exactness check."""
     v, w = tuple(v), tuple(w)
-    room = x.with_max_len(x.max_len + 2)
     a, b = partial(_position, LEFT, v), partial(_position, RIGHT, w)
     c = vector_inner(w, v) - vector_inner(v, w)
-    return a(b(room)) - b(a(room)) - apply_q_scaling(room).scaled(c)
+    return a(b(x)) - b(a(x)) - apply_q_scaling(x).scaled(c)

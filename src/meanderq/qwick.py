@@ -139,7 +139,7 @@ def apply_choice_product(ct, wp: WickProduct, mode: Mode = FORMAL) -> FockVector
     choice tuples recovers the full Wick scalar term by term."""
     if ct.eps.symbols != tuple(wp.eps):
         raise GroundSetError("choice tuple belongs to a different flavor word")
-    x = FockVector.vacuum(wp.d, wp.size, mode)
+    x = FockVector.vacuum(wp.d, mode=mode)
     for h in range(1, wp.size + 1):
         x = apply_piece(wp.chi[h - 1], wp.eps[h - 1], ct.gammas[h - 1], wp.vectors[h - 1], x)
     return x

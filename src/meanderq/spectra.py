@@ -200,7 +200,7 @@ def semi_meander_norm_bounds(d: int, n_max: int = 4) -> tuple[float, float]:
     return lower, 4.0 * d
 
 
-def negativity_witness(d: int, q=0.0):
+def negativity_witness(d: int, q=Fraction(0)):
     """Quadratic form of the semi-meander operator on the antisymmetric
     two-letter tensor; strictly negative at q = 0, so the operator is not
     positive despite its summands being so."""
@@ -208,5 +208,5 @@ def negativity_witness(d: int, q=0.0):
         raise ValueError("d >= 2 required (the witness uses two letters)")
     mode = _as_mode(q)
     one = mode.one()
-    xi = FockVector(d, 4, mode, {(1, 2): one, (2, 1): -one})
+    xi = FockVector(d, mode, {(1, 2): one, (2, 1): -one})
     return q_inner_product(apply_semi_meander_operator(xi), xi)

@@ -238,7 +238,7 @@ def suite_commutator(d_max: int = 2, len_max: int = 4,
         for word in words:
             for v in vecs:
                 for w in vecs:
-                    x = FockVector(d, len(word), FORMAL, {word: FORMAL.one()})
+                    x = FockVector(d, FORMAL, {word: FORMAL.one()})
                     failed = not commutator_defect(v, w, x).is_zero()
                     yield {"word": list(word), "v": str(v), "w": str(w)} if failed else None
     mode = Mode(0.5)
@@ -248,7 +248,7 @@ def suite_commutator(d_max: int = 2, len_max: int = 4,
         w = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d))
         length = rng.randint(0, 4)
         word = tuple(rng.randint(1, d) for _ in range(length))
-        x = FockVector(d, length, mode, {word: 1.0})
+        x = FockVector(d, mode, {word: 1.0})
         failed = commutator_defect(v, w, x).max_abs() > 1e-12
         yield {"word": list(word), "mode": "float"} if failed else None
 

@@ -66,6 +66,7 @@ def test_every_target_the_tracer_wraps_exists():
 
 def test_the_probes_call_shapes():
     assert FockVector.vacuum(3, 18).vacuum_amplitude() == 1
+    assert FockVector.vacuum(3, 18) == FockVector.vacuum(3)
     rec = jacobi_from_moments(semi_meander_moments(2, Fraction(1, 2), 4), exact=True)
     assert rec.depth >= 1
     assert sum(1 for _ in enumerate_pair_partitions(2, cap=14)) == 3

@@ -23,7 +23,7 @@ def test_fock_vector_debug_dump():
     from meanderq.fock import FockVector
     from meanderq.scalars import FORMAL, QPoly
 
-    x = FockVector(2, 2, FORMAL, {(): QPoly.one(), (1, 2): QPoly((0, 2))})
+    x = FockVector(2, FORMAL, {(): QPoly.one(), (1, 2): QPoly((0, 2))})
     assert x.to_json_obj() == {"": "1", "12": "2q"}
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import meanderq.fock as fock
 from meanderq.dyck import ONE, STAR
-from meanderq.errors import EnumerationCapError, GroundSetError, TruncationOverflowError
+from meanderq.errors import EnumerationCapError, GroundSetError
 from meanderq.fock import (
     FockVector,
     IndexTuple,
@@ -30,7 +31,6 @@ from meanderq.fock import (
     semi_meander_moment,
     semi_meander_moment_direct,
     semi_meander_moment_sweep,
-    sweep,
     vacuum_expectation,
     vector_inner,
     word_vector,
@@ -51,17 +51,15 @@ E2 = basis_vector(2, 2)
 Q = QPoly.q_power
 
 
-def fv(d, terms, max_len=None, mode=FORMAL):
+def fv(d, terms, mode=FORMAL):
     lift = QPoly.const if mode.is_formal else type(mode.q)
     terms = {w: c if isinstance(c, QPoly) else lift(c) for w, c in terms.items()}
-    if max_len is None:
-        max_len = max((len(w) for w in terms), default=0)
-    return FockVector(d, max_len, mode, terms)
+    return FockVector(d, mode, terms)
 
 
 class TestInnerProduct:
     def test_vacuum_norm(self):
-        vac = FockVector.vacuum(2, 0)
+        vac = FockVector.vacuum(2)
         assert q_inner_product(vac, vac) == 1
 
     def test_repeated_letter(self):
@@ -82,6 +80,20 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             q_inner_product(fv(2, {(1,): 1}), fv(2, {(1,): 1}, mode=Mode(0.5)))
 
+    def test_long_words_are_refused_before_any_permutation(self, monkeypatch):
+        # a pair of length-L words may walk L! permutations: nine letters
+        # (362,880) are admitted, ten (3,628,800) pass the budget
+        walked = []
+        monkeypatch.setattr(fock, "_word_inner",
+                            lambda w, v, mode: walked.append(len(w)) or mode.one())
+        nine, ten = (fv(3, {(1, 2, 3) * 3 + (1,) * k: 1}) for k in (0, 1))
+        assert q_inner_product(nine, nine) == 1
+        start = time.monotonic()
+        with pytest.raises(EnumerationCapError, match="use shorter words"):
+            q_inner_product(ten, ten)
+        assert time.monotonic() - start < 1
+        assert walked == [9]
+
     def test_word_inner_three_letters(self):
         # (1,1,2) against itself: identity and the swap of the two 1s
         assert _word_inner((1, 1, 2), (1, 1, 2), FORMAL) == QPoly((1, 1))
@@ -89,7 +101,7 @@ class TestInnerProduct:
 
 class TestApply:
     def test_left_create_on_vacuum(self):
-        out = apply(creator("l", E1), FockVector.vacuum(2, 2))
+        out = apply(creator("l", E1), FockVector.vacuum(2))
         assert out.terms == {(1,): QPoly.one()}
 
     def test_left_annihilate_worked(self):
@@ -100,36 +112,39 @@ class TestApply:
         assert len(out.terms) == 2
 
     def test_annihilate_kills_vacuum(self):
-        out = apply(annihilator("l", E1), FockVector.vacuum(2, 2))
+        out = apply(annihilator("l", E1), FockVector.vacuum(2))
         assert out.is_zero()
 
     def test_right_create(self):
-        x = fv(2, {(1,): 1}, max_len=2)
+        x = fv(2, {(1,): 1})
         out = apply(creator("r", E2), x)
         assert out.terms == {(1, 2): QPoly.one()}
 
     def test_general_vector_create(self):
         v = (Fraction(1), Fraction(-2))
-        out = apply(creator("l", v), FockVector.vacuum(2, 1))
+        out = apply(creator("l", v), FockVector.vacuum(2))
         assert out.coefficient((1,)) == 1
         assert out.coefficient((2,)) == -2
 
-    def test_truncation_is_hard_error(self):
-        x = fv(2, {(1, 2): 1}, max_len=2)
-        with pytest.raises(TruncationOverflowError):
-            apply(creator("l", E1), x)
+    def test_creation_has_no_level(self):
+        # states are exact at every length: the ignored level of ``vacuum``
+        # and the longest word of a state bound no creation
+        out = apply(creator("l", E1), FockVector.vacuum(2, 0))
+        assert out.terms == {(1,): QPoly.one()}
+        out = apply(creator("r", E2), fv(2, {(1, 2): 1}))
+        assert out.terms == {(1, 2, 2): QPoly.one()}
 
     def test_dimension_error(self):
         with pytest.raises(GroundSetError):
-            apply(creator("l", (1, 0, 0)), FockVector.vacuum(2, 2))
+            apply(creator("l", (1, 0, 0)), FockVector.vacuum(2))
         with pytest.raises(GroundSetError):
-            apply(annihilator("r", (1, 0, 0)), FockVector.vacuum(2, 2))
+            apply(annihilator("r", (1, 0, 0)), FockVector.vacuum(2))
 
     @pytest.mark.parametrize("make", [creator, annihilator])
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("bad", [0.5, 1.0, 0.5 - 0.5j, 1j])
     def test_formal_mode_rejects_inexact_coordinates(self, make, side, bad):
-        x = fv(2, {(1, 2): 1}, max_len=3)
+        x = fv(2, {(1, 2): 1})
         with pytest.raises(TypeError):
             apply(make(side, (bad, bad)), x)
 
@@ -141,7 +156,7 @@ class TestApply:
     ])
     def test_formal_apply_is_the_linear_extension(self, make, side, v):
         # c (f q^(k-1)) for annihilation at removal position k, c v_i for creation
-        x = fv(2, {(1, 2, 1): QPoly((1, -2)), (2,): Fraction(3, 2), (): 1}, max_len=4)
+        x = fv(2, {(1, 2, 1): QPoly((1, -2)), (2,): Fraction(3, 2), (): 1})
         want = {}
         for word, c in x.terms.items():
             if make is creator:
@@ -159,14 +174,10 @@ class TestApply:
 
     def test_public_constructor_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            FockVector(0, 1, FORMAL, {})
+            FockVector(0, FORMAL, {})
         with pytest.raises(ValueError):
-            FockVector(2, -1, FORMAL, {})
-        with pytest.raises(TruncationOverflowError):
-            FockVector(2, 1, FORMAL, {(1, 2): QPoly.one()})
-        with pytest.raises(ValueError):
-            FockVector(2, 2, FORMAL, {(1, 3): QPoly.one()})
-        assert FockVector(2, 1, FORMAL, {(1,): QPoly.zero(), (): 1}).terms == {(): 1}
+            FockVector(2, FORMAL, {(1, 3): QPoly.one()})
+        assert FockVector(2, FORMAL, {(1,): QPoly.zero(), (): 1}).terms == {(): 1}
 
     def test_flavors_are_the_dyck_letters(self):
         assert creator(LEFT, E1).flavor == ONE
@@ -196,15 +207,15 @@ class TestPieces:
     @given(rational_vectors(2))
     @settings(max_examples=50)
     def test_creation_piece_is_creation(self, v):
-        x = fv(2, {(1, 2): 1, (2,): 3}, max_len=3)
+        x = fv(2, {(1, 2): 1, (2,): 3})
         assert apply_piece("l", "1", 1, v, x) == apply(creator("l", v), x)
 
     def test_creation_piece_requires_k1(self):
         with pytest.raises(ValueError):
-            apply_piece("l", "1", 2, E1, FockVector.vacuum(2, 2))
+            apply_piece("l", "1", 2, E1, FockVector.vacuum(2))
 
     def test_piece_validation(self):
-        x = FockVector.vacuum(2, 2)
+        x = FockVector.vacuum(2)
         with pytest.raises(ValueError):
             apply_piece("l", "*", 0, E1, x)
         with pytest.raises(ValueError):
@@ -218,7 +229,7 @@ class TestPieces:
         v = (Fraction(1, 2), Fraction(-3))
         for word in product((1, 2), repeat=n):
             x = fv(2, {word: 1})
-            total = FockVector.zero(2, n, FORMAL)
+            total = FockVector.zero(2, FORMAL)
             for k in range(1, n + 1):
                 total = total + apply_piece(side, "*", k, v, x)
             assert total == apply(annihilator(side, v), x)
@@ -226,7 +237,7 @@ class TestPieces:
 
 class TestQScaling:
     def test_vacuum_fixed(self):
-        vac = FockVector.vacuum(2, 0)
+        vac = FockVector.vacuum(2)
         assert apply_q_scaling(vac) == vac
 
     def test_scales_by_length(self):
@@ -256,8 +267,8 @@ class TestAdjointness:
     @given(rational_vectors(2), rational_vectors(2), rational_vectors(2), rational_vectors(2))
     @settings(max_examples=40)
     def test_left_adjoint(self, v, a, b, c):
-        x = word_vector([a], 2, max_len=2)
-        y = word_vector([b, c], 2, max_len=2)
+        x = word_vector([a], 2)
+        y = word_vector([b, c], 2)
         lhs = q_inner_product(apply(creator("l", v), x), y)
         rhs = q_inner_product(x, apply(annihilator("l", v), y))
         assert lhs == rhs
@@ -265,8 +276,8 @@ class TestAdjointness:
     @given(rational_vectors(2), rational_vectors(2), rational_vectors(2), rational_vectors(2))
     @settings(max_examples=40)
     def test_right_adjoint(self, v, a, b, c):
-        x = word_vector([a], 2, max_len=2)
-        y = word_vector([b, c], 2, max_len=2)
+        x = word_vector([a], 2)
+        y = word_vector([b, c], 2)
         lhs = q_inner_product(apply(creator("r", v), x), y)
         rhs = q_inner_product(x, apply(annihilator("r", v), y))
         assert lhs == rhs
@@ -281,8 +292,8 @@ class TestAdjointness:
             xs = [rv() for _ in range(3)]
             ys = [rv() for _ in range(4)]
             v = rv()
-            x = word_vector(xs, 2, max_len=4)
-            y = word_vector(ys, 2, max_len=4)
+            x = word_vector(xs, 2)
+            y = word_vector(ys, 2)
             assert q_inner_product(apply(creator("l", v), x), y) == q_inner_product(
                 x, apply(annihilator("l", v), y)
             )
@@ -322,7 +333,7 @@ class TestCanonicalFormAtQZero:
             frontier = [w + (i,) for w in frontier for i in range(1, d + 1)]
             words += frontier
         for word in words:
-            x = FockVector(d, len(word) + 2, mode, {word: mode.one()})
+            x = FockVector(d, mode, {word: mode.one()})
             for i in range(1, d + 1):
                 e = basis_vector(d, i)
                 lhs = apply(creator("l", e), x) + apply(annihilator("l", e), x)
@@ -373,12 +384,12 @@ class TestSemiMeanderMoment:
         with pytest.raises(ValueError, match="Fraction"):
             semi_meander_moment(2, 2, Mode(0.5))
 
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 3), (2, 5)])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 3), (2, 5),
+                                     (2, 8), (3, 6), (4, 5)])
     def test_truncation_insensitive(self, d, n):
-        # the pruned orbit sweep has no truncation level; the unpruned
-        # word-level pass runs at level 2n and raises if that is too small,
-        # so their agreement shows the level, the pruning and the orbit
-        # storage exact
+        # the unpruned word-level pass holds every word exactly, so its
+        # agreement with the pruned orbit sweep shows the pruning and the
+        # orbit storage exact
         assert semi_meander_moment_direct(d, n) == semi_meander_moment(d, n)
 
     @pytest.mark.parametrize("d", [5, 10])
@@ -389,6 +400,20 @@ class TestSemiMeanderMoment:
         half = Fraction(1, 2)
         assert semi_meander_moment(d, 3) == poly.eval_at_t(d)
         assert semi_meander_moment(d, 3, Mode(half)) == poly.eval(d, half)
+
+    @pytest.mark.parametrize("d,n", [(3, 7), (2, 9)])
+    def test_direct_route_is_refused_before_any_step(self, d, n, monkeypatch):
+        # d^(2n) index tuples (3, 7) or (2n-1)!! matchings (2, 9) pass the
+        # budget, as in meander_moment_direct's count; the largest admitted
+        # orders, (2, 8), (3, 6) and (4, 5), run in test_truncation_insensitive
+        def no_work(*args):
+            raise AssertionError("a refused route took a step")
+
+        monkeypatch.setattr(fock, "apply_semi_meander_operator", no_work)
+        start = time.monotonic()
+        with pytest.raises(EnumerationCapError, match="takes no cap; lower n or d"):
+            semi_meander_moment_direct(d, n)
+        assert time.monotonic() - start < 1
 
     @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SWEEP_MODES))
     @settings(max_examples=40, deadline=None)
@@ -423,13 +448,10 @@ class TestSemiMeanderMoment:
         # the formal orbit sweep packs a polynomial into its value at q = 2^C,
         # C = _history_bits; the unpruned word-level pass holds every
         # coefficient the sweep can build, and each must stay below 2^C
-        states = []
-
-        def step(x):
-            states.append(apply_semi_meander_operator(x))
-            return states[-1]
-
-        sweep(FockVector.vacuum(d, 2 * n, FORMAL), [step] * n)
+        x, states = FockVector.vacuum(d), []
+        for _ in range(n):
+            x = apply_semi_meander_operator(x)
+            states.append(x)
         largest = max(c for x in states for p in x.terms.values() for c in p.coeffs)
         assert largest < 1 << _history_bits(n, False, d)
 
@@ -524,8 +546,8 @@ class TestSemiMeanderMoment:
                 terms[word] = terms.get(word, QPoly.zero()) + QPoly(
                     (Fraction(rng.randint(-3, 3), rng.randint(1, 2)),)
                 )
-            x = FockVector(d, 6, FORMAL, terms)
-            slow = FockVector.zero(d, 6, FORMAL)
+            x = FockVector(d, FORMAL, terms)
+            slow = FockVector.zero(d, FORMAL)
             for i in range(1, d + 1):
                 e = basis_vector(d, i)
                 y = apply(creator("r", e), x) + apply(annihilator("r", e), x)
@@ -753,7 +775,7 @@ class TestCommutatorDefect:
             v = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d))
             w = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d))
             word = tuple(rng.randint(1, d) for _ in range(rng.randint(0, 4)))
-            x = FockVector(d, len(word), mode, {word: 1.0})
+            x = FockVector(d, mode, {word: 1.0})
             assert commutator_defect(v, w, x).max_abs() <= 1e-12
 
 
@@ -766,12 +788,10 @@ class TestWordVector:
         assert out.coefficient((1, 2)) == 0
 
     def test_empty(self):
-        assert word_vector([], 2) == FockVector.vacuum(2, 0)
+        assert word_vector([], 2) == FockVector.vacuum(2)
 
     def test_insertion_order_and_errors(self):
         out = word_vector([(1, 2), (3, 0)], 2)
         assert list(out.terms.items()) == [((1, 1), 3), ((2, 1), 6)]
         with pytest.raises(GroundSetError):
             word_vector([E1, (1, 2, 3)], 2)
-        with pytest.raises(TruncationOverflowError):
-            word_vector([E1, E1], 2, max_len=1)

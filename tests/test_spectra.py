@@ -313,6 +313,10 @@ class TestNegativityWitness:
         assert negativity_witness(2, FORMAL) == QPoly((-4, 8, 0, -4))
         assert negativity_witness(2, Fraction(0)) == -4
 
+    def test_default_q_is_the_exact_zero(self):
+        value = negativity_witness(2)
+        assert value == Fraction(-4) and type(value) is Fraction
+
     def test_float_negative(self):
         assert negativity_witness(2, 0.0) < 0
         assert negativity_witness(2, 0.5) < 0
@@ -326,6 +330,6 @@ class TestNegativityWitness:
         from meanderq.fock import FockVector, apply_semi_meander_operator, q_inner_product
 
         mode = Mode(Fraction(0))
-        eta = FockVector(2, 4, mode, {(1, 1): Fraction(1), (2, 2): Fraction(1)})
+        eta = FockVector(2, mode, {(1, 1): Fraction(1), (2, 2): Fraction(1)})
         value = q_inner_product(apply_semi_meander_operator(eta), eta)
         assert value > 0
