@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import islice
 
 from .dyck import enumerate_bnc2_alternating, enumerate_dyck
-from .errors import EnumerationCapError, GroundSetError
 from .partitions import (catalan, enumerate_noncrossing, enumerate_pair_partitions,
                          odd_double_factorial)
 from .polynomials import CoefficientTable, kronecker_poly, poly_json_doc
@@ -200,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = build_parser().parse_args(argv)
     try:
         return cfg.handler(cfg)
-    except (EnumerationCapError, GroundSetError, ValueError) as exc:
+    except ValueError as exc:  # EnumerationCapError and GroundSetError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

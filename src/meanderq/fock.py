@@ -34,8 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
-from itertools import accumulate, chain, permutations, product
-from math import ceil, factorial, log2
+from itertools import accumulate, chain, product
+from math import ceil, factorial, log2, prod
 from operator import lshift, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -250,26 +250,36 @@ def word_vector(vectors: Sequence[CoordVector], d: int, mode: Mode = FORMAL) -> 
 
 
 def _word_inner(w: Word, v: Word, mode: Mode):
-    """Permutation sum for two basis words: sum over bijections matching the
-    letters, weighted by q^(inversion count)."""
+    """Permutation sum for two basis words: sum over the bijections tau with
+    w[i] == v[tau(i)], weighted by q^(inversion count).  A depth-first walk
+    picks tau(0), tau(1), ... among the free positions of v holding w[i]; a
+    pick's rank among them is the inversions it adds (its Lehmer code digit)."""
     n = len(w)
     if sorted(w) != sorted(v):
         return mode.zero()
     counts = [0] * (n * (n - 1) // 2 + 1)
-    for tau in permutations(range(n)):
-        if all(w[i] == v[tau[i]] for i in range(n)):
-            counts[sum(1 for i in range(n) for j in range(i + 1, n) if tau[i] > tau[j])] += 1
+    stack = [(0, tuple(range(n)), 0)]
+    while stack:
+        i, free, inversions = stack.pop()
+        if len(free) < 2:  # the letters left agree, so the last pick is forced, at rank 0
+            counts[inversions] += 1
+            continue
+        stack.extend((i + 1, free[:r] + free[r + 1 :], inversions + r)
+                     for r, p in enumerate(free) if v[p] == w[i])
     return mode.series(counts)
 
 
 def q_inner_product(x: FockVector, y: FockVector):
     """Deformed inner product; words of different lengths are orthogonal.
-    Sized by the L! permutations each pair of length-L words may walk."""
+    Sized by the bijections ``_word_inner`` may walk: prod_a m_a(w)! for
+    each word w of x, against each word of y of the same length."""
     x._check_compatible(y)
-    xs, ys = Counter(map(len, x.terms)), Counter(map(len, y.terms))
-    common = sorted(xs.keys() & ys.keys())
+    walks, ys = Counter(), Counter(map(len, y.terms))
+    for w in x.terms:
+        walks[len(w)] += prod(map(factorial, Counter(w).values()))
+    common = sorted(walks.keys() & ys.keys())
     check_size(max(common, default=0), None,
-               accumulate(xs[L] * ys[L] * factorial(L) for L in common), ENUMERATION_BUDGET,
+               accumulate(walks[L] * ys[L] for L in common), ENUMERATION_BUDGET,
                "q_inner_product takes no cap; use shorter words")
     mode = x.mode
     total = mode.zero()

@@ -200,16 +200,17 @@ class IndexTuple:
 
 def _iter_matchings_raw(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
     """All matchings of the given points: smallest point paired with each
-    larger one in increasing order, recursing on the rest."""
-    if not points:
-        yield ()
-        return
-    a = points[0]
-    rest = points[1:]
-    for j, b in enumerate(rest):
-        tail = rest[:j] + rest[j + 1 :]
-        for sub in _iter_matchings_raw(tail):
-            yield ((a, b),) + sub
+    larger one in increasing order, recursing on the rest.  One frame walks
+    the tree: branches are pushed by decreasing partner, so they pop increasing."""
+    stack = [((), points)]
+    while stack:
+        head, rest = stack.pop()
+        if not rest:
+            yield head
+            continue
+        a = rest[0]
+        for j in range(len(rest) - 1, 0, -1):
+            stack.append((head + ((a, rest[j]),), rest[1:j] + rest[j + 1 :]))
 
 
 def enumerate_pair_partitions(n: int, cap: int | None = None) -> Iterator[PairPartition]:
@@ -246,12 +247,7 @@ def enumerate_noncrossing(n: int, cap: int | None = None) -> Iterator[PairPartit
 
 def crossings(pi: PairPartition) -> int:
     """Number of interleaved pair-pairs: {a,b} and {c,d} cross iff a<c<b<d."""
-    return _raw_crossings(pi.pairs)
-
-
-def _raw_crossings(ps: tuple[tuple[int, int], ...]) -> int:
-    """``crossings`` on raw (a, b) pair tuples with a < b, for hot loops that
-    never build a ``PairPartition``."""
+    ps = pi.pairs
     count = 0
     for i in range(len(ps)):
         a, b = ps[i]

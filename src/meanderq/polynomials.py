@@ -7,22 +7,19 @@ the join) and the u-exponent the number of crossings.  Coefficients are plain
 Python integers, so there is no overflow at any order.  ``kronecker_poly``
 reads them off one sweep of the Fock-space step in the loop basis, where a
 closed loop counts t; the enumerations ``semi_meander_poly`` and
-``meander_poly`` are its independent oracle.
+``meander_poly`` are its independent oracle: one pass, in one process, over
+the matchings of ``partitions``, with a cycle walk of their own for the join.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import ENUMERATION_BUDGET, check_size
 from .fock import loop_sweep
-from .partitions import (
-    _iter_matchings_raw,
-    _raw_crossings,
-    odd_double_factorial,
-    rainbow,
-)
+from .partitions import crossings, enumerate_pair_partitions, odd_double_factorial, rainbow
 from .scalars import QPoly
 
 
@@ -109,93 +106,54 @@ class BivarPoly:
         return f"BivarPoly({self.terms!r})"
 
 
-def _partner_array(pairs: tuple[tuple[int, int], ...], m: int) -> list[int]:
-    out = [0] * m
-    for a, b in pairs:
-        out[a - 1] = b - 1
-        out[b - 1] = a - 1
-    return out
-
-
-def _join_block_count(pa: list[int], pb: list[int]) -> int:
-    """Blocks of the join of two matchings given as 0-based partner arrays.
-
-    Composing the two involutions walks each closed curve in steps of two,
-    so each join block contributes exactly two cycles of the composition.
-    """
+def _join_block_count(pa: tuple[int, ...], pb: tuple[int, ...]) -> int:
+    """Blocks of the join of two matchings given as ``partner_map`` tuples:
+    each block is one closed curve, walked from its first unseen point along
+    a pair of ``pa``, then a pair of ``pb``, until it is back."""
     m = len(pa)
-    seen = bytearray(m)
-    cycles = 0
-    for start in range(m):
+    seen = bytearray(m + 1)
+    blocks = 0
+    for start in range(1, m + 1):
         if seen[start]:
             continue
-        cycles += 1
+        blocks += 1
         x = start
         while not seen[x]:
-            seen[x] = 1
-            x = pb[pa[x]]
-    return cycles // 2
+            y = pa[x - 1]
+            seen[x] = seen[y] = 1
+            x = pb[y - 1]
+    return blocks
 
 
-def _matchings_with_stats(two_n: int, first_partner: int | None = None):
-    """(partner_array, crossings) for matchings of {1..2n}; optionally only
-    those pairing 1 with the given partner (for parallel chunking)."""
-    rest = tuple(range(2, two_n + 1))
-    for b in rest if first_partner is None else (first_partner,):
-        for sub in _iter_matchings_raw(tuple(x for x in rest if x != b)):
-            pairs = ((1, b),) + sub
-            yield _partner_array(pairs, two_n), _raw_crossings(pairs)
-
-
-def _systems(args) -> dict[tuple[int, int], int]:
-    """Terms of the systems (pi, sigma) of order n whose pi pairs the point 1
-    with ``first_partner``: sigma is the rainbow, or every matching if
-    ``meander``."""
-    two_n, first_partner, meander = args
-    lower = (list(_matchings_with_stats(two_n)) if meander
-             else [(_partner_array(rainbow(two_n).pairs, two_n), 0)])
-    terms: dict[tuple[int, int], int] = {}
-    for pa, cra in _matchings_with_stats(two_n, first_partner):
-        for pb, crb in lower:
-            key = (_join_block_count(pa, pb), cra + crb)
-            terms[key] = terms.get(key, 0) + 1
-    return terms
-
-
-def _sum_chunks(n: int, meander: bool, jobs: int) -> BivarPoly:
-    """Sum ``_systems`` over the chunks of order n (one per partner of the
-    point 1), in a pool of ``jobs`` worker processes when jobs > 1."""
-    chunks = [(2 * n, fp, meander) for fp in range(2, 2 * n + 1)]
-    if jobs > 1 and len(chunks) > 1:
-        import concurrent.futures  # only a pool needs it, and it costs a CLI start-up
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_systems, chunks))
-    else:
-        parts = map(_systems, chunks)
-    terms: dict[tuple[int, int], int] = {}
-    for part in parts:
-        for key, c in part.items():
-            terms[key] = terms.get(key, 0) + c
-    return BivarPoly(terms)
+def _systems(n: int, meander: bool) -> BivarPoly:
+    """Sum t^(join blocks) u^(crossings) over the systems (pi, sigma) of
+    order n: pi streams through every matching, and sigma is the rainbow,
+    or every matching (held as one list) if ``meander``."""
+    upper = ((pi.partner_map(), crossings(pi)) for pi in enumerate_pair_partitions(n, cap=n))
+    lower = list(upper) if meander else [(rainbow(2 * n).partner_map(), 0)]
+    return BivarPoly(Counter((_join_block_count(pa, pb), cra + crb)
+                             for pa, cra in (lower if meander else upper) for pb, crb in lower))
 
 
 def semi_meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
     """Sum of t^(closed curves against the rainbow) * u^(crossings) over all
-    matchings of {1..2n}."""
+    matchings of {1..2n}.  ``jobs`` is ignored (the enumeration runs in one
+    process); it is kept for callers that pass it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_size(n, cap, map(odd_double_factorial, range(1, n + 1)), ENUMERATION_BUDGET)
-    return _sum_chunks(n, False, jobs)
+    return _systems(n, False)
 
 
 def meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
     """Double-enumeration analogue of ``semi_meander_poly``: both diagrams of
-    the system range over all matchings, so ((2n-1)!!)^2 pairs are visited."""
+    the system range over all matchings, so ((2n-1)!!)^2 pairs are visited.
+    ``jobs`` is ignored (the enumeration runs in one process); it is kept for
+    callers that pass it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_size(n, cap, (odd_double_factorial(k) ** 2 for k in range(1, n + 1)), ENUMERATION_BUDGET)
-    return _sum_chunks(n, True, jobs)
+    return _systems(n, True)
 
 
 def kronecker_poly(kind: str, n: int, cap: int | None = None) -> BivarPoly:

@@ -81,18 +81,26 @@ class TestInnerProduct:
             q_inner_product(fv(2, {(1,): 1}), fv(2, {(1,): 1}, mode=Mode(0.5)))
 
     def test_long_words_are_refused_before_any_permutation(self, monkeypatch):
-        # a pair of length-L words may walk L! permutations: nine letters
-        # (362,880) are admitted, ten (3,628,800) pass the budget
+        # a pair of words may walk prod_a m_a! letter-preserving bijections:
+        # 1^9 (362,880) is admitted, 1^10 (3,628,800) passes the budget
         walked = []
         monkeypatch.setattr(fock, "_word_inner",
                             lambda w, v, mode: walked.append(len(w)) or mode.one())
-        nine, ten = (fv(3, {(1, 2, 3) * 3 + (1,) * k: 1}) for k in (0, 1))
+        nine, ten = (fv(3, {(1,) * L: 1}) for L in (9, 10))
         assert q_inner_product(nine, nine) == 1
         start = time.monotonic()
         with pytest.raises(EnumerationCapError, match="use shorter words"):
             q_inner_product(ten, ten)
         assert time.monotonic() - start < 1
         assert walked == [9]
+
+    def test_distinct_letters_walk_one_bijection(self):
+        # (1..10) against its reverse: one bijection matches letters, the
+        # reversal, with 45 inversions; the 10! others are never walked
+        word = tuple(range(1, 11))
+        start = time.monotonic()
+        assert q_inner_product(fv(10, {word: 1}), fv(10, {word[::-1]: 1})) == Q(45)
+        assert time.monotonic() - start < 1
 
     def test_word_inner_three_letters(self):
         # (1,1,2) against itself: identity and the swap of the two 1s

@@ -45,8 +45,7 @@ def test_private_names_stay_in_their_module():
     # a module's underscored helpers are its own; these few are shared on
     # purpose, and a new one (say a packing detail of fock) shows here
     found = set().union(*(_private_imports(p.read_text()) for p in PACKAGE.glob("*.py")))
-    assert found == {"partitions._iter_matchings_raw", "partitions._raw_crossings",
-                     "dyck._resolve_chi"}
+    assert found == {"dyck._resolve_chi"}
 
 
 def _formal_branches(source: str, module: str) -> set[tuple[str, str]]:
@@ -158,9 +157,31 @@ def test_every_definition_is_used():
     assert {name: found for name, found in dead.items() if found} == {}
 
 
+def _pool_imports(source: str) -> set[str]:
+    """Each module imported anywhere in ``source``, in a function body too,
+    whose top package runs a worker pool: ``concurrent`` or ``multiprocessing``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name for name in names if name.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
+def test_the_check_sees_a_lazy_pool_import():
+    source = "def f():\n    import concurrent.futures\nfrom multiprocessing import Pool\nimport math\n"
+    assert _pool_imports(source) == {"concurrent.futures", "multiprocessing"}
+
+
+def test_no_module_imports_a_process_pool():
+    # the enumeration oracle runs in one process, whatever jobs it is given
+    found = set().union(*(_pool_imports(p.read_text()) for p in (ROOT / "src").rglob("*.py")))
+    assert found == set()
+
+
 def test_the_cli_imports_no_process_pool():
-    # only the enumeration's jobs > 1 path uses concurrent.futures, which
-    # pulls in logging and costs every CLI start-up
+    # concurrent.futures pulls in logging and costs every CLI start-up
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     probe = "import sys, meanderq.cli; print('concurrent.futures' in sys.modules)"

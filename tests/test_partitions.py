@@ -87,6 +87,20 @@ class TestEnumeration:
             ((1, 4), (2, 3)),
         ]
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_frozen_order_is_the_recursive_rule(self, n):
+        # the module docstring's rule, written out: pair the smallest point
+        # with each larger one in increasing order, then recurse on the rest
+        def reference(points):
+            if not points:
+                return [()]
+            a, rest = points[0], points[1:]
+            return [((a, b),) + sub for j, b in enumerate(rest)
+                    for sub in reference(rest[:j] + rest[j + 1 :])]
+
+        got = [p.pairs for p in enumerate_pair_partitions(n)]
+        assert got == reference(tuple(range(1, 2 * n + 1)))
+
     def test_n5_contains_reference_partition_once(self):
         hits = sum(1 for p in enumerate_pair_partitions(5) if p == REFERENCE_PI)
         assert hits == 1

@@ -1,3 +1,4 @@
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from meanderq.polynomials import (
     BivarPoly,
     CoefficientTable,
     _join_block_count,
-    _partner_array,
     kronecker_poly,
     meander_poly,
     poly_json_doc,
@@ -26,6 +26,10 @@ from meanderq.partitions import (
 from meanderq.scalars import FORMAL, QPoly
 
 from conftest import pair_partitions
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
 
 
 def nc_built_semi_poly(n):
@@ -106,8 +110,10 @@ class TestSemiMeanderPoly:
         with pytest.raises(EnumerationCapError):
             semi_meander_poly(9)
 
-    def test_parallel_matches_serial(self):
-        assert semi_meander_poly(4, jobs=2) == semi_meander_poly(4)
+    def test_jobs_runs_in_one_process(self, monkeypatch):
+        # jobs is ignored: no process pool is started whatever it asks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        assert semi_meander_poly(4, jobs=2) == semi_meander_poly(4, jobs=1)
 
 
 class TestMeanderPoly:
@@ -138,8 +144,9 @@ class TestMeanderPoly:
             meander_poly(6)
         # explicit cap raises the bound without computing here
 
-    def test_parallel_matches_serial(self):
-        assert meander_poly(3, jobs=2) == meander_poly(3)
+    def test_jobs_runs_in_one_process(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        assert meander_poly(3, jobs=2) == meander_poly(3, jobs=1)
 
 
 class TestClassicalSequences:
@@ -200,16 +207,12 @@ class TestJoinFastPath:
     def test_matches_union_find(self, a, b):
         if a.size != b.size:
             return
-        pa = _partner_array(a.pairs, a.size)
-        pb = _partner_array(b.pairs, b.size)
-        assert _join_block_count(pa, pb) == block_count(join(a, b))
+        assert _join_block_count(a.partner_map(), b.partner_map()) == block_count(join(a, b))
 
     def test_exhaustive_small(self):
         for a in enumerate_pair_partitions(3):
-            pa = _partner_array(a.pairs, 6)
             for b in enumerate_pair_partitions(3):
-                pb = _partner_array(b.pairs, 6)
-                assert _join_block_count(pa, pb) == block_count(join(a, b))
+                assert _join_block_count(a.partner_map(), b.partner_map()) == block_count(join(a, b))
 
 
 class TestCoefficientTable:

@@ -80,7 +80,7 @@ def test_refusal_does_no_work(route, capsys, monkeypatch):
         raise AssertionError("a refused route started work")
 
     for module, name in [(fock, "_orbit_step"), (fock, "_loop_step"),
-                         (polynomials, "_sum_chunks"),
+                         (polynomials, "_systems"),
                          (partitions, "_iter_matchings_raw"),
                          (partitions, "_iter_noncrossing_raw")]:
         monkeypatch.setattr(module, name, no_work)
@@ -117,7 +117,7 @@ class TestEnumerationBoundaries:
 
     @pytest.mark.parametrize("build,last", [(semi_meander_poly, 8), (meander_poly, 5)])
     def test_polynomials(self, build, last, monkeypatch):
-        monkeypatch.setattr(polynomials, "_sum_chunks", lambda *args: None)
+        monkeypatch.setattr(polynomials, "_systems", lambda *args: None)
         build(last)
         with pytest.raises(EnumerationCapError):
             build(last + 1)
