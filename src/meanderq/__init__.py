@@ -46,26 +46,20 @@ from .polynomials import (
 from .scalars import FORMAL, Mode, QPoly, parse_q
 from .fock import (
     FockVector,
-    OpSymbol,
-    annihilator,
     apply,
-    apply_piece,
     apply_q_scaling,
     basis_vector,
     commutator_defect,
-    creator,
     gaussian_joint_moment,
     meander_moment,
     meander_moment_direct,
     q_inner_product,
     semi_meander_moment,
-    vacuum_expectation,
     word_vector,
 )
 from .qwick import (
     WickProduct,
     bnc_moment_q0,
-    compatible_crossing_sum,
     doubled_compatible_count,
     doubled_compatible_count_bruteforce,
     height_compatible,

@@ -31,7 +31,6 @@ int d for the moments at d >= 3 and 2^W for the polynomials.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from itertools import accumulate, chain, product
@@ -66,30 +65,6 @@ def vector_inner(v: CoordVector, w: CoordVector):
     if len(v) != len(w):
         raise GroundSetError(f"vector dimensions differ: {len(v)} vs {len(w)}")
     return sum(a * conjugate(b) for a, b in zip(v, w))
-
-
-@dataclass(frozen=True)
-class OpSymbol:
-    """One factor: a side, a flavor (creation '1' or annihilation '*') and a vector."""
-
-    side: str
-    flavor: str
-    vector: CoordVector
-
-    def __post_init__(self):
-        if self.side not in (LEFT, RIGHT):
-            raise ValueError(f"side must be '{LEFT}' or '{RIGHT}'")
-        if self.flavor not in (ONE, STAR):
-            raise ValueError(f"flavor must be '{ONE}' or '{STAR}'")
-        object.__setattr__(self, "vector", tuple(self.vector))
-
-
-def creator(side: str, vector: Sequence) -> OpSymbol:
-    return OpSymbol(side, ONE, tuple(vector))
-
-
-def annihilator(side: str, vector: Sequence) -> OpSymbol:
-    return OpSymbol(side, STAR, tuple(vector))
 
 
 class FockVector:
@@ -158,11 +133,6 @@ class FockVector:
         """Largest coefficient magnitude (floating modes only)."""
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "".join(map(str, w)): str(c) for w, c in sorted(self.terms.items())
-        }
-
     def __eq__(self, other):
         return (
             isinstance(other, FockVector)
@@ -182,20 +152,21 @@ def _accumulate(out: dict, word: Word, value) -> None:
         out[word] = value
 
 
-def apply(op: OpSymbol, x: FockVector) -> FockVector:
-    """Linear extension of the four elementary actions to a sparse state."""
-    return _apply(op.side, op.vector, x, op.flavor)
-
-
-def apply_piece(side: str, flavor: str, k: int, v: Sequence, x: FockVector) -> FockVector:
-    """One term of the annihilation sum (flavor '*'), or creation (flavor '1',
-    which forces k == 1)."""
-    op = OpSymbol(side, flavor, v)
-    if flavor == ONE and k != 1:
-        raise ValueError("creation pieces exist only for k == 1")
+def apply(side: str, flavor: str, v: Sequence, x: FockVector, k: int | None = None) -> FockVector:
+    """One elementary factor on a sparse state: the creation (flavor '1')
+    or annihilation ('*') at ``v`` on side 'l' or 'r'.  With ``k`` only the
+    k-th term of the annihilation sum is kept; a creation has only k == 1."""
+    if side not in (LEFT, RIGHT):
+        raise ValueError(f"side must be '{LEFT}' or '{RIGHT}'")
+    if flavor not in (ONE, STAR):
+        raise ValueError(f"flavor must be '{ONE}' or '{STAR}'")
+    if k is None:
+        return _apply(side, v, x, flavor)
     if k < 1:
         raise ValueError("piece index k must be positive")
-    return _apply(side, op.vector, x, flavor, slice(k - 1, k))
+    if flavor == ONE and k != 1:
+        raise ValueError("creation pieces exist only for k == 1")
+    return _apply(side, v, x, flavor, slice(k - 1, k))
 
 
 def _apply(side: str, v: CoordVector, x: FockVector, flavors: str,
@@ -245,7 +216,7 @@ def word_vector(vectors: Sequence[CoordVector], d: int, mode: Mode = FORMAL) -> 
             raise GroundSetError(f"vector dimension {len(v)} != {d}")
     x = FockVector.vacuum(d, mode=mode)
     for v in reversed(vectors):
-        x = apply(creator(LEFT, v), x)
+        x = apply(LEFT, ONE, v, x)
     return x
 
 
@@ -291,15 +262,6 @@ def q_inner_product(x: FockVector, y: FockVector):
             if s:
                 total = total + c1 * conjugate(c2) * s
     return total
-
-
-def vacuum_expectation(ops: Sequence[OpSymbol], d: int, mode: Mode = FORMAL):
-    """Apply a product of factors (written left to right) to the vacuum and
-    return the empty-word amplitude."""
-    x = FockVector.vacuum(d, mode=mode)
-    for op in reversed(list(ops)):
-        x = apply(op, x)
-    return x.vacuum_amplitude()
 
 
 def _position(side: str, v: CoordVector, x: FockVector) -> FockVector:

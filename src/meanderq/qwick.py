@@ -19,22 +19,14 @@ from .dyck import (
     DyckTuple,
     ONE,
     STAR,
-    _resolve_chi,
+    alternating_pattern,
     enumerate_bnc2_alternating,
     height_pairs,
     is_dyck,
     walk_preimage,
 )
 from .errors import ENUMERATION_BUDGET, GroundSetError, check_size
-from .fock import (
-    CoordVector,
-    FockVector,
-    OpSymbol,
-    apply_piece,
-    basis_vector,
-    vacuum_expectation,
-    vector_inner,
-)
+from .fock import CoordVector, FockVector, apply, basis_vector, vector_inner
 from .partitions import (
     IndexTuple,
     PairPartition,
@@ -81,11 +73,6 @@ class WickProduct:
     def d(self) -> int:
         return len(self.vectors[0])
 
-    def factors(self) -> list[OpSymbol]:
-        """Operator factors in product order (position 2n leftmost)."""
-        ops = zip(self.chi, self.eps, self.vectors)
-        return [OpSymbol(side, flavor, vec) for side, flavor, vec in ops][::-1]
-
 
 def _pair_inners(wp: WickProduct) -> Callable:
     """The inner product of the vectors at positions k, h (opener first),
@@ -129,8 +116,12 @@ def wick_scalar_combinatorial(wp: WickProduct, mode: Mode = FORMAL):
 
 
 def wick_scalar_operator(wp: WickProduct, mode: Mode = FORMAL):
-    """Vacuum amplitude computed by applying the factors to the vacuum."""
-    return vacuum_expectation(wp.factors(), wp.d, mode)
+    """Vacuum amplitude computed by applying the factors to the vacuum,
+    position 1 (the rightmost factor of the product) first."""
+    x = FockVector.vacuum(wp.d, mode=mode)
+    for side, flavor, v in zip(wp.chi, wp.eps, wp.vectors):
+        x = apply(side, flavor, v, x)
+    return x.vacuum_amplitude()
 
 
 def apply_choice_product(ct, wp: WickProduct, mode: Mode = FORMAL) -> FockVector:
@@ -140,8 +131,8 @@ def apply_choice_product(ct, wp: WickProduct, mode: Mode = FORMAL) -> FockVector
     if ct.eps.symbols != tuple(wp.eps):
         raise GroundSetError("choice tuple belongs to a different flavor word")
     x = FockVector.vacuum(wp.d, mode=mode)
-    for h in range(1, wp.size + 1):
-        x = apply_piece(wp.chi[h - 1], wp.eps[h - 1], ct.gammas[h - 1], wp.vectors[h - 1], x)
+    for side, flavor, v, k in zip(wp.chi, wp.eps, wp.vectors, ct.gammas):
+        x = apply(side, flavor, v, x, k)
     return x
 
 
@@ -155,26 +146,13 @@ def height_compatible(
     return all(index(a) == index(b) for a, b in height_pairs(pi, chi))
 
 
-def compatible_crossing_sum(index: IndexTuple, eps: DyckTuple, mode: Mode = FORMAL):
-    """Sum of q^cr over the decoration-word fibre restricted to partitions
-    height-compatible with the index tuple (alternating pattern).  Equals the
-    vacuum expectation of the corresponding basis-vector product; the sum may
-    be empty, in which case it is 0."""
-    if len(index) != eps.size:
-        raise GroundSetError(f"lengths differ: {len(index)} vs {eps.size}")
-    values = index.values
-    sums = [0] * (eps.n * (eps.n - 1) // 2 + 1)
-    for pairs, cr in walk_preimage(eps):
-        if all(values[a - 1] == values[b - 1] for a, b in pairs):
-            sums[cr] += 1
-    return mode.series(sums)
-
-
 def basis_wick_product(index: IndexTuple, eps: Sequence[str], chi: Sequence[str] | None = None) -> WickProduct:
-    """The product whose h-th factor carries the I(h)-th basis vector."""
+    """The product whose h-th factor carries the I(h)-th basis vector.  As
+    basis vectors are orthonormal, its pairing sum is the sum of q^cr over
+    the fibre members height-compatible with the index tuple."""
     eps = tuple(eps)
     vectors = tuple(basis_vector(index.d, i) for i in index.values)
-    return WickProduct(_resolve_chi(chi, len(eps)), eps, vectors)
+    return WickProduct(alternating_pattern(len(eps)) if chi is None else chi, eps, vectors)
 
 
 def doubled_compatible_count(pi: PairPartition, d: int) -> int:

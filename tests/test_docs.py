@@ -17,16 +17,6 @@ def test_docstring_examples():
         assert result.failed == 0, mod.__name__
 
 
-def test_fock_vector_debug_dump():
-    from fractions import Fraction
-
-    from meanderq.fock import FockVector
-    from meanderq.scalars import FORMAL, QPoly
-
-    x = FockVector(2, FORMAL, {(): QPoly.one(), (1, 2): QPoly((0, 2))})
-    assert x.to_json_obj() == {"": "1", "12": "2q"}
-
-
 def test_quadrature_json_obj():
     from meanderq.spectra import Quadrature
 

@@ -14,15 +14,11 @@ from meanderq.errors import EnumerationCapError, GroundSetError
 from meanderq.fock import (
     FockVector,
     IndexTuple,
-    OpSymbol,
-    annihilator,
     apply,
-    apply_piece,
     apply_q_scaling,
     apply_semi_meander_operator,
     basis_vector,
     commutator_defect,
-    creator,
     gaussian_joint_moment,
     meander_moment,
     meander_moment_direct,
@@ -31,7 +27,6 @@ from meanderq.fock import (
     semi_meander_moment,
     semi_meander_moment_direct,
     semi_meander_moment_sweep,
-    vacuum_expectation,
     vector_inner,
     word_vector,
     _gaussian_moment_pairings,
@@ -41,6 +36,7 @@ from meanderq.fock import (
 )
 from meanderq.partitions import LEFT, RIGHT, odd_double_factorial
 from meanderq.polynomials import meander_poly, semi_meander_poly
+from meanderq.qwick import WickProduct, wick_scalar_operator
 from meanderq.scalars import FORMAL, Mode, QPoly, parse_q
 from meanderq.spectra import meander_moments, semi_meander_moments
 
@@ -109,65 +105,65 @@ class TestInnerProduct:
 
 class TestApply:
     def test_left_create_on_vacuum(self):
-        out = apply(creator("l", E1), FockVector.vacuum(2))
+        out = apply("l", ONE, E1, FockVector.vacuum(2))
         assert out.terms == {(1,): QPoly.one()}
 
     def test_left_annihilate_worked(self):
         x = fv(2, {(1, 2, 1): 1})
-        out = apply(annihilator("l", E1), x)
+        out = apply("l", STAR, E1, x)
         assert out.coefficient((2, 1)) == QPoly.one()
         assert out.coefficient((1, 2)) == Q(2)
         assert len(out.terms) == 2
 
     def test_annihilate_kills_vacuum(self):
-        out = apply(annihilator("l", E1), FockVector.vacuum(2))
+        out = apply("l", STAR, E1, FockVector.vacuum(2))
         assert out.is_zero()
 
     def test_right_create(self):
         x = fv(2, {(1,): 1})
-        out = apply(creator("r", E2), x)
+        out = apply("r", ONE, E2, x)
         assert out.terms == {(1, 2): QPoly.one()}
 
     def test_general_vector_create(self):
         v = (Fraction(1), Fraction(-2))
-        out = apply(creator("l", v), FockVector.vacuum(2))
+        out = apply("l", ONE, v, FockVector.vacuum(2))
         assert out.coefficient((1,)) == 1
         assert out.coefficient((2,)) == -2
 
     def test_creation_has_no_level(self):
         # states are exact at every length: the ignored level of ``vacuum``
         # and the longest word of a state bound no creation
-        out = apply(creator("l", E1), FockVector.vacuum(2, 0))
+        out = apply("l", ONE, E1, FockVector.vacuum(2, 0))
         assert out.terms == {(1,): QPoly.one()}
-        out = apply(creator("r", E2), fv(2, {(1, 2): 1}))
+        out = apply("r", ONE, E2, fv(2, {(1, 2): 1}))
         assert out.terms == {(1, 2, 2): QPoly.one()}
 
     def test_dimension_error(self):
         with pytest.raises(GroundSetError):
-            apply(creator("l", (1, 0, 0)), FockVector.vacuum(2))
+            apply("l", ONE, (1, 0, 0), FockVector.vacuum(2))
         with pytest.raises(GroundSetError):
-            apply(annihilator("r", (1, 0, 0)), FockVector.vacuum(2))
+            apply("r", STAR, (1, 0, 0), FockVector.vacuum(2))
 
-    @pytest.mark.parametrize("make", [creator, annihilator])
+    @pytest.mark.parametrize("flavor", [ONE, STAR], ids=["creator", "annihilator"])
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("bad", [0.5, 1.0, 0.5 - 0.5j, 1j])
-    def test_formal_mode_rejects_inexact_coordinates(self, make, side, bad):
+    def test_formal_mode_rejects_inexact_coordinates(self, flavor, side, bad):
         x = fv(2, {(1, 2): 1})
         with pytest.raises(TypeError):
-            apply(make(side, (bad, bad)), x)
+            apply(side, flavor, (bad, bad), x)
 
-    @pytest.mark.parametrize("make", [creator, annihilator])
+    @pytest.mark.parametrize("flavor", [ONE, STAR], ids=["creator", "annihilator"])
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("v", [
         (2, -1), (Fraction(2), Fraction(-1)), (Fraction(1, 2), Fraction(-3)),
         (QPoly((0, 1)), QPoly((1, Fraction(-1, 2)))), (Q(2), 3),
     ])
-    def test_formal_apply_is_the_linear_extension(self, make, side, v):
+    def test_formal_apply_is_the_linear_extension(self, flavor, side, v):
         # c (f q^(k-1)) for annihilation at removal position k, c v_i for creation
         x = fv(2, {(1, 2, 1): QPoly((1, -2)), (2,): Fraction(3, 2), (): 1})
         want = {}
         for word, c in x.terms.items():
-            if make is creator:
+            if flavor == ONE:
                 for i in (1, 2):
                     nw = (i,) + word if side == "l" else word + (i,)
                     want[nw] = want.get(nw, 0) + c * v[i - 1]
@@ -176,7 +172,7 @@ class TestApply:
                 pos = k - 1 if side == "l" else len(word) - k
                 nw = word[:pos] + word[pos + 1:]
                 want[nw] = want.get(nw, 0) + c * (v[word[pos] - 1] * Q(k - 1))
-        out = apply(make(side, v), x)
+        out = apply(side, flavor, v, x)
         assert out.terms == {w: c for w, c in want.items() if c}
         assert all(isinstance(c, QPoly) for c in out.terms.values())
 
@@ -188,10 +184,10 @@ class TestApply:
         assert FockVector(2, FORMAL, {(1,): QPoly.zero(), (): 1}).terms == {(): 1}
 
     def test_flavors_are_the_dyck_letters(self):
-        assert creator(LEFT, E1).flavor == ONE
-        assert annihilator(RIGHT, E1).flavor == STAR
+        assert apply(LEFT, ONE, E1, FockVector.vacuum(2)).terms == {(1,): QPoly.one()}
+        assert apply(RIGHT, STAR, E1, fv(2, {(1,): 1})).terms == {(): QPoly.one()}
         with pytest.raises(ValueError):
-            OpSymbol(LEFT, "create", E1)
+            apply(LEFT, "create", E1, FockVector.vacuum(2))
 
 
 class TestPieces:
@@ -202,7 +198,7 @@ class TestPieces:
             for k in (1, 2, 3, 4)
         }
         x = word_vector([us[3], us[1], us[2]], d=2)
-        out = apply_piece("r", "*", 3, us[4], x)
+        out = apply("r", STAR, us[4], x, k=3)
         expected = word_vector([us[1], us[2]], d=2).scaled(
             Q(2) * vector_inner(us[3], us[4])
         )
@@ -210,26 +206,28 @@ class TestPieces:
 
     def test_short_word_vanishes(self):
         x = fv(2, {(1,): 1})
-        assert apply_piece("l", "*", 2, E1, x).is_zero()
+        assert apply("l", STAR, E1, x, k=2).is_zero()
 
     @given(rational_vectors(2))
     @settings(max_examples=50)
     def test_creation_piece_is_creation(self, v):
         x = fv(2, {(1, 2): 1, (2,): 3})
-        assert apply_piece("l", "1", 1, v, x) == apply(creator("l", v), x)
+        assert apply("l", ONE, v, x, k=1) == apply("l", ONE, v, x)
 
     def test_creation_piece_requires_k1(self):
         with pytest.raises(ValueError):
-            apply_piece("l", "1", 2, E1, FockVector.vacuum(2))
+            apply("l", ONE, E1, FockVector.vacuum(2), k=2)
 
     def test_piece_validation(self):
         x = FockVector.vacuum(2)
         with pytest.raises(ValueError):
-            apply_piece("l", "*", 0, E1, x)
+            apply("l", STAR, E1, x, k=0)
         with pytest.raises(ValueError):
-            apply_piece("l", "x", 1, E1, x)
+            apply("l", "x", E1, x, k=1)
+        with pytest.raises(ValueError):
+            apply("x", STAR, E1, x, k=1)
         with pytest.raises(GroundSetError):
-            apply_piece("l", "*", 1, (1, 0, 0), x)
+            apply("l", STAR, (1, 0, 0), x, k=1)
 
     @pytest.mark.parametrize("side", ["l", "r"])
     @pytest.mark.parametrize("n", range(1, 6))
@@ -239,8 +237,8 @@ class TestPieces:
             x = fv(2, {word: 1})
             total = FockVector.zero(2, FORMAL)
             for k in range(1, n + 1):
-                total = total + apply_piece(side, "*", k, v, x)
-            assert total == apply(annihilator(side, v), x)
+                total = total + apply(side, STAR, v, x, k)
+            assert total == apply(side, STAR, v, x)
 
 
 class TestQScaling:
@@ -261,14 +259,15 @@ class TestQScaling:
 
 class TestVacuumExpectation:
     def test_empty_product(self):
-        assert vacuum_expectation([], 2) == 1
+        assert FockVector.vacuum(2).vacuum_amplitude() == 1
 
     def test_single_creation(self):
-        assert vacuum_expectation([creator("l", E1)], 2) == 0
+        assert apply("l", ONE, E1, FockVector.vacuum(2)).vacuum_amplitude() == 0
 
     def test_round_trips(self):
-        assert vacuum_expectation([annihilator("l", E1), creator("l", E1)], 2) == 1
-        assert vacuum_expectation([annihilator("r", E1), creator("l", E1)], 2) == 1
+        # the left creation at position 1 acts first, then the annihilation
+        assert wick_scalar_operator(WickProduct(("l", "l"), ("1", "*"), (E1, E1))) == 1
+        assert wick_scalar_operator(WickProduct(("l", "r"), ("1", "*"), (E1, E1))) == 1
 
 
 class TestAdjointness:
@@ -277,8 +276,8 @@ class TestAdjointness:
     def test_left_adjoint(self, v, a, b, c):
         x = word_vector([a], 2)
         y = word_vector([b, c], 2)
-        lhs = q_inner_product(apply(creator("l", v), x), y)
-        rhs = q_inner_product(x, apply(annihilator("l", v), y))
+        lhs = q_inner_product(apply("l", ONE, v, x), y)
+        rhs = q_inner_product(x, apply("l", STAR, v, y))
         assert lhs == rhs
 
     @given(rational_vectors(2), rational_vectors(2), rational_vectors(2), rational_vectors(2))
@@ -286,8 +285,8 @@ class TestAdjointness:
     def test_right_adjoint(self, v, a, b, c):
         x = word_vector([a], 2)
         y = word_vector([b, c], 2)
-        lhs = q_inner_product(apply(creator("r", v), x), y)
-        rhs = q_inner_product(x, apply(annihilator("r", v), y))
+        lhs = q_inner_product(apply("r", ONE, v, x), y)
+        rhs = q_inner_product(x, apply("r", STAR, v, y))
         assert lhs == rhs
 
     def test_adjointness_on_longer_words(self):
@@ -302,8 +301,8 @@ class TestAdjointness:
             v = rv()
             x = word_vector(xs, 2)
             y = word_vector(ys, 2)
-            assert q_inner_product(apply(creator("l", v), x), y) == q_inner_product(
-                x, apply(annihilator("l", v), y)
+            assert q_inner_product(apply("l", ONE, v, x), y) == q_inner_product(
+                x, apply("l", STAR, v, y)
             )
 
 
@@ -344,12 +343,12 @@ class TestCanonicalFormAtQZero:
             x = FockVector(d, mode, {word: mode.one()})
             for i in range(1, d + 1):
                 e = basis_vector(d, i)
-                lhs = apply(creator("l", e), x) + apply(annihilator("l", e), x)
+                lhs = apply("l", ONE, e, x) + apply("l", STAR, e, x)
                 y = x
                 for j in range(1, d + 1):
                     ej = basis_vector(d, j)
-                    y = y + apply(creator("l", ej), apply(creator("l", ej), x))
-                rhs = apply(annihilator("l", e), y)
+                    y = y + apply("l", ONE, ej, apply("l", ONE, ej, x))
+                rhs = apply("l", STAR, e, y)
                 assert lhs == rhs
 
 
@@ -558,8 +557,8 @@ class TestSemiMeanderMoment:
             slow = FockVector.zero(d, FORMAL)
             for i in range(1, d + 1):
                 e = basis_vector(d, i)
-                y = apply(creator("r", e), x) + apply(annihilator("r", e), x)
-                slow = slow + apply(creator("l", e), y) + apply(annihilator("l", e), y)
+                y = apply("r", ONE, e, x) + apply("r", STAR, e, x)
+                slow = slow + apply("l", ONE, e, y) + apply("l", STAR, e, y)
             assert apply_semi_meander_operator(x) == slow
 
 

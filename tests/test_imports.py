@@ -42,10 +42,10 @@ def test_the_check_sees_a_private_import():
 
 
 def test_private_names_stay_in_their_module():
-    # a module's underscored helpers are its own; these few are shared on
-    # purpose, and a new one (say a packing detail of fock) shows here
+    # a module's underscored helpers are its own, and a new shared one (say
+    # a packing detail of fock) shows here
     found = set().union(*(_private_imports(p.read_text()) for p in PACKAGE.glob("*.py")))
-    assert found == {"dyck._resolve_chi"}
+    assert found == set()
 
 
 def _formal_branches(source: str, module: str) -> set[tuple[str, str]]:

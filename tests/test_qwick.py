@@ -11,7 +11,7 @@ from conftest import rational_vectors
 from meanderq.dyck import (ChoiceTuple, DyckTuple, alternating_pattern, enumerate_dyck,
                            enumerate_preimage)
 from meanderq.errors import EnumerationCapError, GroundSetError
-from meanderq.fock import IndexTuple, OpSymbol, basis_vector, semi_meander_moment, vector_inner
+from meanderq.fock import IndexTuple, basis_vector, semi_meander_moment, vector_inner
 from meanderq.partitions import (
     PairPartition,
     act,
@@ -27,7 +27,6 @@ from meanderq.qwick import (
     apply_choice_product,
     basis_wick_product,
     bnc_moment_q0,
-    compatible_crossing_sum,
     doubled_compatible_count,
     doubled_compatible_count_bruteforce,
     height_compatible,
@@ -53,13 +52,6 @@ class TestWickProduct:
             WickProduct(("l", "r"), ("1", "x"), ((1, 0), (0, 1)))
         with pytest.raises(GroundSetError):
             WickProduct(("l", "r"), ("1", "*"), ((1, 0), (0, 1, 0)))
-
-    def test_factors_keep_the_side_and_flavor_letters(self):
-        chi, eps = ("r", "l", "l", "r"), ("1", "1", "*", "*")
-        vectors = ((1, 0), (0, 1), (1, 1), (2, 0))
-        wp = WickProduct(chi, eps, vectors)
-        expected = [OpSymbol(c, e, v) for c, e, v in zip(chi, eps, vectors)]
-        assert wp.factors() == expected[::-1]
 
 
 class TestTwoRoutes:
@@ -256,24 +248,40 @@ class TestHeightCompatibility:
             assert count == d**n
 
 
+def _restricted_crossing_sum(index, eps):
+    """The literal restricted sum: q^cr over the fibre of ``eps``, kept
+    where the index tuple is constant on every pair in height coordinates."""
+    return sum((QPoly.q_power(crossings(pi)) for pi in enumerate_preimage(eps)
+                if height_compatible(index, pi)), QPoly.zero())
+
+
 class TestCompatibleCrossingSum:
+    """On basis vectors the pairing sum is the restricted crossing sum."""
+
     def test_empty_sum_is_zero(self):
-        eps = DyckTuple.from_string("1*")
-        assert compatible_crossing_sum(IndexTuple((1, 2), 2), eps) == 0
+        wp = basis_wick_product(IndexTuple((1, 2), 2), ("1", "*"))
+        assert wick_scalar_combinatorial(wp) == 0
 
     def test_single_pair(self):
-        eps = DyckTuple.from_string("1*")
-        assert compatible_crossing_sum(IndexTuple((1, 1), 2), eps) == 1
+        wp = basis_wick_product(IndexTuple((1, 1), 2), ("1", "*"))
+        assert wick_scalar_combinatorial(wp) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_operator_route(self, n):
         d = 2
         for eps in enumerate_dyck(2 * n):
             for values in product(range(1, d + 1), repeat=2 * n):
+                wp = basis_wick_product(IndexTuple(values, d), eps.symbols)
+                assert wick_scalar_combinatorial(wp) == wick_scalar_operator(wp)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_is_the_literal_restricted_sum(self, n, d):
+        for eps in enumerate_dyck(2 * n):
+            for values in product(range(1, d + 1), repeat=2 * n):
                 index = IndexTuple(values, d)
-                comb = compatible_crossing_sum(index, eps)
-                op = wick_scalar_operator(basis_wick_product(index, eps.symbols))
-                assert comb == op
+                wp = basis_wick_product(index, eps.symbols)
+                assert wick_scalar_combinatorial(wp) == _restricted_crossing_sum(index, eps)
 
 
 class TestMomentSum:
