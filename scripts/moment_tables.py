@@ -8,7 +8,7 @@ import sys
 import time
 
 from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep
-from meanderq.polynomials import CoefficientTable, meander_poly, semi_meander_poly
+from meanderq.polynomials import meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL
 
 
@@ -25,7 +25,7 @@ def main() -> int:
         t0 = time.time()
         polys[n] = p = semi_meander_poly(n)
         print(f"n={n}  ({time.time() - t0:.2f}s)  {p}")
-        print(CoefficientTable(p).to_csv())
+        print(p.to_csv())
 
     print("== operator moments vs polynomial values (formal deformation) ==")
     # one sweep per d gives m_1..m_n_max at once

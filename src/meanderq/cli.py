@@ -19,7 +19,7 @@ from itertools import islice
 from .dyck import enumerate_bnc2_alternating, enumerate_dyck
 from .partitions import (catalan, enumerate_noncrossing, enumerate_pair_partitions,
                          odd_double_factorial)
-from .polynomials import CoefficientTable, kronecker_poly, poly_json_doc
+from .polynomials import kronecker_poly, poly_json_doc
 from .scalars import FORMAL, Mode, QPoly, parse_q
 from .spectra import MomentSequence, meander_moments, realize, semi_meander_moments
 from .verify import SUITE_ALIASES, SUITES, run_suite
@@ -40,7 +40,7 @@ def _scalar_json(value):
 def cmd_poly(cfg: argparse.Namespace) -> int:
     p = kronecker_poly(cfg.kind, cfg.n, cap=cfg.cap)
     if cfg.fmt == "csv":
-        sys.stdout.write(CoefficientTable(p).to_csv())
+        sys.stdout.write(p.to_csv())
     elif cfg.fmt == "pretty":
         sys.stdout.write(f"{p}\n")
     else:
@@ -52,7 +52,7 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
     mode, decimal = cfg.q
     moments = semi_meander_moments if cfg.operator == "T" else meander_moments
     ms = moments(cfg.d, mode, cfg.n, cap=cfg.cap)
-    ms = MomentSequence(ms.floats(), ms.provenance) if decimal else ms
+    ms = MomentSequence(ms.floats()) if decimal else ms
     q_field = "formal" if mode.is_formal else (float(mode.q) if decimal else str(mode.q))
     if cfg.fmt == "csv":
         sys.stdout.write(ms.to_csv())

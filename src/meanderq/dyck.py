@@ -65,7 +65,7 @@ def is_dyck(symbols: Sequence[str]) -> bool:
 class DyckTuple:
     """A word over {1,*} with the Dyck property.
 
-    >>> DyckTuple.from_string("111**11***").symbols[3]
+    >>> DyckTuple("111**11***").symbols[3]
     '*'
     """
 
@@ -79,10 +79,6 @@ class DyckTuple:
             raise ValueError(f"not a Dyck word: {''.join(symbols)}")
         self.symbols = symbols
 
-    @classmethod
-    def from_string(cls, text: str) -> "DyckTuple":
-        return cls(tuple(text))
-
     @property
     def n(self) -> int:
         return len(self.symbols) // 2
@@ -90,9 +86,6 @@ class DyckTuple:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def star_heights(self) -> tuple[int, ...]:
-        return tuple(h for h, s in enumerate(self.symbols, start=1) if s == STAR)
 
     def __eq__(self, other):
         return isinstance(other, DyckTuple) and self.symbols == other.symbols
@@ -182,9 +175,6 @@ class ChoiceTuple:
                 raise ValueError(f"gamma_{h}={g} outside 1..{bound}")
         self.gammas = gammas
         self.eps = eps
-
-    def to_list(self) -> list[int]:
-        return list(self.gammas)
 
     def __eq__(self, other):
         return (

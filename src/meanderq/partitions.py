@@ -49,12 +49,6 @@ class SetPartition:
             raise ValueError(f"blocks must exactly cover 1..{m}: {canon}")
         self.m, self.blocks = m, tuple(canon)
 
-    def block_of(self, a: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if a in b:
-                return b
-        raise ValueError(f"{a} not in ground set 1..{self.m}")
-
     def to_lists(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
 
@@ -114,14 +108,6 @@ class PairPartition(SetPartition):
             out[b - 1] = a
         return tuple(out)
 
-    def partner(self, a: int) -> int:
-        for x, y in self.blocks:
-            if x == a:
-                return y
-            if y == a:
-                return x
-        raise ValueError(f"{a} not in ground set 1..{self.m}")
-
 
 class Permutation:
     """A bijection of {1..m}, stored as the image tuple (images[k-1] == s(k))."""
@@ -133,10 +119,6 @@ class Permutation:
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection of 1..{len(images)}: {images}")
         self.images = images
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(range(1, m + 1))
 
     @property
     def m(self) -> int:
@@ -258,43 +240,26 @@ def crossings(pi: PairPartition) -> int:
     return count
 
 
-class _UnionFind:
-    """Array union-find with path compression; elements 0..m-1."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, m: int):
-        self.parent = list(range(m))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def join(p: SetPartition, q: SetPartition) -> SetPartition:
     """Least upper bound of two partitions in reverse-refinement order."""
     m = p.m
     if q.m != m:
         raise GroundSetError(f"ground sets differ: {m} vs {q.m}")
-    uf = _UnionFind(m)
+    parent = list(range(m + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
     for part in (p, q):
         for block in part.blocks:
-            first = block[0] - 1
+            root = find(block[0])
             for x in block[1:]:
-                uf.union(first, x - 1)
+                parent[find(x)] = root
     groups: dict[int, list[int]] = {}
-    for x in range(m):
-        groups.setdefault(uf.find(x), []).append(x + 1)
+    for x in range(1, m + 1):
+        groups.setdefault(find(x), []).append(x)
     return SetPartition(groups.values())
 
 

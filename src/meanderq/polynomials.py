@@ -65,6 +65,19 @@ class BivarPoly:
             coeffs[l] += c * Fraction(t) ** k
         return QPoly(coeffs)
 
+    def to_csv(self) -> str:
+        """Dense table: a row per t-degree from the lowest present, a column
+        per u-degree, with row sums, column sums and the total."""
+        k_min = min((k for k, _ in self.terms), default=0)
+        cols = range(self.u_degree + 1)
+        rows = [[self.coefficient(k, l) for l in cols] for k in range(k_min, self.t_degree + 1)]
+        lines = ["k\\l," + ",".join(map(str, cols)) + ",row_sum"]
+        lines += [f"{k}," + ",".join(map(str, row)) + f",{sum(row)}"
+                  for k, row in enumerate(rows, start=k_min)]
+        col_sums = [sum(col) for col in zip(*rows)]
+        lines.append("col_sum," + ",".join(map(str, col_sums)) + f",{sum(col_sums)}")
+        return "\n".join(lines) + "\n"
+
     def u0_slice(self) -> dict[int, int]:
         """Coefficients of the u=0 restriction, keyed by t-degree."""
         return {k: c for (k, l), c in self.terms.items() if l == 0}
@@ -135,10 +148,9 @@ def _systems(n: int, meander: bool) -> BivarPoly:
                              for pa, cra in (lower if meander else upper) for pb, crb in lower))
 
 
-def semi_meander_poly(n: int, cap: int | None = None, jobs: int = 1) -> BivarPoly:
+def semi_meander_poly(n: int, cap: int | None = None) -> BivarPoly:
     """Sum of t^(closed curves against the rainbow) * u^(crossings) over all
-    matchings of {1..2n}.  ``jobs`` is ignored (the enumeration runs in one
-    process); it is kept for callers that pass it."""
+    matchings of {1..2n}."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_size(n, cap, map(odd_double_factorial, range(1, n + 1)), ENUMERATION_BUDGET)
@@ -163,40 +175,6 @@ def kronecker_poly(kind: str, n: int, cap: int | None = None) -> BivarPoly:
     if n < 1 or kind not in ("semi", "meander"):
         raise ValueError(f"need n >= 1 and kind 'semi' or 'meander', got {n}, {kind!r}")
     return BivarPoly(loop_sweep(n, kind == "meander", cap))
-
-
-class CoefficientTable:
-    """Dense (t-degree x u-degree) coefficient table with marginal sums."""
-
-    __slots__ = ("rows", "k_min", "row_sums", "col_sums")
-
-    def __init__(self, p: BivarPoly):
-        if not p.terms:
-            self.rows, self.k_min = ((0,),), 0
-            self.row_sums, self.col_sums = (0,), (0,)
-            return
-        k_min = min(k for k, _ in p.terms)
-        k_max, l_max = p.t_degree, p.u_degree
-        rows = [
-            tuple(p.coefficient(k, l) for l in range(l_max + 1))
-            for k in range(k_min, k_max + 1)
-        ]
-        self.rows = tuple(rows)
-        self.k_min = k_min
-        self.row_sums = tuple(sum(r) for r in rows)
-        self.col_sums = tuple(sum(col) for col in zip(*rows))
-
-    def total(self) -> int:
-        return sum(self.row_sums)
-
-    def to_csv(self) -> str:
-        width = len(self.rows[0])
-        lines = ["k\\l," + ",".join(str(l) for l in range(width)) + ",row_sum"]
-        for i, row in enumerate(self.rows):
-            k = self.k_min + i
-            lines.append(f"{k}," + ",".join(map(str, row)) + f",{self.row_sums[i]}")
-        lines.append("col_sum," + ",".join(map(str, self.col_sums)) + f",{self.total()}")
-        return "\n".join(lines) + "\n"
 
 
 def poly_json_doc(p: BivarPoly, kind: str, n: int) -> dict:

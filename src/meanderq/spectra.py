@@ -30,10 +30,9 @@ from .scalars import Mode
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """m_0 = 1, m_1, ..., m_N with a provenance tag naming the producer."""
+    """m_0 = 1, m_1, ..., m_N."""
 
     moments: tuple
-    provenance: str = ""
 
     def __post_init__(self):
         if not self.moments:
@@ -60,16 +59,12 @@ def _as_mode(q) -> Mode:
 
 def semi_meander_moments(d: int, q, n_max: int, cap: int | None = None) -> MomentSequence:
     """m_0..m_n_max of the semi-meander operator at a fixed deformation."""
-    mode = _as_mode(q)
-    moments = semi_meander_moment_sweep(d, n_max, mode, cap=cap)
-    return MomentSequence(tuple(moments), provenance=f"semi-meander-op d={d} q={mode.q}")
+    return MomentSequence(semi_meander_moment_sweep(d, n_max, _as_mode(q), cap=cap))
 
 
 def meander_moments(d: int, q, n_max: int, cap: int | None = None) -> MomentSequence:
     """m_0..m_n_max of the squared two-faced sum at a fixed deformation."""
-    mode = _as_mode(q)
-    moments = meander_moment_sweep(d, n_max, mode, cap=cap)
-    return MomentSequence(tuple(moments), provenance=f"meander-op d={d} q={mode.q}")
+    return MomentSequence(meander_moment_sweep(d, n_max, _as_mode(q), cap=cap))
 
 
 def hankel_psd_check(ms: MomentSequence, size: int):

@@ -106,7 +106,7 @@ def test_criterion_05_crossing_formula():
 
 def test_criterion_06_preimage_counts():
     t0 = time.time()
-    worked = DyckTuple.from_string("111**11***")
+    worked = DyckTuple("111**11***")
     sizes = [3, 2, 3, 2, 1]
     prod = 1
     for s in sizes:

@@ -9,7 +9,7 @@ import pytest
 from meanderq.cli import main
 from meanderq.dyck import enumerate_bnc2_alternating, enumerate_dyck
 from meanderq.partitions import enumerate_noncrossing, enumerate_pair_partitions
-from meanderq.polynomials import CoefficientTable, meander_poly, poly_json_doc, semi_meander_poly
+from meanderq.polynomials import meander_poly, poly_json_doc, semi_meander_poly
 
 
 def run_cli(capsys, *argv):
@@ -82,7 +82,7 @@ class TestPoly:
             p = enumerate_poly(n)
             expected = {
                 "json": json.dumps(poly_json_doc(p, kind, n), separators=(",", ":")) + "\n",
-                "csv": CoefficientTable(p).to_csv(),
+                "csv": p.to_csv(),
                 "pretty": f"{p}\n",
             }
             for fmt, text in expected.items():

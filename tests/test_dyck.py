@@ -34,7 +34,7 @@ from meanderq.partitions import (
     odd_double_factorial,
 )
 
-EPS_EXAMPLE = DyckTuple.from_string("111**11***")
+EPS_EXAMPLE = DyckTuple("111**11***")
 REFERENCE_PI = PairPartition([(1, 9), (2, 7), (3, 10), (4, 5), (6, 8)])
 
 
@@ -53,9 +53,9 @@ class TestDyckBasics:
 
     def test_constructor_rejects_non_dyck(self):
         with pytest.raises(ValueError):
-            DyckTuple.from_string("*1")
+            DyckTuple("*1")
         with pytest.raises(ValueError):
-            DyckTuple.from_string("1*1")
+            DyckTuple("1*1")
 
     @pytest.mark.parametrize("two_n", (2, 4, 6, 8, 10, 12))
     def test_enumeration_counts(self, two_n):
@@ -66,7 +66,7 @@ class TestDyckBasics:
         assert got == ["111***", "11*1**", "11**1*", "1*11**", "1*1*1*"]
 
     def test_lattice_path(self):
-        assert to_lattice_path(DyckTuple.from_string("1*")) == (1, 0)
+        assert to_lattice_path(DyckTuple("1*")) == (1, 0)
         assert to_lattice_path(EPS_EXAMPLE) == (1, 2, 3, 2, 1, 2, 3, 2, 1, 0)
 
     @pytest.mark.parametrize("two_n", (2, 4, 6, 8, 10, 12))
@@ -89,7 +89,7 @@ class TestChoiceNumbers:
         assert choice_number(EPS_EXAMPLE, 8) == 3
         assert choice_number(EPS_EXAMPLE, 9) == 2
         assert choice_number(EPS_EXAMPLE, 10) == 1
-        assert choice_number(DyckTuple.from_string("1*"), 2) == 1
+        assert choice_number(DyckTuple("1*"), 2) == 1
 
     def test_non_star_rejected(self):
         with pytest.raises(ValueError):
@@ -106,8 +106,9 @@ class TestChoiceNumbers:
         for eps in enumerate_dyck(two_n):
             assert choice_bounds(eps) == tuple(1 if s == ONE else choice_number(eps, h)
                                                for h, s in enumerate(eps.symbols, start=1))
-            for h in eps.star_heights():
-                assert choice_number(eps, h) >= 1
+            for h, s in enumerate(eps.symbols, start=1):
+                if s != ONE:
+                    assert choice_number(eps, h) >= 1
 
 
 class TestDecorationWord:
@@ -138,14 +139,14 @@ class TestChoiceParametrization:
         assert choices_to_partition(ct) == REFERENCE_PI
 
     def test_trivial(self):
-        eps = DyckTuple.from_string("1*")
+        eps = DyckTuple("1*")
         ct = ChoiceTuple((1, 1), eps)
         assert choices_to_partition(ct) == PairPartition([(1, 2)])
         assert choices_to_partition(ct, ("r", "r")) == PairPartition([(1, 2)])
 
     def test_general_pattern_instance(self):
         chi = tuple("rllrllrrll")
-        eps = DyckTuple.from_string("111*1**1**")
+        eps = DyckTuple("111*1**1**")
         gammas = [1] * 10
         gammas[3], gammas[5], gammas[6], gammas[8], gammas[9] = 2, 2, 1, 2, 1
         pi = choices_to_partition(ChoiceTuple(gammas, eps), chi)
@@ -183,7 +184,7 @@ class TestPreimages:
         assert sum(1 for _ in enumerate_preimage(EPS_EXAMPLE)) == 36
 
     def test_all_choice_one(self):
-        eps = DyckTuple.from_string("1*1*")
+        eps = DyckTuple("1*1*")
         assert preimage_size(eps) == 1
         assert sum(1 for _ in enumerate_preimage(eps)) == 1
 
@@ -208,7 +209,7 @@ class TestPreimages:
         # choice numbers, the last star's choice running fastest
         rng = random.Random(n)
         for eps in enumerate_dyck(2 * n):
-            stars = eps.star_heights()
+            stars = [h for h, s in enumerate(eps.symbols, start=1) if s != ONE]
             want = []
             for combo in product(*(range(1, choice_number(eps, h) + 1) for h in stars)):
                 gammas = [1] * (2 * n)
@@ -291,11 +292,11 @@ class TestBiNoncrossing:
 
 class TestSerialization:
     def test_string_round_trip(self):
-        assert str(DyckTuple.from_string("111**11***")) == "111**11***"
+        assert str(DyckTuple("111**11***")) == "111**11***"
 
     def test_choice_tuple_json_form(self):
         ct = ChoiceTuple((1, 1, 1, 3, 1, 1, 1, 2, 2, 1), EPS_EXAMPLE)
-        assert ct.to_list() == [1, 1, 1, 3, 1, 1, 1, 2, 2, 1]
+        assert list(ct.gammas) == [1, 1, 1, 3, 1, 1, 1, 2, 2, 1]
 
     def test_alternating_pattern(self):
         assert alternating_pattern(4) == ("l", "r", "l", "r")

@@ -1,6 +1,7 @@
 """Every top-level import of a library module is used in that module, only
 a pinned few private names cross between modules, every definition is
-used somewhere, and the CLI starts without what only a rare path needs."""
+used somewhere, only a pinned few only by tests, and the CLI starts
+without what only a rare path needs."""
 
 import ast
 import os
@@ -98,7 +99,8 @@ def test_every_import_is_used(path):
 
 def _definitions(source: str) -> list[tuple[str, bool]]:
     """(name, is a method) of each function and class defined in ``source``,
-    at any depth, bar dunders and the suites ``verify._suite`` registers."""
+    at any depth, bar dunders and the suites ``verify._suite`` registers; a
+    method's name is ``Class.method``."""
     out = []
     for parent in ast.walk(ast.parse(source)):
         for node in ast.iter_child_nodes(parent):
@@ -108,7 +110,8 @@ def _definitions(source: str) -> list[tuple[str, bool]]:
             suite = any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_suite"
                         for d in node.decorator_list)
             if not dunder and not suite:
-                out.append((node.name, isinstance(parent, ast.ClassDef)))
+                method = isinstance(parent, ast.ClassDef)
+                out.append((f"{parent.name}.{node.name}" if method else node.name, method))
     return out
 
 
@@ -136,7 +139,7 @@ def _dead_definitions(source: str, sources) -> list[str]:
     method only by an attribute, a function or class by any reference."""
     names, attributes = _references(sources)
     return sorted(name for name, method in _definitions(source)
-                  if name not in attributes and (method or name not in names))
+                  if name.rpartition(".")[2] not in attributes and (method or name not in names))
 
 
 def test_the_check_sees_a_dead_definition():
@@ -145,7 +148,7 @@ def test_the_check_sees_a_dead_definition():
               "def helper(): ...\ndef orphan(): ...\ndef patched(): ...\n"
               "@_suite('x')\ndef suite_x(): ...\n")
     callers = ["A().used()\nhelper()\n", "setattr(m, 'patched', None)\ndead = 1\n"]
-    assert _dead_definitions(source, callers) == ["dead", "orphan"]
+    assert _dead_definitions(source, callers) == ["A.dead", "orphan"]
 
 
 def test_every_definition_is_used():
@@ -155,6 +158,26 @@ def test_every_definition_is_used():
                for p in (ROOT / folder).rglob("*.py")]
     dead = {p.name: _dead_definitions(p.read_text(), sources) for p in PACKAGE.glob("*.py")}
     assert {name: found for name, found in dead.items() if found} == {}
+
+
+# The definitions that only tests name, each with the reason it stays.
+TEST_ONLY = {
+    "fock._gaussian_moment_pairings": "the pairing-sum reference for gaussian_joint_moment",
+    "fock.semi_meander_moment_direct": "the unpruned word-by-word reference for the moment sweeps",
+    "qwick.wick_term": "the term-by-term reference for the pairing side of the Wick formula",
+    "qwick.apply_choice_product": "the term-by-term reference for the operator side",
+    "polynomials.BivarPoly.total": "the call shape that the benchmark contract test pins",
+    "polynomials.BivarPoly.u0_slice": "the classical Q_n(t, 0) slice, against the non-crossing oracle",
+}
+
+
+def test_only_the_pinned_references_serve_tests_alone():
+    # a definition that no module, script or benchmark file names serves
+    # only tests: a new one goes, or joins TEST_ONLY with its reason
+    sources = [p.read_text() for folder in ("src", "scripts", "perfbench")
+               for p in (ROOT / folder).rglob("*.py")]
+    found = {f"{p.stem}.{name}" for p in MODULES for name in _dead_definitions(p.read_text(), sources)}
+    assert found == set(TEST_ONLY)
 
 
 def _pool_imports(source: str) -> set[str]:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from meanderq.errors import EnumerationCapError
 from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep
 from meanderq.polynomials import (
     BivarPoly,
-    CoefficientTable,
     _join_block_count,
     kronecker_poly,
     meander_poly,
@@ -110,10 +110,10 @@ class TestSemiMeanderPoly:
         with pytest.raises(EnumerationCapError):
             semi_meander_poly(9)
 
-    def test_jobs_runs_in_one_process(self, monkeypatch):
-        # jobs is ignored: no process pool is started whatever it asks
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-        assert semi_meander_poly(4, jobs=2) == semi_meander_poly(4, jobs=1)
+    def test_takes_no_jobs(self):
+        # the enumeration runs in one process; only meander_poly keeps the
+        # jobs that the benchmark's probe passes
+        assert "jobs" not in inspect.signature(semi_meander_poly).parameters
 
 
 class TestMeanderPoly:
@@ -215,24 +215,46 @@ class TestJoinFastPath:
                 assert _join_block_count(a.partner_map(), b.partner_map()) == block_count(join(a, b))
 
 
+def _csv_cells(p: BivarPoly) -> list[list[str]]:
+    return [line.split(",") for line in p.to_csv().splitlines()]
+
+
 class TestCoefficientTable:
+    """``BivarPoly.to_csv``: the dense (t-degree x u-degree) table with its
+    marginal sums."""
+
     def test_semi_two(self):
-        table = CoefficientTable(semi_meander_poly(2))
-        assert table.rows == ((1, 1), (1, 0))
-        assert table.k_min == 1
-        assert table.row_sums == (2, 1)
-        assert table.col_sums == (2, 1)
-        assert table.total() == 3
+        assert semi_meander_poly(2).to_csv() == "k\\l,0,1,row_sum\n1,1,1,2\n2,1,0,1\ncol_sum,2,1,3\n"
+
+    def test_empty(self):
+        assert BivarPoly({}).to_csv() == "k\\l,0,row_sum\n0,0,0\ncol_sum,0,0\n"
 
     def test_meander_two_total(self):
-        assert CoefficientTable(meander_poly(2)).total() == 9
+        assert _csv_cells(meander_poly(2))[-1][-1] == "9"
 
     def test_csv(self):
-        text = CoefficientTable(semi_meander_poly(2)).to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "k\\l,0,1,row_sum"
-        assert lines[1] == "1,1,1,2"
-        assert lines[-1] == "col_sum,2,1,3"
+        assert meander_poly(2).to_csv() == ("k\\l,0,1,2,row_sum\n1,2,4,0,6\n2,2,0,1,3\n"
+                                            "col_sum,4,4,1,9\n")
+
+    @pytest.mark.parametrize("kind,n", [("semi", n) for n in range(1, 7)]
+                             + [("meander", n) for n in range(1, 5)])
+    def test_marginals(self, kind, n):
+        # the row sums are the t-marginals, the column sums the u-marginals,
+        # and the corner is the number of systems
+        p = semi_meander_poly(n) if kind == "semi" else meander_poly(n)
+        header, *body, footer = _csv_cells(p)
+        k_min = min(k for k, _ in p.terms)
+        assert header == ["k\\l", *map(str, range(p.u_degree + 1)), "row_sum"]
+        assert [int(row[0]) for row in body] == list(range(k_min, p.t_degree + 1))
+        for row in body:
+            k = int(row[0])
+            assert [int(c) for c in row[1:-1]] == [p.coefficient(k, l) for l in range(p.u_degree + 1)]
+            assert int(row[-1]) == sum(c for (kk, _), c in p.terms.items() if kk == k)
+        assert footer[0] == "col_sum"
+        assert [int(c) for c in footer[1:-1]] == [
+            sum(c for (_, ll), c in p.terms.items() if ll == l) for l in range(p.u_degree + 1)]
+        systems = odd_double_factorial(n) ** (2 if kind == "meander" else 1)
+        assert int(footer[-1]) == systems
 
 
 class TestJsonDoc:

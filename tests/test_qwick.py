@@ -37,7 +37,7 @@ from meanderq.qwick import (
 from meanderq.scalars import Mode, QPoly
 
 REFERENCE_PI = PairPartition([(1, 9), (2, 7), (3, 10), (4, 5), (6, 8)])
-EPS_EXAMPLE = DyckTuple.from_string("111**11***")
+EPS_EXAMPLE = DyckTuple("111**11***")
 
 
 def rational_vec(rng, d=2):
@@ -189,7 +189,7 @@ class TestWorkedSummand:
 
     def test_formal_terms_reject_an_inexact_zero_inner_product(self):
         # (1j, 1).(1, 1j) is 0j: the term, the sum and the route all refuse it
-        eps = DyckTuple.from_string("1*1*")
+        eps = DyckTuple("1*1*")
         wp = WickProduct(tuple("lrlr"), eps.symbols, ((1j, 1), (1, 1j), (1, 2), (3, 1)))
         for pi in enumerate_preimage(eps, wp.chi):
             with pytest.raises(TypeError):
@@ -200,13 +200,13 @@ class TestWorkedSummand:
     def test_sum_of_choice_products_is_wick_scalar(self):
         rng = random.Random(44)
         n = 3
-        eps = DyckTuple.from_string("11*1**")
+        eps = DyckTuple("11*1**")
         us = tuple(rational_vec(rng) for _ in range(2 * n))
         chi = tuple("rlllrr")
         wp = WickProduct(chi, eps.symbols, us)
         from meanderq.dyck import choice_number
 
-        stars = eps.star_heights()
+        stars = [h for h, s in enumerate(eps.symbols, start=1) if s == "*"]
         total = QPoly.zero()
         for combo in product(*[range(1, choice_number(eps, h) + 1) for h in stars]):
             gammas = [1] * (2 * n)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from meanderq.fock import meander_moment_sweep, semi_meander_moment_sweep
 from meanderq.scalars import FORMAL, Mode, QPoly
 from meanderq.spectra import (
     JacobiRecurrence,
@@ -24,7 +25,7 @@ Q_VALUES = (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
 
 
 def point_mass_moments(c, n_max):
-    return MomentSequence(tuple(c**n for n in range(n_max + 1)), provenance=f"delta_{c}")
+    return MomentSequence(tuple(c**n for n in range(n_max + 1)))
 
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -86,14 +87,16 @@ class TestMomentSequence:
             MomentSequence(())
 
     def test_csv(self):
-        ms = MomentSequence((1, Fraction(3, 2)), provenance="x")
+        ms = MomentSequence((1, Fraction(3, 2)))
         assert ms.to_csv() == "n,moment\n0,1\n1,3/2\n"
 
-    def test_builders_tag_provenance(self):
+    def test_builders_return_the_sweep_moments(self):
         ms = semi_meander_moments(2, Fraction(0), 2)
-        assert "d=2" in ms.provenance
-        assert ms.moments[1] == 2
-        assert ms.moments[2] == 6
+        assert ms.moments == (1, 2, 6)
+        for builder, sweep in ((semi_meander_moments, semi_meander_moment_sweep),
+                               (meander_moments, meander_moment_sweep)):
+            ms = builder(2, Fraction(1, 2), 4)
+            assert ms.moments == tuple(sweep(2, 4, Mode(Fraction(1, 2))))
 
 
     def test_order_zero(self):
