@@ -12,20 +12,20 @@ Inner products are linear in the first argument.  Exact modes restrict to
 rational coordinates; floating mode, for complex ones, is word-level only.
 
 Moments and the polynomials in (t, q) are swept by one engine,
-``_moment_sweep``, which picks the basis, prices the sweep and runs it: the
-polynomials are the loop-basis moment at formal t.  Its state is a dict
-from legs to packed ints, stepped through the reach and the longest leg
-``_schedule`` gives each step, and it reads every vacuum amplitude off the
-packed digits (``_digits``).  Each step runs in two passes: the first
-factor into half-states, then the second factor from each.  One move rule
-(``_left_moves``) and one two-pass step (``_two_pass_step``) serve both
-bases, which give it three rules: the labels a creation may use, the ends
-the second factor may remove, and how an output is keyed and weighed.  The
-orbit basis keeps one word (word pair for X) per relabelling orbit of the
-letters, and runs the moments at d <= 2, where few letters keep its states
-small.  The loop basis keeps only which two open ends belong to one path,
-so its states do not grow with d: it counts each closed loop with t, the
-int d for the moments at d >= 3 and 2^W for the polynomials.
+``_moment_sweep``, which prices the sweep in each basis and runs the one
+with the lower price: the polynomials are the loop-basis moment at formal
+t.  Its state is a dict from legs to packed ints, stepped through the reach
+and the longest leg ``_schedule`` gives each step, and it reads every
+vacuum amplitude off the packed digits (``_digits``).  Each step runs in
+two passes: the first factor into half-states, then the second factor from
+each.  One move rule (``_left_moves``) and one two-pass step
+(``_two_pass_step``) serve both bases, which give it three rules: the
+labels a creation may use, the ends the second factor may remove, and how
+an output is keyed and weighed.  The orbit basis keeps one word (word pair
+for X) per relabelling orbit of the letters, so its states grow with d.
+The loop basis keeps only which two open ends belong to one path, so its
+states do not grow with d: it counts each closed loop with t, the int d for
+the moments and 2^W for the polynomials.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections import Counter
 from functools import cache, partial
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from math import ceil, factorial, log2, prod
+from math import ceil, log2
 from operator import lshift, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -222,35 +222,42 @@ def word_vector(vectors: Sequence[CoordVector], d: int, mode: Mode = FORMAL) -> 
 
 def _word_inner(w: Word, v: Word, mode: Mode):
     """Permutation sum for two basis words: sum over the bijections tau with
-    w[i] == v[tau(i)], weighted by q^(inversion count).  A depth-first walk
-    picks tau(0), tau(1), ... among the free positions of v holding w[i]; a
-    pick's rank among them is the inversions it adds (its Lehmer code digit)."""
+    w[i] == v[tau(i)], weighted by q^(inversion count).  The walk picks
+    tau(0), tau(1), ... among the free positions of v holding w[i]; a pick's
+    rank among them is the inversions it adds (its Lehmer code digit).
+
+    What is left to pick depends only on the letters of v still free, in
+    order, so the walk keys its partial sums on that subword.  Each subword
+    is what one subset of the L positions of v leaves free, so the walk
+    holds at most 2^L of them over all its steps.  A partial sum packs one
+    digit of L bitlen(L) + 1 bits per power of q: a digit counts partial
+    bijections that extend to distinct whole ones, at most L! of them, so
+    no digit carries."""
     n = len(w)
     if sorted(w) != sorted(v):
         return mode.zero()
-    counts = [0] * (n * (n - 1) // 2 + 1)
-    stack = [(0, tuple(range(n)), 0)]
-    while stack:
-        i, free, inversions = stack.pop()
-        if len(free) < 2:  # the letters left agree, so the last pick is forced, at rank 0
-            counts[inversions] += 1
-            continue
-        stack.extend((i + 1, free[:r] + free[r + 1 :], inversions + r)
-                     for r, p in enumerate(free) if v[p] == w[i])
-    return mode.series(counts)
+    bits = n * n.bit_length() + 1
+    walk = {v: 1}
+    for a in w:
+        picked: dict = {}
+        for free, c in walk.items():
+            for r, b in enumerate(free):
+                if b == a:
+                    rest = free[:r] + free[r + 1 :]
+                    picked[rest] = picked.get(rest, 0) + (c << r * bits)
+        walk = picked
+    return mode.series(_digits(walk[()], bits))
 
 
 def q_inner_product(x: FockVector, y: FockVector):
     """Deformed inner product; words of different lengths are orthogonal.
-    Sized by the bijections ``_word_inner`` may walk: prod_a m_a(w)! for
-    each word w of x, against each word of y of the same length."""
+    Sized by the subwords ``_word_inner`` may walk: 2^L for each pair of
+    words of length L."""
     x._check_compatible(y)
-    walks, ys = Counter(), Counter(map(len, y.terms))
-    for w in x.terms:
-        walks[len(w)] += prod(map(factorial, Counter(w).values()))
-    common = sorted(walks.keys() & ys.keys())
+    xs, ys = Counter(map(len, x.terms)), Counter(map(len, y.terms))
+    common = sorted(xs.keys() & ys.keys())
     check_size(max(common, default=0), None,
-               accumulate(walks[L] * ys[L] for L in common), ENUMERATION_BUDGET,
+               accumulate(xs[L] * ys[L] << L for L in common), ENUMERATION_BUDGET,
                "q_inner_product takes no cap; use shorter words")
     mode = x.mode
     total = mode.zero()
@@ -648,21 +655,27 @@ def _digits(c: int, bits: int) -> list[int]:
     return [c >> s & mask for s in range(0, c.bit_length(), bits)]
 
 
-# The least d whose moments the loop basis sweeps: its states do not grow
-# with d, but at d = 2 the orbits are still fewer (T n=12 at q = 1/2: 31 ms
-# on orbits against 43 ms on loops, and 194 against 43 ms at d = 3; 2-core
-# VM, Python 3.11).
-_LOOP_BASIS_D = 3
+def _priced(sizes: Iterable[int], bound: int = SWEEP_BUDGET) -> list[int]:
+    """The running counts of a price, up to and including the first past
+    ``bound``."""
+    counts = []
+    for count in sizes:
+        counts.append(count)
+        if count > bound:
+            break
+    return counts
 
 
 def _moment_sweep(d: int | None, n: int, mode: Mode, doubled: bool, cap: int | None) -> list:
     """Vacuum amplitudes over n T steps, or 2n steps of sum_i X_i (x) X_i if
-    ``doubled``, from the vacuum with coefficient 1, in an exact mode: on
-    relabelling orbits at d < ``_LOOP_BASIS_D``, priced by ``sweep_sizes``,
-    and else in the loop basis at t = d, or at formal t (``d`` None, for
-    ``loop_sweep``) as t = 2^W, priced by ``loop_sweep_sizes``.  Each step
-    runs at the reach ``_schedule`` gives it, and the steps share one memo
-    of keys.
+    ``doubled``, from the vacuum with coefficient 1, in an exact mode, in
+    the basis with the lower price: the loop basis at t = d, or at formal t
+    (``d`` None, for ``loop_sweep``) as t = 2^W, priced by
+    ``loop_sweep_sizes``, or relabelling orbits at an int d, priced by
+    ``sweep_sizes``.  The orbit price is read only while it stays within
+    the loop total and the budget; a price that stays within the budget for
+    more steps is lower, and ties go to loops.  Each step runs at the reach
+    ``_schedule`` gives it, and the steps share one memo of keys.
 
     A state maps tuples of legs (one word for T, a word pair for X),
     renamed jointly by first appearance, to the coefficient of each of the
@@ -672,10 +685,13 @@ def _moment_sweep(d: int | None, n: int, mode: Mode, doubled: bool, cap: int | N
     numerator over b^scale if q = a/b."""
     if not mode.is_exact:
         raise ValueError(f"the moment sweeps are exact: pass q as Fraction('{mode.q!r}')")
-    orbits = d is not None and d < _LOOP_BASIS_D
-    check_size(n, cap, (sweep_sizes if orbits else loop_sweep_sizes)(d, n, mode, doubled),
-               SWEEP_BUDGET)
-    step = _orbit_step if orbits else _loop_step
+    loops = _priced(loop_sweep_sizes(d, n, mode, doubled))
+    prices = [(_loop_step, loops)]
+    if d is not None:
+        bound = min(loops[-1], SWEEP_BUDGET)
+        prices.append((_orbit_step, _priced(sweep_sizes(d, n, mode, doubled), bound)))
+    step, price = min(prices, key=lambda p: (-len(p[1]), p[1][-1]))
+    check_size(n, cap, price, SWEEP_BUDGET)
     t = 1 << _history_bits(n, doubled) if d is None else d
     width = _history_bits(n, doubled, d) if mode.is_formal else 0
     vacuum = ((), ()) if doubled else ((),)

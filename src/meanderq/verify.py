@@ -20,8 +20,8 @@ from .dyck import (ONE, STAR, ChoiceTuple, DyckTuple, alternating_pattern, choic
                    choices_to_partition, crossings_from_choices, enumerate_dyck,
                    partition_to_choices, to_lattice_path)
 from .errors import ENUMERATION_BUDGET, check_size
-from .fock import (FockVector, commutator_defect, meander_moment, meander_moment_direct,
-                   semi_meander_moment)
+from .fock import (FockVector, commutator_defect, meander_moment_direct, meander_moment_sweep,
+                   semi_meander_moment_sweep)
 from .partitions import (LEFT, RIGHT, IndexTuple, crossings, enumerate_pair_partitions,
                          odd_double_factorial)
 from .polynomials import meander_poly, semi_meander_poly
@@ -136,10 +136,11 @@ def suite_wick(n_max: int = 3, d: int = 2, chi_samples: int = 5,
 def suite_semi_moments(d_max: int = 3, n_max: int = 4) -> Outcome:
     """Operator moments == semi-meander polynomial values."""
     _admit(n_max, _matchings(n_max, d_max))
+    sweeps = {d: semi_meander_moment_sweep(d, n_max) for d in range(1, d_max + 1)}
     for n in range(1, n_max + 1):
         poly = semi_meander_poly(n)
         for d in range(1, d_max + 1):
-            op = semi_meander_moment(d, n)
+            op = sweeps[d][n]
             val = poly.eval_at_t(d)
             yield {"d": d, "n": n, "operator": str(op), "poly": str(val)} if op != val else None
 
@@ -149,10 +150,11 @@ def suite_meander_moments(d_max: int = 2, n_max: int = 3) -> Outcome:
     """Doubled-operator moments == meander polynomial values == the
     index-tuple sum of squared joint moments (``meander_moment_direct``)."""
     _admit(n_max, (max(m * m, d_max ** (2 * n)) for n, m in enumerate(_matchings(n_max), 1)))
+    sweeps = {d: meander_moment_sweep(d, n_max) for d in range(1, d_max + 1)}
     for n in range(1, n_max + 1):
         poly = meander_poly(n)
         for d in range(1, d_max + 1):
-            op = meander_moment(d, n)
+            op = sweeps[d][n]
             val = poly.eval_at_t(d)
             ok = op == val == meander_moment_direct(d, n)
             yield {"d": d, "n": n, "operator": str(op), "poly": str(val)} if not ok else None
@@ -258,10 +260,11 @@ def suite_bnc_q0(d_max: int = 3, n_max: int = 5) -> Outcome:
     sum."""
     _admit(n_max, _matchings(n_max, d_max))
     q0 = Mode(Fraction(0))
+    sweeps = {d: semi_meander_moment_sweep(d, n_max, q0) for d in range(1, d_max + 1)}
     for n in range(1, n_max + 1):
         poly = semi_meander_poly(n)
         for d in range(1, d_max + 1):
-            op = semi_meander_moment(d, n, q0)
+            op = sweeps[d][n]
             qn = poly.eval(d, 0)
             bnc = bnc_moment_q0(d, n)
             failed = not (op == qn == bnc)

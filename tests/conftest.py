@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 
 import meanderq.fock as fock
+from meanderq.errors import SWEEP_BUDGET
 from meanderq.partitions import PairPartition, Permutation, SetPartition
 
 
@@ -47,9 +48,16 @@ def rational_vectors(d, **kw):
     return st.tuples(*([rationals(**kw)] * d))
 
 
+def priced_out(*args):
+    """A price whose first count is already past the sweep budget: patched
+    over one basis's price, it leaves ``_moment_sweep`` the other basis."""
+    return iter([SWEEP_BUDGET + 1])
+
+
 def orbit_sweep(d, n, mode, doubled, cap=None):
-    """The moment sweep forced onto relabelling orbits at any d: the oracle
-    of the loop basis, which the public sweeps run at d >= 3."""
+    """The moment sweep forced onto relabelling orbits at any d, by pricing
+    the loop basis out: the oracle of the loop basis wherever the public
+    sweeps price loops lower."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fock, "_LOOP_BASIS_D", d + 1)
+        patch.setattr(fock, "loop_sweep_sizes", priced_out)
         return fock._moment_sweep(d, n, mode, doubled, cap)

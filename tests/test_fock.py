@@ -1,7 +1,8 @@
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from meanderq.qwick import WickProduct, wick_scalar_operator
 from meanderq.scalars import FORMAL, Mode, QPoly, parse_q
 from meanderq.spectra import meander_moments, semi_meander_moments
 
-from conftest import orbit_sweep, rational_vectors
+from conftest import orbit_sweep, priced_out, rational_vectors
 
 E1 = basis_vector(2, 1)
 E2 = basis_vector(2, 2)
@@ -77,18 +78,32 @@ class TestInnerProduct:
             q_inner_product(fv(2, {(1,): 1}), fv(2, {(1,): 1}, mode=Mode(0.5)))
 
     def test_long_words_are_refused_before_any_permutation(self, monkeypatch):
-        # a pair of words may walk prod_a m_a! letter-preserving bijections:
-        # 1^9 (362,880) is admitted, 1^10 (3,628,800) passes the budget
+        # a pair of words of length L may walk 2^L subwords: 1^20
+        # (1,048,576) is admitted, 1^21 (2,097,152) passes the budget
         walked = []
         monkeypatch.setattr(fock, "_word_inner",
                             lambda w, v, mode: walked.append(len(w)) or mode.one())
-        nine, ten = (fv(3, {(1,) * L: 1}) for L in (9, 10))
-        assert q_inner_product(nine, nine) == 1
+        twenty, long = (fv(3, {(1,) * L: 1}) for L in (20, 21))
+        assert q_inner_product(twenty, twenty) == 1
         start = time.monotonic()
         with pytest.raises(EnumerationCapError, match="use shorter words"):
-            q_inner_product(ten, ten)
+            q_inner_product(long, long)
         assert time.monotonic() - start < 1
-        assert walked == [9]
+        assert walked == [20]
+
+    def test_word_inner_is_the_permutation_sum(self):
+        # the subword walk == the sum of q^inversions over every permutation
+        # that maps one word's letters onto the other's
+        rng = random.Random(0)
+        for _ in range(200):
+            L = rng.randint(0, 7)
+            w = tuple(rng.randint(1, 3) for _ in range(L))
+            v = tuple(rng.sample(w, L) if rng.random() < 0.8 else rng.choices((1, 2, 3), k=L))
+            counts = [0] * (L * (L - 1) // 2 + 1)
+            for tau in permutations(range(L)):
+                if all(w[i] == v[tau[i]] for i in range(L)):
+                    counts[sum(a > b for a, b in combinations(tau, 2))] += 1
+            assert _word_inner(w, v, FORMAL) == FORMAL.series(counts), (w, v)
 
     def test_distinct_letters_walk_one_bijection(self):
         # (1..10) against its reverse: one bijection matches letters, the
@@ -425,7 +440,7 @@ class TestSemiMeanderMoment:
     @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(SWEEP_MODES))
     @settings(max_examples=40, deadline=None)
     def test_orbit_sweep_matches_both_references(self, d, n, mode):
-        # public sweep (orbits, or loops at d >= 3) == word-level pass ==
+        # public sweep (in the basis it prices lower) == word-level pass ==
         # enumerated polynomial at t = d
         poly = semi_meander_poly(n)
         expected = poly.eval_at_t(d) if mode.is_formal else poly.eval(d, mode.q)
@@ -705,12 +720,13 @@ class TestMomentSweep:
             meander_moment(2, 0)
 
 
+HALF = Mode(Fraction(1, 2))
 LOOP_ORACLE_MODES = [FORMAL] + [Mode(Fraction(q)) for q in ("0", "1/2", "-7/9", "9/10")]
 
 
 class TestLoopBasisMoments:
-    """At d >= 3 the public sweeps run the loop basis at t = d, and the
-    orbit sweep, which they no longer run there, is its oracle."""
+    """The public sweeps run the loop basis at t = d wherever they price it
+    lower, as at d >= 3, and the orbit sweep is its oracle."""
 
     @pytest.mark.parametrize("mode", LOOP_ORACLE_MODES, ids=str)
     @pytest.mark.parametrize("d", [3, 4, 5])
@@ -722,15 +738,26 @@ class TestLoopBasisMoments:
     def test_meander_matches_the_orbit_sweep(self, d, mode):
         assert meander_moment_sweep(d, 5, mode) == orbit_sweep(d, 5, mode, True)[::2]
 
-    @pytest.mark.parametrize("run", [semi_meander_moment_sweep, meander_moment_sweep])
-    def test_the_basis_depends_on_d_alone(self, run, monkeypatch):
-        # d <= 2 stays on the orbit sweep, and d >= 3 never reaches it
-        monkeypatch.setattr(fock, "_loop_step", None)
-        run(2, 3, Mode(Fraction(1, 2)))
-        monkeypatch.undo()
-        monkeypatch.setattr(fock, "_orbit_step", None)
-        run(3, 3, Mode(Fraction(1, 2)))
-        run(7, 3, FORMAL)
+    @pytest.mark.parametrize("basis,run", [
+        pytest.param(basis, partial(sweep, d, n, mode), id=f"{basis}-{name}")
+        for basis, name, sweep, d, n, mode in [
+            ("orbits", "T-d2-n11", semi_meander_moment_sweep, 2, 11, FORMAL),
+            ("orbits", "T-d2-n12-half", semi_meander_moment_sweep, 2, 12, HALF),
+            ("orbits", "X-d2-n7", meander_moment_sweep, 2, 7, FORMAL),
+            ("orbits", "T-d1-n20", semi_meander_moment_sweep, 1, 20, FORMAL),
+            ("loops", "T-d2-n10", semi_meander_moment_sweep, 2, 10, FORMAL),
+            ("loops", "T-d2-n10-half", semi_meander_moment_sweep, 2, 10, HALF),
+            ("loops", "X-d2-n5", meander_moment_sweep, 2, 5, FORMAL),
+            ("loops", "X-d2-n5-half", meander_moment_sweep, 2, 5, HALF),
+            ("loops", "T-d3-n8-half", semi_meander_moment_sweep, 3, 8, HALF),
+            ("loops", "T-d7-n3", semi_meander_moment_sweep, 7, 3, FORMAL),
+        ]
+    ] + [pytest.param("loops", partial(loop_sweep, 6, False), id="loops-formal-t")])
+    def test_the_basis_is_the_cheaper_price(self, basis, run, monkeypatch):
+        # each sweep runs the basis its price calls cheaper, and never
+        # reaches the other basis's step
+        monkeypatch.setattr(fock, "_loop_step" if basis == "orbits" else "_orbit_step", None)
+        run()
 
     @pytest.mark.parametrize("doubled,n", [(False, 8), (True, 5)], ids=["T", "X"])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -748,7 +775,7 @@ class TestLoopBasisMoments:
             accumulate(out, key, value)
 
         run = meander_moment_sweep if doubled else semi_meander_moment_sweep
-        monkeypatch.setattr(fock, "_LOOP_BASIS_D", 1)
+        monkeypatch.setattr(fock, "sweep_sizes", priced_out)
         monkeypatch.setattr(fock, "_accumulate", recording)
         monkeypatch.setattr(fock, "_history_bits", lambda *args: 3 * bits)
         swept = run(d, n, FORMAL, cap=n)

@@ -33,7 +33,7 @@ from meanderq.polynomials import kronecker_poly, meander_poly, semi_meander_poly
 from meanderq.scalars import FORMAL, Mode
 from meanderq.spectra import semi_meander_moments
 
-from conftest import orbit_sweep
+from conftest import orbit_sweep, priced_out
 
 ROUTES = [
     "poly --kind semi",
@@ -162,7 +162,8 @@ def _estimate(d, n, mode, doubled):
 def test_sweep_estimate_bounds_the_products(doubled, d, n, monkeypatch):
     """Every scalar product of a step is one ``_accumulate`` call; the
     estimate is at least their number and at most ten times it.  The orbit
-    sweep runs the moments at d < 3 and is the oracle at d >= 3."""
+    sweep runs the moments where its price is lower and is the oracle of
+    the loop basis elsewhere."""
     ticks = _counting_products(monkeypatch)
     orbit_sweep(d, n, Mode(Fraction(1, 2)), doubled, cap=n)
     made = next(ticks)
@@ -220,7 +221,7 @@ ZERO = Mode(Fraction(0))
 
 @pytest.mark.parametrize("run,products", [
     pytest.param(partial(semi_meander_moment_sweep, 2, 12, HALF, cap=12), 16_685, id="T-d2-n12"),
-    pytest.param(partial(meander_moment_sweep, 2, 6, HALF, cap=6), 12_058, id="X-d2-n6"),
+    pytest.param(partial(meander_moment_sweep, 2, 6, HALF, cap=6), 10_886, id="X-d2-n6"),
     pytest.param(partial(semi_meander_moment_sweep, 2, 14, FORMAL, cap=14), 68_987,
                  id="T-d2-n14-formal"),
     pytest.param(partial(semi_meander_moment_sweep, 3, 10, HALF, cap=10), 3_680, id="T-d3-n10"),
@@ -258,7 +259,7 @@ def test_the_exact_price_reads_the_legs_the_sweep_uses(doubled, d, n, loops, q, 
         return step(terms, *args)
 
     monkeypatch.setattr(fock, "_two_pass_step", recording)
-    monkeypatch.setattr(fock, "_LOOP_BASIS_D", 1 if loops else d + 1)
+    monkeypatch.setattr(fock, "sweep_sizes" if loops else "loop_sweep_sizes", priced_out)
     run = meander_moment_sweep if doubled else semi_meander_moment_sweep
     run(d, n, FORMAL if q is None else Mode(q), cap=n)
     assert longest == [top for _, top in fock._schedule(n, doubled)]

@@ -86,7 +86,7 @@ def test_refusal_does_no_work(suite, capsys, monkeypatch):
         raise AssertionError("a refused suite started work")
 
     for name in ["enumerate_dyck", "enumerate_pair_partitions", "semi_meander_poly",
-                 "meander_poly", "semi_meander_moment", "meander_moment",
+                 "meander_poly", "semi_meander_moment_sweep", "meander_moment_sweep",
                  "wick_scalar_operator", "FockVector", "commutator_defect"]:
         monkeypatch.setattr(verify, name, no_work)
     params = inspect.signature(SUITES[suite]).parameters
